@@ -8,7 +8,7 @@ zeta data between castling partners.  Everything is integer or Fraction
 arithmetic; nothing here ever rounds.
 """
 
-from .arcs import (ArcConstraint, ArcCountTable, ArcError, PolySystem,
+from .arcs import (ArcConstraint, ArcCountTable, ArcError, CountPlan, PolySystem,
                    build_count_table, count_arcs, count_pair, count_stratum,
                    estimate_work, homogeneity_check, igusa_coeffs,
                    padic_solution_counts, zeta_coeffs_from_counts)

@@ -1,13 +1,13 @@
-"""Truncated-arc counting over prime fields by staged enumeration.
+"""Truncated-arc counting over prime fields by one level sweep per plan.
 
 An arc of length N over F_q is an r-tuple of polynomials in t of degree <= N.
-The order conditions ord_t f_i = n_i become coefficient constraints; each
-constraint is scheduled at the highest t-level it mentions, and the engine
-sweeps the levels in increasing order, keeping only assignments that can still
-satisfy everything downstream.  When the single constraint left at the last
-enumerated level is affine-linear in that level's coefficients (checked
-symbolically, not assumed) its solutions are counted in closed form per
-surviving prefix instead of being enumerated.
+A CountPlan is built once per (system, q, constraint, set of order indices)
+and one sweep over the arc levels yields, for every index n, the number of
+arcs with ord_t f_i = n_i, with leading coefficients 1 and with any nonzero
+leading coefficients.  Prefixes that start at a smooth point of the open
+f_i are settled in closed form (Hensel), prefixes that cannot reach any
+requested index are dropped, and only the rest are enumerated; see
+CountPlan for the rules.
 
 Also here: p-adic solution counting by digit lifting, which realizes the
 coefficients of the local zeta series of a polynomial at a prime.
@@ -16,6 +16,7 @@ coefficients of the local zeta series of a polynomial at a prime.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -200,268 +201,344 @@ def arc_value_coefficients(poly, maxdeg, origin):
 # ---------------------------------------------------------------------------
 
 
-class _CompiledPoly:
-    __slots__ = ("terms",)
-
-    def __init__(self, rp, colmap):
-        self.terms = [(c, tuple((colmap(v), e) for v, e in mono))
-                      for mono, c in rp.items()]
-
-    def eval(self, X, q):
-        acc = np.zeros(X.shape[0], dtype=np.int64)
-        for c, vars_ in self.terms:
-            t = np.full(X.shape[0], c, dtype=np.int64)
-            for col, e in vars_:
-                t = t * (X[:, col] ** e % q) % q
-            acc += t
-        return acc % q
-
-
-def _perm_sign(perm):
-    inv = sum(1 for i in range(len(perm)) for j in range(i + 1, len(perm))
-              if perm[i] > perm[j])
-    return -1 if inv % 2 else 1
-
-
-def _full_rank_mask(X, m, r_mat, q):
-    """True where the row-major m x r_mat matrix in each row has rank r_mat,
-    i.e. some maximal minor is nonzero mod q."""
-    ok = np.zeros(X.shape[0], dtype=bool)
-    for rows in itertools.combinations(range(m), r_mat):
-        det = np.zeros(X.shape[0], dtype=np.int64)
-        for perm in itertools.permutations(range(r_mat)):
-            term = np.full(X.shape[0], _perm_sign(perm), dtype=np.int64)
-            for i, col in enumerate(perm):
-                term = term * X[:, rows[i] * r_mat + col] % q
-            det = (det + term) % q
-        ok |= det != 0
+def _full_row_rank(A, q):
+    """True where the k x c matrix A[n] has rank k mod the prime q, by
+    Gaussian elimination on all the matrices at once."""
+    A = A % q
+    rows = np.arange(len(A))
+    ok = np.ones(len(A), dtype=bool)
+    for i in range(A.shape[1]):
+        col = (A[:, i] != 0).argmax(axis=1)
+        piv = A[rows, i, col]
+        ok &= piv != 0
+        inv = _pow_mod(piv, 2 * q - 3, q)  # 1/x = x^(2q-3) for x != 0, q = 2 too
+        for j in range(i + 1, A.shape[1]):
+            A[:, j] = (A[:, j] - (A[rows, j, col] * inv % q)[:, None] * A[:, i]) % q
     return ok
 
 
 def _eval_poly_mod(poly, X, mod):
-    """poly at the rows of X, reduced mod `mod` (values must satisfy
-    mod^2 < 2^63, guarded by the callers)."""
+    """poly at the rows of X, reduced mod `mod`.  Exact for entries of X in
+    [0, 2^31) of any integer dtype and mod <= 2^31 (guarded by the callers):
+    no product exceeds 2^62."""
     acc = np.zeros(X.shape[0], dtype=np.int64)
     for mono, c in poly.terms.items():
-        t = np.full(X.shape[0], c % mod, dtype=np.int64)
+        t = c % mod
         for j, e in enumerate(mono):
             if e:
-                t = t * _pow_mod(X[:, j], e, mod) % mod
-        acc = (acc + t) % mod
-    return acc
+                t = _pow_mod(X[:, j], e, mod) * t % mod
+        acc += t
+    return acc % mod
 
 
 def _pow_mod(col, e, mod):
-    out = np.ones_like(col)
-    base = col % mod
-    while e:
+    """col^e mod `mod` for e >= 1, squaring with a reduction at every step."""
+    base = col.astype(np.int64)
+    out = None
+    while True:
         if e & 1:
-            out = out * base % mod
-        base = base * base % mod
+            out = base if out is None else out * base % mod
         e >>= 1
-    return out
+        if not e:
+            return out
+        base = base * base % mod
 
 
 # ---------------------------------------------------------------------------
-# The staged counter
+# The counting plan
 # ---------------------------------------------------------------------------
 
 
-class _Counter:
-    def __init__(self, sys, n, q, constraint, leading):
-        self.q = q
-        self.r = sys.r
-        origin = constraint.kind == "origin"
+def order_indices(l, n_max, low=1):
+    """Every order multi-index n with all n_i >= low and |n| <= n_max."""
+    return [n for n in itertools.product(range(low, n_max + 1), repeat=l)
+            if sum(n) <= n_max]
+
+
+def _level_split(terms, k, r):
+    """[c0, w_0, .., w_(r-1)] with terms = c0 + sum_j w_j a_{k,j} once the
+    terms in levels above k are dropped, as Polys in the arc variables of
+    levels 0..k-1; None if the terms are not affine in level k."""
+    parts = [dict() for _ in range(r + 1)]
+    for mono, c in terms.items():
+        top = [(v, e) for v, e in mono if v >= k * r]
+        if any(v >= (k + 1) * r for v, _e in top):
+            continue
+        if top and (len(top) > 1 or top[0][1] > 1):
+            return None
+        exps = [0] * (k * r)
+        for v, e in mono:
+            if v < k * r:
+                exps[v] = e
+        parts[top[0][0] - k * r + 1 if top else 0][tuple(exps)] = c
+    return [Poly(k * r, part) for part in parts]
+
+
+def _settle(ords, one, v, k):
+    """Orders and leading-one flags after the t^k coefficients v: an open f_i
+    (order -1) with v_i != 0 gets order k."""
+    hit = (ords < 0) & (v != 0)
+    return np.where(hit, k, ords), one & ~(hit & (v != 1)).any(axis=-1)
+
+
+def _fits(ords, n, level):
+    """Can a prefix of length `level` with these orders (-1 = still open)
+    end at the multi-index n?"""
+    return all(ni == o if o >= 0 else ni >= level for o, ni in zip(ords, n))
+
+
+class CountPlan:
+    """Exact arc counts for a set of order multi-indices from one level sweep.
+
+    At level k the sweep holds the arc prefixes on which some f_i (the open
+    set U) vanish to order >= k.  For k >= 1 the t^k coefficient of f_i is
+    g_ik(a_0..a_{k-1}) + J_i(a_0).a_k, J the Jacobian.  A prefix whose
+    J_U(a_0) has rank |U| is settled in closed form (Hensel).  A flat one,
+    J_U(a_0) = 0, never reads a_k, so its t^k coefficients are evaluated
+    before level k is enumerated; any other prefix gets a_k enumerated.
+    Prefixes that can no longer reach a target are dropped.  Counts come in
+    pairs: every leading coefficient 1, and any nonzero leading coefficients.
+    """
+
+    def __init__(self, sys, q, constraint=None, targets=()):
+        self.constraint = constraint = constraint or ArcConstraint.none()
         if constraint.kind == "full_rank" and sys.r != constraint.m * constraint.r_mat:
             raise ArcError("full rank needs ambient dimension m*r_mat = %d"
                            % (constraint.m * constraint.r_mat))
-
-        raw = []
-        final = "eq1" if leading == "one" else "nonzero"
-        for i, f in enumerate(sys.polys):
-            coeffs = arc_value_coefficients(f, n[i], origin)
-            for e in range(n[i]):
-                raw.append(("eq0", coeffs[e]))
-            raw.append((final, coeffs[n[i]]))
-
-        self.infeasible = False
-        reduced = []
-        for ctype, poly in raw:
-            rp = {}
-            for mono, c in poly.items():
-                c %= q
-                if c:
-                    rp[mono] = c
-            if all(m == () for m in rp):
-                const = rp.get((), 0)
-                ok = {"eq0": const == 0,
-                      "eq1": const == 1,
-                      "nonzero": const != 0}[ctype]
-                if not ok:
-                    self.infeasible = True
-                continue
-            reduced.append((ctype, rp))
-
-        used = set()
-        for _, rp in reduced:
-            for mono in rp:
-                for v, _e in mono:
-                    used.add(v // self.r)
-        if constraint.kind == "full_rank":
-            used.add(0)
-        avail = set(range(sum(n) + 1))
-        if origin:
-            avail.discard(0)
-        self.enum_levels = sorted(used)
-        self.free_factor = q ** (self.r * len(avail - used))
-
-        level_pos = {lev: i for i, lev in enumerate(self.enum_levels)}
-        colmap = lambda v: level_pos[v // self.r] * self.r + v % self.r
-
-        self.stages = [[] for _ in self.enum_levels]
-        for ctype, rp in reduced:
-            pos = max(level_pos[v // self.r] for mono in rp for v, _e in mono)
-            self.stages[pos].append((ctype, rp))
-        if constraint.kind == "full_rank":
-            self.stages[level_pos[0]].append(("rank", constraint))
-
-        self.closed = None
-        if self.stages and len(self.stages[-1]) == 1:
-            ctype, rp = self.stages[-1][0]
-            if ctype != "rank":
-                split = self._affine_split(rp, self.enum_levels[-1])
-                if split is not None:
-                    g0, gs = split
-                    self.closed = (ctype,
-                                   _CompiledPoly(g0, colmap),
-                                   [_CompiledPoly(g, colmap) for g in gs])
-
-        self.compiled = []
-        for pos, stage in enumerate(self.stages):
-            if self.closed is not None and pos == len(self.stages) - 1:
-                self.compiled.append([])
-                continue
-            self.compiled.append([
-                (ctype, rp if ctype == "rank" else _CompiledPoly(rp, colmap))
-                for ctype, rp in stage])
-
-        self.dtype = np.int8 if q <= 127 else np.int64
-        self.grid = None  # built lazily; q^r rows
-
-    def _affine_split(self, rp, level):
-        """Write rp as g0 + sum_j g_j * a_{level,j} if it is affine in the
-        level's variables; None otherwise."""
-        lo, hi = level * self.r, (level + 1) * self.r
-        g0 = {}
-        gs = [dict() for _ in range(self.r)]
-        for mono, c in rp.items():
-            top = [(v, e) for v, e in mono if lo <= v < hi]
-            deg = sum(e for _v, e in top)
-            if deg == 0:
-                g0[mono] = c
-            elif deg == 1:
-                v = top[0][0]
-                rest = tuple(p for p in mono if p[0] != v)
-                gs[v - lo][rest] = gs[v - lo].get(rest, 0) + c
-            else:
-                return None
-        return g0, gs
-
-    def _grid_rows(self):
-        if self.grid is None:
-            self.grid = np.array(
-                list(itertools.product(range(self.q), repeat=self.r)),
-                dtype=self.dtype)
-        return self.grid
+        self.sys, self.q, self.r = sys, q, sys.r
+        self.targets = sorted({_validate(sys, n, q, "any", 0) for n in targets})
+        self.depth = max((max(n) for n in self.targets), default=0)
+        self.origin = constraint.kind == "origin"
+        self._base = (self.depth + 2) ** np.arange(sys.l)
+        self._live, self._dist = {}, None
 
     def estimate(self):
-        """Worst-case number of candidate rows ever materialized (no pruning
-        credit): q^(r * explicitly enumerated levels)."""
-        explicit = len(self.enum_levels) - (1 if self.closed is not None else 0)
-        return self.q ** (self.r * explicit)
+        """Candidate rows charged to the sweep: q^(r E) for the E levels below
+        the deepest target level, with no credit for pruning or closed forms."""
+        return self.q ** (self.r * (max(self.depth, 1) - self.origin))
 
-    def count(self, threads=1):
-        if self.infeasible:
-            return 0
-        if not self.enum_levels:
-            return self.free_factor
-        S = np.zeros((1, 0), dtype=self.dtype)
-        if len(self.enum_levels) == 1:
-            if self.closed is not None:
-                return self.free_factor * self._closed_count(S)
-            S = self._expand_filter(S, 0)
-            return self.free_factor * S.shape[0]
-        S = self._expand_filter(S, 0)
-        if S.shape[0] == 0:
-            return 0
-        if threads > 1 and S.shape[0] > 1:
-            parts = np.array_split(S, threads)
-            with ThreadPoolExecutor(max_workers=threads) as ex:
-                subtotals = list(ex.map(self._run_tail, parts))
-            return self.free_factor * sum(subtotals)
-        return self.free_factor * self._run_tail(S)
+    def count(self, n, leading="any", threads=1):
+        """The count at the target n, leading 'one' or 'any'."""
+        one, all_ = self.counts(threads)[_validate(self.sys, n, self.q, leading, 0)]
+        return one if leading == "one" else all_
 
-    def _run_tail(self, S):
-        if S.shape[0] == 0:
-            return 0
-        last = len(self.enum_levels) - 1
-        for pos in range(1, last):
-            S = self._expand_filter(S, pos)
-            if S.shape[0] == 0:
-                return 0
-        if self.closed is not None:
-            return self._closed_count(S)
-        S = self._expand_filter(S, last)
-        return S.shape[0]
+    def counts(self, threads=1):
+        """{n: (leading-one count, any-leading count)} for every target."""
+        if self._dist is None:
+            self._dist = self._assemble(self._sweep(threads))
+        return self._dist
 
-    def _expand_filter(self, S, pos):
-        grid = self._grid_rows()
-        M = grid.shape[0]
-        checks = self.compiled[pos]
-        rows = max(1, _CHUNK // M)
-        parts = []
-        for lo in range(0, S.shape[0], rows):
-            chunk = S[lo:lo + rows]
-            cand = np.hstack([np.repeat(chunk, M, axis=0),
-                              np.tile(grid, (chunk.shape[0], 1))])
-            X = cand.astype(np.int64)
-            mask = np.ones(cand.shape[0], dtype=bool)
-            for ctype, comp in checks:
-                if ctype == "rank":
-                    block = X[:, pos * self.r:(pos + 1) * self.r]
-                    mask &= _full_rank_mask(block, comp.m, comp.r_mat, self.q)
-                else:
-                    v = comp.eval(X, self.q)
-                    if ctype == "eq0":
-                        mask &= v == 0
-                    elif ctype == "eq1":
-                        mask &= v == 1
-                    else:
-                        mask &= v != 0
-            parts.append(cand[mask])
-        if not parts:
-            return np.zeros((0, (pos + 1) * self.r), dtype=self.dtype)
-        return np.concatenate(parts)
+    def series(self, n_max, leading, threads=1):
+        """Truncated zeta series: the T^n coefficient is count(n) q^(-|n| r)."""
+        coeffs = {n: Fraction(c, self.q ** (sum(n) * self.r)) for n in self.targets
+                  if (c := self.count(n, leading, threads))}
+        return TruncatedSeries(self.sys.l, n_max, coeffs)
 
-    def _closed_count(self, S):
-        ctype, g0c, gcs = self.closed
-        X = S.astype(np.int64)
-        N = X.shape[0]
-        c0 = g0c.eval(X, self.q) if g0c.terms else np.zeros(N, dtype=np.int64)
-        W = np.zeros((N, self.r), dtype=np.int64)
-        for j, g in enumerate(gcs):
-            if g.terms:
-                W[:, j] = g.eval(X, self.q)
-        wnz = (W != 0).any(axis=1)
-        qr = self.q ** self.r
-        qr1 = self.q ** (self.r - 1)
-        if ctype == "eq1":
-            per = np.where(wnz, qr1, np.where(c0 == 1, qr, 0))
-        elif ctype == "eq0":
-            per = np.where(wnz, qr1, np.where(c0 == 0, qr, 0))
-        else:
-            per = np.where(wnz, qr - qr1, np.where(c0 != 0, qr, 0))
-        return int(per.sum(dtype=np.int64))
+    # -- the sweep --------------------------------------------------------
+
+    def _prepare(self):
+        q, r, polys = self.q, self.r, self.sys.polys
+        self.grid = np.array(list(itertools.product(range(q), repeat=r)),
+                             dtype=np.int64)
+        start = np.zeros((1, r), dtype=np.int64) if self.origin else self.grid
+        if self.constraint.kind == "full_rank":
+            m, r_mat = self.constraint.m, self.constraint.r_mat
+            start = start[_full_row_rank(
+                start.reshape(-1, m, r_mat).transpose(0, 2, 1), q)]
+        self.start = start
+        jac = np.stack([np.stack([_eval_poly_mod(_partial(f, j), start, q)
+                                  for j in range(r)], axis=1) for f in polys], axis=1)
+        # per open set U (bit i for f_i) and start: is J_U of full rank, is it 0?
+        subsets = [[i for i in range(len(polys)) if u >> i & 1]
+                   for u in range(1 << len(polys))]
+        self.smooth = np.array([_full_row_rank(jac[:, U], q) for U in subsets])
+        self.flat = np.array([~jac[:, U].any(axis=(1, 2)) for U in subsets])
+        jets = [arc_value_coefficients(f, self.depth, self.origin) for f in polys]
+        # per level k: the t^k coefficients; the levels 0..need[k]-1 they read
+        # besides a_k; without their a_k terms (all a flat prefix needs); and
+        # split at the top level h of those (None where not affine in it)
+        sloped = not (self.smooth | self.flat).all()  # some prefix reads all of t^k
+        self.c, self.need, self.g, self.split = [], [], [], []
+        for k in range(self.depth + 1):
+            self.c.append(sloped and [_level_split(c[k], k + 1, r)[0] for c in jets])
+            self.need.append(1 + max([v // r for c in jets for mono in c[k]
+                                      for v, _e in mono if v < k * r], default=0))
+            h = max(self.need[k] - 1, 1)
+            self.g.append([_level_split(c[k], k, r)[0] for c in jets] if k else None)
+            self.split.append([_level_split(c[k], h, r) for c in jets] if k else None)
+        self.dtype = np.int8 if q <= 127 else np.int64
+        return np.stack([_eval_poly_mod(f, start, q) for f in polys], axis=1)
+
+    def _sweep(self, threads):
+        rec = Counter()
+        if not self.targets:
+            return rec
+        v0 = self._prepare()
+        m0, l = v0.shape
+        ords, one = _settle(np.full((m0, l), -1), np.ones(m0, dtype=bool), v0, 0)
+        keep = self._classify(ords, one, np.arange(m0), 1, 1, rec)
+        chunks = [(self.start[keep].astype(self.dtype), np.flatnonzero(keep),
+                   ords[keep], one[keep])]
+        k0, threads = 1, max(threads, 1)  # shard once there is a row per thread
+        while 0 < sum(len(c[1]) for c in chunks) < threads and k0 <= self.depth:
+            chunks = list(self._step(_batches(chunks), k0, rec))
+            k0 += 1
+
+        def run(shard):
+            part, chunks = Counter(), shard
+            for k in range(k0, self.depth + 1):
+                chunks = self._step(_batches(chunks), k, part)
+            for _ in chunks:
+                pass
+            return part
+
+        shards = [[tuple(a[s] for a in c) for c in chunks] for s in zip(*[
+            np.array_split(np.arange(len(c[1])), threads) for c in chunks])]
+        with ThreadPoolExecutor(max_workers=threads) as ex:
+            for part in (ex.map if threads > 1 else map)(run, shards or [[]]):
+                rec.update(part)
+        return rec
+
+    def _expand(self, rows, width):
+        """The rows with the levels below `width` enumerated, in chunks of
+        at most _CHUNK rows."""
+        X, a0, ords, one = rows
+        M = len(self.grid)
+        if X.shape[1] >= width * self.r:
+            yield rows
+            return
+        per = max(1, _CHUNK // M)
+        grid = self.grid.astype(self.dtype)
+        for lo in range(0, len(X), per):
+            s = slice(lo, lo + per)
+            yield from self._expand((
+                np.hstack([np.repeat(X[s], M, axis=0), np.tile(grid, (len(X[s]), 1))]),
+                np.repeat(a0[s], M), np.repeat(ords[s], M, axis=0),
+                np.repeat(one[s], M)), width)
+
+    def _step(self, batches, k, rec):
+        """Settle the t^k coefficients of prefixes of length k; yields the
+        prefixes of length k+1 that stay open.
+
+        A flat prefix carries only the levels its coefficients have read so
+        far (a level it skips is free: q^r ways); any other prefix carries
+        all its levels and gets a_k enumerated here.  A flat prefix whose one
+        open f_i must end at order k, with a t^k coefficient affine in the
+        top level h it reads and no level from h on enumerated, is counted in
+        closed form."""
+        q, r, need = self.q, self.r, self.need[k]
+        h = max(need - 1, 1)
+        affine = np.array([sp is not None for sp in self.split[k]])
+        for rows in batches:
+            X, a0, ords, one = rows
+            width, act = X.shape[1] // r, ords < 0
+            flat = self.flat[_bits(act), a0]
+            codes = (ords + 1) @ self._base
+            ends = flat & (act.sum(axis=1) == 1) & (act & affine).any(axis=1)
+            ends &= (width <= h) & ~self._live_mask(codes, k + 1)
+            for i in np.flatnonzero(affine if ends.any() else []):
+                sel = tuple(a[ends & act[:, i]] for a in rows)
+                for Xs, _a, o, o1 in self._expand(sel, h):
+                    c0 = _eval_poly_mod(self.split[k][i][0], Xs, q)
+                    wnz = np.any([_eval_poly_mod(wj, Xs, q) != 0
+                                  for wj in self.split[k][i][1:]], axis=0)
+                    codes_i = (o + 1) @ self._base + (k + 1) * self._base[i]
+                    w = q ** (r * (k - h) + r - 1)
+                    _record(rec, k + 1, codes_i[wnz], o1[wnz], w, w * (q - 1))
+                    hit = ~wnz & (c0 != 0)
+                    _record(rec, k + 1, codes_i[hit], (o1 & (c0 == 1))[hit],
+                            w * q, w * q)
+            wide = ~ends & (np.where(flat, need, k + 1) > width)
+            for sel, w in ((wide & flat, need), (wide & ~flat, k + 1)):
+                if sel.any():
+                    yield from self._step(_batches(self._expand(
+                        tuple(a[sel] for a in rows), w)), k, rec)
+            rest = ~ends & ~wide
+            if not rest.any():
+                continue
+            X, a0, ords, one = (a[rest] for a in rows)
+            polys = self.g[k] if width <= k else self.c[k]
+            v = np.stack([_eval_poly_mod(p, X, q) for p in polys], axis=1)
+            o, o1 = _settle(ords, one, v, k)
+            keep = self._classify(o, o1, a0, k + 1, q ** (r * (k + 1 - width)), rec)
+            yield X[keep], a0[keep], o[keep], o1[keep]
+
+    def _classify(self, ords, one, a0, level, weight, rec):
+        """Of the prefixes of length `level` that can still reach a target,
+        record those that are settled (no open f_i, or a Jacobian of full
+        rank on the open ones) and return the mask of the others."""
+        codes = (ords + 1) @ self._base
+        live = self._live_mask(codes, level)
+        done = live & self.smooth[_bits(ords < 0), a0]
+        _record(rec, level, codes[done], one[done], weight, weight)
+        return live & ~done
+
+    def _live_mask(self, codes, level):
+        return np.isin(codes, [c for c in _present(codes) if self._is_live(c, level)])
+
+    def _decode(self, code):
+        b = self.depth + 2
+        return [code // b ** i % b - 1 for i in range(self.sys.l)]
+
+    def _is_live(self, code, level):
+        # shared by the shards; a race only computes the same value twice
+        key = (code, level)
+        if key not in self._live:
+            ords = self._decode(code)
+            self._live[key] = any(_fits(ords, n, level) for n in self.targets)
+        return self._live[key]
+
+    def _assemble(self, rec):
+        """Closed form per record: a prefix of length k with open set U has
+        prod_{j=k..max n} q^(r-|U_j|) (q-1)^(s_j) completions with ord f_i =
+        n_i (i in U), U_j = {n_i >= j}, s_j = #{n_i = j}; 1 for q-1 when every
+        leading coefficient must be 1.  Levels past max n are free."""
+        q, r = self.q, self.r
+        dist = {n: [0, 0] for n in self.targets}
+        for (k, code, side), mult in rec.items():
+            ords = self._decode(code)
+            U = [i for i, o in enumerate(ords) if o < 0]
+            for n in (n for n in self.targets if _fits(ords, n, k)):
+                m = max(n)
+                p = mult * q ** (r * (sum(n) - m))
+                for j in range(k, m + 1):
+                    p *= (q ** (r - sum(n[i] >= j for i in U))
+                          * (q - 1 if side else 1) ** sum(n[i] == j for i in U))
+                dist[n][side] += p
+        return {n: tuple(v) for n, v in dist.items()}
+
+
+def _bits(act):
+    """The open set of each row as a bit mask (bit i for f_i)."""
+    return sum(act[:, i].astype(np.int64) << i for i in range(act.shape[1]))
+
+
+def _present(values):
+    """The distinct values of a nonnegative int array, as Python ints."""
+    return [int(v) for v in np.flatnonzero(np.bincount(values))]
+
+
+def _batches(chunks):
+    """Row chunks regrouped into batches of about _CHUNK rows of one width."""
+    bufs = {}
+    for chunk in chunks:
+        buf = bufs.setdefault(chunk[0].shape[1], [])
+        buf.append(chunk)
+        if sum(len(c[1]) for c in buf) >= _CHUNK:
+            yield tuple(np.concatenate(p) for p in zip(*buf))
+            buf.clear()
+    for buf in bufs.values():
+        if buf:
+            yield tuple(np.concatenate(p) for p in zip(*buf))
+
+
+def _record(rec, level, codes, one, w_one, w_any):
+    """Add w per prefix to rec[level, code, side]; side 0 counts only the
+    prefixes whose leading coefficients are all 1."""
+    for side, cs, w in ((0, codes[one], w_one), (1, codes, w_any)):
+        for c, cnt in enumerate(np.bincount(cs)):
+            if cnt:
+                rec[level, c, side] += w * int(cnt)
 
 
 def _validate(sys, n, q, leading, min_order=1):
@@ -488,9 +565,8 @@ def count_arcs(sys, n, q, constraint=None, leading="one", threads=1):
     leading='one' additionally asks the t^n coefficient of f to be 1 (single
     polynomial only); the constraint restricts the arc's starting point.
     """
-    constraint = constraint or ArcConstraint.none()
     n = _validate(sys, n, q, leading)
-    return _Counter(sys, n, q, constraint, leading).count(threads)
+    return CountPlan(sys, q, constraint, [n]).count(n, leading, threads)
 
 
 def count_stratum(sys, n, q, constraint=None, leading="one", threads=1):
@@ -501,50 +577,35 @@ def count_stratum(sys, n, q, constraint=None, leading="one", threads=1):
     are exactly these boundary counts, so verification drivers need them even
     though the zeta coefficients themselves start at order one.
     """
-    constraint = constraint or ArcConstraint.none()
     n = _validate(sys, n, q, leading, min_order=0)
-    return _Counter(sys, n, q, constraint, leading).count(threads)
+    return CountPlan(sys, q, constraint, [n]).count(n, leading, threads)
 
 
 def estimate_work(sys, n, q, constraint=None, leading="one"):
     """Upper bound on candidate rows the enumeration may materialize."""
-    constraint = constraint or ArcConstraint.none()
     n = _validate(sys, n, q, leading, min_order=0)
-    return _Counter(sys, n, q, constraint, leading).estimate()
+    return CountPlan(sys, q, constraint, [n]).estimate()
 
 
 def count_pair(sys, n, q, constraint=None, threads=1):
     """(leading-one count or None, any-leading count) at the multi-index n."""
-    one = None
-    if sys.l == 1:
-        one = count_arcs(sys, n, q, constraint, "one", threads)
-    all_ = count_arcs(sys, n, q, constraint, "any", threads)
-    return one, all_
+    n = _validate(sys, n, q, "any")
+    one, all_ = CountPlan(sys, q, constraint, [n]).counts(threads)[n]
+    return (one if sys.l == 1 else None), all_
 
 
 def build_count_table(sys, q, n_max, constraint=None, threads=1):
-    entries = {}
-    for n in _order_indices(sys.l, n_max):
-        entries[n] = count_pair(sys, n, q, constraint, threads)
-    return ArcCountTable(q, n_max, entries)
-
-
-def _order_indices(l, n_max):
-    for n in itertools.product(range(1, n_max + 1), repeat=l):
-        if sum(n) <= n_max:
-            yield n
+    counts = CountPlan(sys, q, constraint, order_indices(sys.l, n_max)).counts(threads)
+    return ArcCountTable(q, n_max, {n: (one if sys.l == 1 else None, all_)
+                                    for n, (one, all_) in counts.items()})
 
 
 def zeta_coeffs_from_counts(sys, q, n_max, constraint=None, leading="one",
                             threads=1):
     """Truncated zeta series over exact rationals: the T^n coefficient is the
     arc count at n times q^(-|n| r)."""
-    coeffs = {}
-    for n in _order_indices(sys.l, n_max):
-        c = count_arcs(sys, n, q, constraint, leading, threads)
-        if c:
-            coeffs[n] = Fraction(c, q ** (sum(n) * sys.r))
-    return TruncatedSeries(sys.l, n_max, coeffs)
+    plan = CountPlan(sys, q, constraint, order_indices(sys.l, n_max))
+    return plan.series(n_max, leading, threads)
 
 
 def homogeneity_check(sys, q, n, threads=1):

@@ -13,9 +13,9 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arcs import count_stratum
+from .arcs import CountPlan, order_indices
 from .motive import LaurentMotive, RationalMotive, sl_class
-from .series import RationalSeries, TruncatedSeries, mi_scale
+from .series import RationalSeries, mi_scale
 from .spectrum import Spectrum, SpectrumError
 
 
@@ -254,16 +254,10 @@ def castle_zeta_numeric(Z1, q, c):
 
 def counting_series(sys, q, order, leading, threads=1):
     """Numeric zeta series from exhaustive counts, including the order-zero
-    boundary strata: coefficient at T^n is count(n) q^(-|n| r)."""
-    coeffs = {}
-    from itertools import product
-    for n in product(range(order + 1), repeat=sys.l):
-        if sum(n) > order:
-            continue
-        cnt = count_stratum(sys, n, q, leading=leading, threads=threads)
-        if cnt:
-            coeffs[n] = Fraction(cnt, q ** (sum(n) * sys.r))
-    return TruncatedSeries(sys.l, order, coeffs)
+    boundary strata: coefficient at T^n is count(n) q^(-|n| r), every n
+    counted by one plan."""
+    plan = CountPlan(sys, q, None, order_indices(sys.l, order, low=0))
+    return plan.series(order, leading, threads)
 
 
 def verify_castling(sys1, sys2, c, q, order, threads=1):

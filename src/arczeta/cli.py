@@ -9,15 +9,13 @@ identity verified, 1 identity violated, 2 input error, 3 budget refusal.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys as _sys
 import time
 from fractions import Fraction
 
-from .arcs import (ArcConstraint, ArcError, PolySystem, count_arcs,
-                   count_stratum, estimate_work, igusa_coeffs,
-                   zeta_coeffs_from_counts)
+from .arcs import (ArcConstraint, ArcError, CountPlan, PolySystem, count_pair,
+                   igusa_coeffs, order_indices, zeta_coeffs_from_counts)
 from .castling import (BFunction, CastlingDatum, CastlingError, castle_bfunction,
                        castle_igusa, castle_local_zeta, castle_milnor,
                        castle_spectrum, castle_zeta, verify_castling)
@@ -44,11 +42,11 @@ class BudgetExceeded(Exception):
         self.budget = budget
 
 
-def _check_budget(sys_, indices, q, constraint, leading, budget):
-    for n in indices:
-        est = estimate_work(sys_, n, q, constraint, leading)
-        if est > budget:
-            raise BudgetExceeded(est, budget)
+def _check_budget(sys_, indices, q, constraint, budget):
+    """Refuse before counting if the plan's estimate exceeds the budget."""
+    est = CountPlan(sys_, q, constraint, indices).estimate()
+    if est > budget:
+        raise BudgetExceeded(est, budget)
 
 
 def _emit(payload, args, t0):
@@ -101,11 +99,10 @@ def _cmd_count(args, t0):
     sys_ = _system(args)
     n = _multi_index(args.n)
     constraint = ArcConstraint.parse(args.constraint)
-    _check_budget(sys_, [n], args.q, constraint, args.leading, args.budget)
-    one = None
-    if sys_.l == 1:
-        one = count_arcs(sys_, n, args.q, constraint, "one", args.threads)
-    all_ = count_arcs(sys_, n, args.q, constraint, "any", args.threads)
+    _check_budget(sys_, [n], args.q, constraint, args.budget)
+    one, all_ = count_pair(sys_, n, args.q, constraint, args.threads)
+    if args.leading == "one" and one is None:
+        raise ArcError("leading-coefficient-one counts exist only for one polynomial")
     chosen = one if args.leading == "one" else all_
     _emit({
         "q": args.q,
@@ -120,10 +117,8 @@ def _cmd_count(args, t0):
 def _cmd_zeta_count(args, t0):
     sys_ = _system(args)
     constraint = ArcConstraint.parse(args.constraint)
-    indices = [n for n in itertools.product(range(1, args.order + 1),
-                                            repeat=sys_.l)
-               if sum(n) <= args.order]
-    _check_budget(sys_, indices, args.q, constraint, args.leading, args.budget)
+    _check_budget(sys_, order_indices(sys_.l, args.order), args.q, constraint,
+                  args.budget)
     series = zeta_coeffs_from_counts(sys_, args.q, args.order, constraint,
                                      args.leading, args.threads)
     _emit({
@@ -253,11 +248,8 @@ def _cmd_verify(args, t0):
                               c.m * c.r2)
     sys1 = PolySystem(polys1)
     sys2 = PolySystem(polys2)
-    leading = "one" if c.l == 1 else "any"
-    indices = [n for n in itertools.product(range(args.order + 1), repeat=c.l)
-               if sum(n) <= args.order]
     for s in (sys1, sys2):
-        _check_budget(s, indices, args.q, ArcConstraint.none(), leading,
+        _check_budget(s, order_indices(c.l, args.order, low=0), args.q, None,
                       args.budget)
     report = verify_castling(sys1, sys2, c, args.q, args.order, args.threads)
     _emit(report, args, t0)
