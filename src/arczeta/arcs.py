@@ -27,6 +27,8 @@ from .polynomials import Poly
 from .series import TruncatedSeries
 
 _CHUNK = 1 << 21
+# Largest q^r (or p^m) grid of residues a plan or a p-adic count will build.
+_MAX_GRID_ROWS = 8 * _CHUNK
 
 
 class ArcError(ValueError):
@@ -42,6 +44,13 @@ def is_prime(q):
             return False
         i += 1
     return True
+
+
+def _check_grid(q, r):
+    """Refuse a q^r-row residue grid beyond _MAX_GRID_ROWS before building it."""
+    if q ** r > _MAX_GRID_ROWS:
+        raise ArcError("residue grid of %d^%d = %d rows exceeds the limit of %d"
+                       % (q, r, q ** r, _MAX_GRID_ROWS))
 
 
 class PolySystem:
@@ -338,6 +347,7 @@ class CountPlan:
 
     def _prepare(self):
         q, r, polys = self.q, self.r, self.sys.polys
+        _check_grid(q, r)
         self.grid = np.array(list(itertools.product(range(q), repeat=r)),
                              dtype=np.int64)
         start = np.zeros((1, r), dtype=np.int64) if self.origin else self.grid
@@ -651,6 +661,7 @@ def padic_solution_counts(f, p, k_max):
     if p ** (k_max + 1) > 2 ** 31:
         raise ArcError("modulus p^%d too large for exact vector arithmetic" % k_max)
     m = f.nvars
+    _check_grid(p, m)
     grid = np.array(list(itertools.product(range(p), repeat=m)), dtype=np.int64)
     A = [1]
     if k_max == 0:
@@ -668,9 +679,8 @@ def padic_solution_counts(f, p, k_max):
             for g in grads:
                 if g.terms:
                     gnz |= _eval_poly_mod(g, sols, p) != 0
-            per = np.where(gnz, p ** (m - 1),
-                           np.where(c % p == 0, p ** m, 0))
-            A.append(int(per.sum(dtype=np.int64)))
+            A.append(int(gnz.sum()) * p ** (m - 1)
+                     + int((~gnz & (c % p == 0)).sum()) * p ** m)
             continue
         rows = max(1, _CHUNK // grid.shape[0])
         count = 0

@@ -2,7 +2,9 @@
 
 Point counts of the classes used throughout the package are obtained by
 substituting a prime power for L, so everything here is kept exact: integer
-coefficients, Fraction specialization, no floating point.
+coefficients, Fraction specialization, no floating point.  Quotients are
+never factored: two of them are added over a shared denominator when their
+denominators agree up to a power of L, and over the product otherwise.
 """
 
 from __future__ import annotations
@@ -213,7 +215,9 @@ class RationalMotive:
 
     Equality is decided by cross-multiplication; no factorization is ever
     attempted.  A cheap normalization (integer content and monomial factors)
-    keeps intermediate results small.
+    keeps intermediate results small.  A sum of two quotients whose
+    denominators agree up to a power of L keeps that denominator; any other
+    sum is taken over the product of the denominators.
     """
 
     __slots__ = ("num", "den")
@@ -240,6 +244,9 @@ class RationalMotive:
 
     def __add__(self, other):
         other = _coerce_rm(other)
+        s = _shift_between(self.den, other.den)
+        if s is not None:
+            return RationalMotive(self.num.shift(s) + other.num, other.den)
         return RationalMotive(self.num * other.den + other.num * self.den,
                               self.den * other.den)
 
@@ -335,6 +342,18 @@ def _gcd(a, b):
     while b:
         a, b = b, a % b
     return a
+
+
+def _shift_between(a, b):
+    """The s with b == a * L^s, or None if b is not a shifted copy of a."""
+    if len(a.terms) != len(b.terms):
+        return None
+    s = b.min_exp() - a.min_exp()
+    bt = b.terms
+    for e, c in a.terms.items():
+        if bt.get(e + s) != c:
+            return None
+    return s
 
 
 def _reduce_pair(num, den):

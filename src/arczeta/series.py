@@ -4,6 +4,12 @@ A series is a sum of factored terms coeff * T^a / prod_j (1 - L^-v_j T^N_j);
 no common denominator is ever formed.  Identities are certified by expanding
 both sides to a caller-chosen order, which is recorded by the CLI whenever it
 reports one.
+
+Expansion works in the Laurent ring: the geometric factors of a term have
+monomial coefficients L^(-nu k), so their product is expanded with integer
+arithmetic and multiplied into the term's coefficient once per index.  The
+coefficients of a transfer share one denominator up to a power of L, and
+their sum keeps it (see RationalMotive).
 """
 
 from __future__ import annotations
@@ -147,23 +153,22 @@ class RationalSeries:
                                for t in self.terms])
 
     def expand(self, order):
-        """Exact truncated expansion: coefficients of all T^n with |n| <= order."""
+        """Exact truncated expansion: coefficients of all T^n with |n| <= order.
+
+        Each term contributes coeff * P_n at T^(shift + n), where P_n is the
+        Laurent polynomial of its geometric factors' product at T^n."""
         if order < 0:
             raise SeriesError("order must be >= 0")
-        total = TruncatedSeries(self.nvars, order)
+        coeffs = {}
         for t in self.terms:
-            if mi_total(t.shift) > order:
+            room = order - mi_total(t.shift)
+            if room < 0:
                 continue
-            part = TruncatedSeries(self.nvars, order, {t.shift: t.coeff})
-            for f in t.factors:
-                geom = {}
-                k = 0
-                while k * mi_total(f.N) <= order:
-                    geom[mi_scale(k, f.N)] = RationalMotive(LaurentMotive({-f.nu * k: 1}))
-                    k += 1
-                part = part * TruncatedSeries(self.nvars, order, geom)
-            total = total + part
-        return total
+            for n, poly in _geometric_product(t.factors, room, self.nvars).items():
+                n = mi_add(t.shift, n)
+                part = RationalMotive(t.coeff.num * LaurentMotive(poly), t.coeff.den)
+                coeffs[n] = coeffs[n] + part if n in coeffs else part
+        return TruncatedSeries(self.nvars, order, coeffs, zero=RationalMotive.zero())
 
     def limit_at_infinity(self):
         """Constant term of the T^-1 expansion (the genuine T -> infinity limit).
@@ -260,6 +265,24 @@ class RationalSeries:
                 nvars = term.nvars
             terms.append(term)
         return cls(nvars, terms)
+
+
+def _geometric_product(factors, order, nvars):
+    """prod_j (1 - L^-nu_j T^N_j)^-1 up to |n| <= order, as
+    {n: {exponent of L: multiplicity}}."""
+    prod = {(0,) * nvars: {0: 1}}
+    for f in factors:
+        out = {}
+        for n, poly in prod.items():
+            drop = 0
+            while mi_total(n) <= order:
+                dst = out.setdefault(n, {})
+                for e, c in poly.items():
+                    dst[e - drop] = dst.get(e - drop, 0) + c
+                n = mi_add(n, f.N)
+                drop += f.nu
+        prod = out
+    return prod
 
 
 def _monomial_str(shift):
@@ -359,7 +382,9 @@ class TruncatedSeries:
     """Coefficients of T^n for |n| <= order, over any exact coefficient ring.
 
     The ring is whatever the coefficients are (Fraction or RationalMotive);
-    operations only use +, * and equality.
+    operations only use +, * and equality.  ``zero`` is the ring's zero,
+    returned for every index without a coefficient; by default it is taken
+    from the type of the coefficients given (Fraction(0) if there are none).
     """
 
     def __init__(self, nvars, order, coeffs=None, zero=None):
@@ -375,15 +400,15 @@ class TruncatedSeries:
                     raise SeriesError("index %r beyond order %d" % (n, self.order))
                 if c:
                     self.coeffs[n] = c
+        if zero is None:
+            zero = _zero_like(next(iter(coeffs.values()))) if coeffs else Fraction(0)
+        self.zero = zero
 
     def coefficient(self, n):
         n = tuple(int(x) for x in n)
         if mi_total(n) > self.order:
             raise SeriesError("coefficient %r beyond truncation order %d" % (n, self.order))
-        c = self.coeffs.get(n)
-        if c is None:
-            return Fraction(0) if not self.coeffs else _zero_like(next(iter(self.coeffs.values())))
-        return c
+        return self.coeffs.get(n, self.zero)
 
     def __add__(self, other):
         self._check(other)
@@ -394,8 +419,8 @@ class TruncatedSeries:
                 out[n] = c
         for n, c in other.coeffs.items():
             if mi_total(n) <= order:
-                out[n] = out.get(n, _zero_like(c)) + c
-        return TruncatedSeries(self.nvars, order, out)
+                out[n] = out[n] + c if n in out else c
+        return TruncatedSeries(self.nvars, order, out, self.zero)
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -412,12 +437,12 @@ class TruncatedSeries:
                 if mi_total(n) > order:
                     continue
                 v = c1 * c2
-                out[n] = out.get(n, _zero_like(v)) + v
-        return TruncatedSeries(self.nvars, order, out)
+                out[n] = out[n] + v if n in out else v
+        return TruncatedSeries(self.nvars, order, out, self.zero)
 
     def scale(self, c):
         return TruncatedSeries(self.nvars, self.order,
-                               {n: v * c for n, v in self.coeffs.items()})
+                               {n: v * c for n, v in self.coeffs.items()}, self.zero)
 
     def times_binomial(self, c, d):
         """Multiply by (1 - c*T^d)."""
@@ -428,8 +453,8 @@ class TruncatedSeries:
             if mi_total(k) > self.order:
                 continue
             w = -(v * c)
-            out[k] = out.get(k, _zero_like(w)) + w
-        return TruncatedSeries(self.nvars, self.order, out)
+            out[k] = out[k] + w if k in out else w
+        return TruncatedSeries(self.nvars, self.order, out, self.zero)
 
     def over_binomial(self, c, d):
         """Multiply by the geometric expansion of (1 - c*T^d)^-1."""
@@ -443,13 +468,13 @@ class TruncatedSeries:
             geom[mi_scale(k, d)] = power
             power = power * c
             k += 1
-        return self * TruncatedSeries(self.nvars, self.order, geom)
+        return self * TruncatedSeries(self.nvars, self.order, geom, self.zero)
 
     def specialize(self, q):
         out = {}
         for n, c in self.coeffs.items():
             out[n] = c.specialize(q)
-        return TruncatedSeries(self.nvars, self.order, out)
+        return TruncatedSeries(self.nvars, self.order, out, Fraction(0))
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -242,6 +243,26 @@ def test_plan_distribution_is_thread_independent(polys, q, constraint, order):
     plans = [CountPlan(sys, q, constraint, order_indices(sys.l, order, low=0))
              for _ in range(2)]
     assert plans[0].counts(threads=1) == plans[1].counts(threads=2)
+
+
+def test_residue_grid_limit_refuses_before_allocating():
+    """q^r = 101^4 (about 1.04e8 rows) is beyond the grid limit: the plan
+    and the p-adic counter refuse without building the grid."""
+    f = parse_poly("x1*x4 - x2*x3")
+    plan = CountPlan(PolySystem([f]), 101, None, [(1,)])
+    assert plan.estimate() == 101 ** 4
+    tracemalloc.start()
+    try:
+        with pytest.raises(ArcError, match="grid"):
+            plan.counts()
+        with pytest.raises(ArcError, match="grid"):
+            count_arcs(PolySystem([f]), (1,), 101, leading="any")
+        with pytest.raises(ArcError, match="grid"):
+            padic_solution_counts(f, 101, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 class TestPadic:

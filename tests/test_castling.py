@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from arczeta import (BFunction, CastlingDatum, CastlingError, LaurentMotive,
-                     PolySystem, RationalMotive, Spectrum, TruncatedSeries,
+                     PolySystem, RationalMotive, ResolutionDatum, Spectrum,
+                     TruncatedSeries,
                      castle_bfunction, castle_igusa, castle_local_zeta,
                      castle_milnor, castle_spectrum, castle_zeta,
                      castle_zeta_numeric, counting_series, igusa_coeffs,
@@ -22,6 +23,28 @@ SYM = CastlingDatum(2, 1, 1, 2, (1, 1))
 
 def quadric_germ_zeta():
     return zeta_from_resolution(resolution_fixture("quadric3-local"))
+
+
+def canonical_symbolic_zeta():
+    """The zeta series of the symbolic benchmark's canonical resolution datum."""
+    return zeta_from_resolution(ResolutionDatum.from_json({
+        "components": [{"id": "E1", "N": 2, "nu": 3},
+                       {"id": "E2", "N": 1, "nu": 1}],
+        "strata": [{"I": ["E1"], "class": "L^2 + L"},
+                   {"I": ["E2"], "class": "L + 1"},
+                   {"I": ["E1", "E2"], "class": "L + 1"}],
+    }))
+
+
+def test_transfer_expansion_keeps_denominators_small():
+    """Every coefficient of an expanded transfer shares one small
+    denominator; summing them over products of denominators reached 252
+    terms on this datum."""
+    Z, c = canonical_symbolic_zeta(), CastlingDatum(7, 2, 5, 1, (2,))
+    for series in (castle_zeta(Z, c), castle_local_zeta(Z, c)):
+        expansion = series.expand(8)
+        assert expansion.coeffs
+        assert max(len(v.den.terms) for v in expansion.coeffs.values()) <= 4
 
 
 class TestDatum:

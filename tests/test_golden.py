@@ -1,0 +1,98 @@
+"""Golden CLI output: the printed bytes of the symbolic commands are pinned.
+
+The expected stdout, stderr and exit code of every case live in
+``tests/golden/cli.json``.  They were recorded from a known-good build; a
+change that alters any of them changes what users see and must be
+deliberate.  To record them again after such a change, run
+
+    PYTHONPATH=src python tests/test_golden.py --record
+"""
+
+import contextlib
+import io
+import json
+import sys
+from importlib import resources
+from pathlib import Path
+
+import pytest
+
+from arczeta.cli import main
+from arczeta.fixtures import RESOLUTION_FIXTURES
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "cli.json"
+
+# (m, r1, r2) with a single invariant of degree 2.
+CASTLINGS = ((3, 1, 2), (3, 2, 1), (7, 2, 5))
+
+
+def _data(name):
+    return str(resources.files("arczeta") / "data" / (name + ".json"))
+
+
+def castling_path(tmp, m, r1, r2):
+    return Path(tmp) / ("castling-%d-%d-%d.json" % (m, r1, r2))
+
+
+def write_castlings(tmp):
+    for m, r1, r2 in CASTLINGS:
+        castling_path(tmp, m, r1, r2).write_text(json.dumps(
+            {"m": m, "r1": r1, "r2": r2, "l": 1, "d": [2]}))
+
+
+def cases(tmp):
+    """case id -> argv, reading castling files from the directory tmp."""
+    out = {}
+    for name in RESOLUTION_FIXTURES:
+        datum = _data(name)
+        out["zeta-resolution %s --expand 4" % name] = [
+            "zeta-resolution", "--datum", datum, "--expand", "4"]
+        out["zeta-resolution %s --expand 4 --q 5" % name] = [
+            "zeta-resolution", "--datum", datum, "--expand", "4", "--q", "5"]
+        out["milnor %s" % name] = ["milnor", "--datum", datum]
+    for m, r1, r2 in CASTLINGS:
+        path = castling_path(tmp, m, r1, r2)
+        tag = "{m:%d,r1:%d,r2:%d,d:[2]}" % (m, r1, r2)
+        for cmd in ("castle-zeta", "castle-local"):
+            out["%s quadric3-local %s" % (cmd, tag)] = [
+                cmd, "--castling", str(path),
+                "--datum", _data("quadric3-local")]
+        out["castle-milnor 'L^2 + L' %s" % tag] = [
+            "castle-milnor", "--castling", str(path), "--value", "L^2 + L"]
+        out["castle-milnor 'L + 1' '1 + t' %s" % tag] = [
+            "castle-milnor", "--castling", str(path), "--value", "L + 1",
+            "--spectrum", "1 + t"]
+    return out
+
+
+def run_case(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv + ["--deterministic"])
+    return {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def test_golden_file_covers_every_case(tmp_path):
+    assert set(json.loads(GOLDEN.read_text())) == set(cases(tmp_path))
+
+
+@pytest.mark.parametrize("case", sorted(cases(Path("."))))
+def test_cli_bytes_match_golden(case, tmp_path):
+    want = json.loads(GOLDEN.read_text())[case]
+    write_castlings(tmp_path)
+    assert run_case(cases(tmp_path)[case]) == want
+
+
+def record(tmp):
+    write_castlings(tmp)
+    golden = {case: run_case(argv) for case, argv in sorted(cases(tmp).items())}
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        raise SystemExit("usage: python tests/test_golden.py --record")
+    import tempfile
+    with tempfile.TemporaryDirectory() as tmp:
+        record(tmp)

@@ -1,5 +1,6 @@
 """Laurent and rational classes in L: arithmetic, parsing, named classes."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,8 @@ ONE = LaurentMotive.one()
 laurents = st.dictionaries(st.integers(-4, 4), st.integers(-9, 9),
                            max_size=5).map(LaurentMotive)
 nonzero_laurents = laurents.filter(lambda m: not m.is_zero())
+primitive_denominators = laurents.filter(
+    lambda m: len(m.terms) > 1 and math.gcd(*m.terms.values()) == 1)
 
 
 class TestLaurentMotive:
@@ -98,6 +101,24 @@ class TestRationalMotive:
     def test_quotient_times_denominator(self, a, b):
         r = RationalMotive(a, b)
         assert r * RationalMotive(b) == RationalMotive(a)
+
+    @given(a=laurents, b=laurents, d=primitive_denominators,
+           s=st.integers(-4, 4))
+    def test_sum_over_shifted_denominators(self, a, b, d, s):
+        # d primitive: both quotients keep d, shifted, as their denominator
+        x, y = RationalMotive(a, d), RationalMotive(b, d.shift(s))
+        total = x + y
+        assert total == RationalMotive(x.num * y.den + y.num * x.den,
+                                       x.den * y.den)
+        assert total.is_zero() or len(total.den.terms) == len(d.terms)
+
+    def test_sum_over_other_denominators_cross_multiplies(self):
+        x, y = RationalMotive(1, L + 1), RationalMotive(1, L + 2)
+        assert x + y == RationalMotive(2 * L + 3, L ** 2 + 3 * L + 2)
+        assert (x + y).den == L ** 2 + 3 * L + 2
+        # same exponents, other coefficients: not a shared denominator
+        assert (RationalMotive(1, 2 * L + 2) + RationalMotive(1, L + 1)
+                == RationalMotive(3, 2 * L + 2))
 
 
 class TestNamedClasses:

@@ -1,5 +1,6 @@
 """Factored rational series and truncated expansions."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from arczeta import (LaurentMotive, RationalMotive, RationalSeries,
                      SeriesError, TruncatedSeries, series_equal)
 
 L = LaurentMotive.L()
+ONE = LaurentMotive.one()
 
 
 def geometric(nu=1, N=1):
@@ -80,6 +82,43 @@ class TestRationalSeries:
         back = RationalSeries.from_json(s.to_json())
         assert series_equal(back, s, 6)
 
+    def test_empty_expansion_has_motive_zero(self):
+        got = RationalSeries.zero(1).expand(3)
+        assert got.coefficient((1,)) == RationalMotive.zero()
+        assert isinstance(got.coefficient((1,)), RationalMotive)
+        assert isinstance(geometric().expand(2).coefficient((0,)), RationalMotive)
+
+    def test_expand_matches_truncated_product(self):
+        """Seeded: the Laurent-ring expansion equals the product of the
+        geometric truncated series of every factor, summed over terms."""
+        rng = random.Random(20011)
+        dens = [ONE, L - 1, L ** 2 - 1, 2 * L + 3, L ** 3 - L + 1,
+                LaurentMotive({0: 1, -2: -1})]
+        for _case in range(60):
+            nvars, order = rng.randint(1, 3), rng.randint(0, 6)
+            series, want = RationalSeries.zero(nvars), None
+            for _term in range(rng.randint(1, 4)):
+                num = LaurentMotive({rng.randint(-3, 3): rng.randint(-4, 4)
+                                     for _ in range(rng.randint(1, 3))})
+                coeff = RationalMotive(num if num else L, rng.choice(dens)
+                                       * LaurentMotive({rng.randint(-2, 2): 1}))
+                shift = tuple(rng.randint(0, 2) for _ in range(nvars))
+                factors = []
+                for _f in range(rng.randint(0, 3)):
+                    N = [rng.randint(0, 2) for _ in range(nvars)]
+                    N[rng.randrange(nvars)] = rng.randint(1, 2)
+                    factors.append((rng.randint(1, 3), tuple(N)))
+                series = series + RationalSeries.term(coeff, shift, factors)
+                ref = TruncatedSeries(nvars, order, {shift: coeff}
+                                      if sum(shift) <= order else {},
+                                      zero=RationalMotive.zero())
+                for nu, N in factors:
+                    ref = ref.over_binomial(rm(-nu), N)
+                want = ref if want is None else want + ref
+            got = series.expand(order)
+            assert got == want
+            assert set(got.coeffs) == set(want.coeffs)
+
     def test_specialize_requires_expansion(self):
         with pytest.raises(SeriesError):
             geometric().specialize(3)
@@ -120,6 +159,14 @@ class TestTruncatedSeries:
         a = TruncatedSeries(2, 3, {(1, 0): Fraction(2)})
         b = TruncatedSeries(2, 3, {(0, 2): Fraction(3)})
         assert (a * b).coefficient((1, 2)) == 6
+
+    def test_zero_follows_the_ring(self):
+        motives = TruncatedSeries(1, 3, zero=RationalMotive.zero())
+        assert isinstance(motives.coefficient((2,)), RationalMotive)
+        assert isinstance((motives + motives).coefficient((2,)), RationalMotive)
+        assert isinstance((motives * motives).coefficient((2,)), RationalMotive)
+        assert motives.specialize(3).coefficient((2,)) == 0
+        assert TruncatedSeries(1, 3).coefficient((2,)) == Fraction(0)
 
     def test_index_beyond_order_rejected(self):
         with pytest.raises(SeriesError):
