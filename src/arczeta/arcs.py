@@ -9,8 +9,8 @@ f_i are settled in closed form (Hensel), prefixes that cannot reach any
 requested index are dropped, and only the rest are enumerated; see
 CountPlan for the rules.
 
-Also here: p-adic solution counting by digit lifting, which realizes the
-coefficients of the local zeta series of a polynomial at a prime.
+Also here: p-adic solution counting by stationary-phase lifting (Hensel at
+smooth zeros), which realizes the local zeta series of a polynomial at a prime.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from .polynomials import Poly
 from .series import TruncatedSeries
 
 _CHUNK = 1 << 21
-# Largest q^r (or p^m) grid of residues a plan or a p-adic count will build.
-_MAX_GRID_ROWS = 8 * _CHUNK
+# Largest residue grid (q^r rows x r int64 cells) a plan or p-adic count builds.
+_MAX_GRID_CELLS = 1 << 26
 
 
 class ArcError(ValueError):
@@ -47,10 +47,15 @@ def is_prime(q):
 
 
 def _check_grid(q, r):
-    """Refuse a q^r-row residue grid beyond _MAX_GRID_ROWS before building it."""
-    if q ** r > _MAX_GRID_ROWS:
-        raise ArcError("residue grid of %d^%d = %d rows exceeds the limit of %d"
-                       % (q, r, q ** r, _MAX_GRID_ROWS))
+    """Refuse a q^r x r residue grid beyond _MAX_GRID_CELLS before building it."""
+    if q ** r * r > _MAX_GRID_CELLS:
+        raise ArcError("residue grid of %d^%d rows x %d = %d cells exceeds the "
+                       "limit of %d" % (q, r, r, q ** r * r, _MAX_GRID_CELLS))
+
+
+def _residue_grid(q, r):
+    """The rows [0, q)^r in itertools.product order, as a transposed view."""
+    return np.indices((q,) * r).reshape(r, q ** r).T
 
 
 class PolySystem:
@@ -348,8 +353,7 @@ class CountPlan:
     def _prepare(self):
         q, r, polys = self.q, self.r, self.sys.polys
         _check_grid(q, r)
-        self.grid = np.array(list(itertools.product(range(q), repeat=r)),
-                             dtype=np.int64)
+        self.grid = _residue_grid(q, r)
         start = np.zeros((1, r), dtype=np.int64) if self.origin else self.grid
         if self.constraint.kind == "full_rank":
             m, r_mat = self.constraint.m, self.constraint.r_mat
@@ -647,12 +651,16 @@ def _partial(f, j):
 
 
 def padic_solution_counts(f, p, k_max):
-    """[A_0, ..., A_k_max] with A_k = #{x in (Z/p^k)^m : f(x) = 0 mod p^k},
-    computed by lifting digit by digit.
+    """[A_0, ..., A_k_max] with A_k = #{x in (Z/p^k)^m : f(x) = 0 mod p^k}.
 
-    For k >= 1 the value on a lift x + p^k y is f(x) + p^k grad f(x).y modulo
-    p^(k+1), affine in the new digits, so the last requested level is counted
-    in closed form per survivor instead of being enumerated.
+    Depth d holds base points a mod p^d on which f(a + p^d y) / p^(2d) has
+    integer coefficients; each stands for p^(md) zeros mod p^(2d).  Its
+    candidates c = a + p^d y0, y0 in [0, p)^m, are settled by four rules.
+    Zero, f(c) = 0 mod p^(2d+1): p^(md) zeros mod p^(2d+1).  Smooth zero, some
+    df/dx_i(c) != 0 mod p^(d+1): p^(md) p^((m-1)(j-1)) zeros mod p^(2d+j) for
+    every j >= 2 (Hensel), never lifted.  Singular zero with f(c) = 0 mod
+    p^(2d+2): a base point at depth d+1.  Any other singular zero: no zeros
+    mod p^(2d+2).  Depths run while 2d < k_max, so moduli stay <= p^k_max.
     """
     if not is_prime(p):
         raise ArcError("p must be prime")
@@ -662,39 +670,31 @@ def padic_solution_counts(f, p, k_max):
         raise ArcError("modulus p^%d too large for exact vector arithmetic" % k_max)
     m = f.nvars
     _check_grid(p, m)
-    grid = np.array(list(itertools.product(range(p), repeat=m)), dtype=np.int64)
-    A = [1]
-    if k_max == 0:
-        return A
-    sols = grid[_eval_poly_mod(f, grid, p) == 0]
-    A.append(sols.shape[0])
-    grads = [_partial(f, j) for j in range(m)]
-    for k in range(1, k_max):
-        mod = p ** (k + 1)
-        pk = p ** k
-        keep = k + 1 < k_max
-        if not keep:
-            c = _eval_poly_mod(f, sols, mod) // pk  # f(x) = 0 mod p^k already
-            gnz = np.zeros(sols.shape[0], dtype=bool)
-            for g in grads:
-                if g.terms:
-                    gnz |= _eval_poly_mod(g, sols, p) != 0
-            A.append(int(gnz.sum()) * p ** (m - 1)
-                     + int((~gnz & (c % p == 0)).sum()) * p ** m)
-            continue
-        rows = max(1, _CHUNK // grid.shape[0])
-        count = 0
-        parts = []
-        for lo in range(0, sols.shape[0], rows):
-            chunk = sols[lo:lo + rows]
-            cand = (np.repeat(chunk, grid.shape[0], axis=0)
-                    + pk * np.tile(grid, (chunk.shape[0], 1)))
-            mask = _eval_poly_mod(f, cand, mod) == 0
-            count += int(mask.sum())
-            parts.append(cand[mask])
-        A.append(count)
-        sols = (np.concatenate(parts) if parts
-                else np.zeros((0, m), dtype=np.int64))
+    grid = _residue_grid(p, m)
+    grads = [_partial(f, i) for i in range(m)]
+    A = [0] * (k_max + 1)
+    base, d = np.zeros((1, m), dtype=np.int64), 0
+    while len(base):
+        w = p ** (m * d)
+        A[2 * d] += len(base) * w
+        if 2 * d >= k_max:
+            break
+        lifts = []
+        per = max(1, _CHUNK // len(grid))
+        for a in (base[lo:lo + per] for lo in range(0, len(base), per)):
+            c = np.repeat(a, len(grid), axis=0) + p ** d * np.tile(grid, (len(a), 1))
+            v = _eval_poly_mod(f, c, p ** min(2 * d + 2, k_max))
+            zero = v % p ** (2 * d + 1) == 0
+            c, v = c[zero], v[zero]
+            A[2 * d + 1] += len(c) * w
+            if 2 * d + 2 > k_max:
+                continue
+            smooth = np.any([_eval_poly_mod(g, c, p ** (d + 1)) != 0
+                             for g in grads], axis=0)
+            for j in range(2, k_max - 2 * d + 1):
+                A[2 * d + j] += int(smooth.sum()) * w * p ** ((m - 1) * (j - 1))
+            lifts.append(c[~smooth & (v == 0)])
+        base, d = (np.concatenate(lifts) if lifts else base[:0]), d + 1
     return A
 
 

@@ -13,7 +13,8 @@ from arczeta import (ArcConstraint, ArcError, CountPlan, Poly, PolySystem,
                      count_arcs, count_pair, count_stratum, estimate_work,
                      homogeneity_check, igusa_coeffs, padic_solution_counts,
                      parse_poly, parse_system, zeta_coeffs_from_counts)
-from arczeta.arcs import build_count_table, is_prime, order_indices
+from arczeta.arcs import (_residue_grid, build_count_table, is_prime,
+                          order_indices)
 
 
 def brute_count(polys, n, q, leading="one", origin=False, nonzero_start=False):
@@ -265,6 +266,92 @@ def test_residue_grid_limit_refuses_before_allocating():
     assert peak < 1 << 20
 
 
+def test_residue_grid_limit_counts_cells():
+    """2^24 rows of 24 cells each: a 24-variable polynomial at q=2 is beyond
+    the cell limit, so it is refused the same way."""
+    f = parse_poly(" + ".join("x%d^2" % i for i in range(1, 25)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ArcError, match="grid"):
+            CountPlan(PolySystem([f]), 2, None, [(1,)]).counts()
+        with pytest.raises(ArcError, match="grid"):
+            padic_solution_counts(f, 2, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_residue_grid_order_and_memory():
+    assert _residue_grid(3, 4).tolist() == [
+        list(x) for x in itertools.product(range(3), repeat=4)]
+    tracemalloc.start()
+    try:
+        grid = _residue_grid(2, 18)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grid.shape == (2 ** 18, 18) and grid[-1].tolist() == [1] * 18
+    assert peak < 48 << 20
+
+
+def brute_padic_counts(poly, p, k_max):
+    """[A_0, ..., A_k_max] from one enumeration of (Z/p^k_max)^m: f mod p^k
+    depends on x mod p^k only, so A_k is the number of x with f(x) = 0 mod
+    p^k over the p^(m (k_max - k)) lifts of each class mod p^k."""
+    mod, m = p ** k_max, poly.nvars
+    X = np.indices((mod,) * m).reshape(m, -1).T
+    value = np.zeros(len(X), dtype=np.int64)
+    for mono, c in poly.terms.items():
+        term = np.full(len(X), c % mod, dtype=np.int64)
+        for j, e in enumerate(mono):
+            for _ in range(e):
+                term = term * X[:, j] % mod
+        value = (value + term) % mod
+    return [int((value % p ** k == 0).sum()) // p ** (m * (k_max - k))
+            for k in range(k_max + 1)]
+
+
+def oracle_depth(p, m):
+    """The largest k with p^(mk) <= 2e5 points for the oracle."""
+    k = 0
+    while p ** (m * (k + 1)) <= 200_000:
+        k += 1
+    return k
+
+
+def padic_poly(pick, p, m, family):
+    """A polynomial of degree <= 6 in m variables that does not vanish
+    identically mod p, its coefficients carrying p-power content; pick(seq)
+    chooses one element (a seeded rng.choice, or a hypothesis draw).  Every
+    family but 'plain' is singular at each of its zeros mod p: g^2, a sum of
+    squares at p = 2, and p g + h^2."""
+    def terms(degree):
+        out = {}
+        for i in range(pick(range(1, 5))):
+            mono = [0] * m
+            for _ in range(pick(range(degree + 1))):
+                mono[pick(range(m))] += 1
+            unit = pick([u for u in range(-6, 7) if u % p])
+            out[tuple(mono)] = unit * p ** (pick(range(4)) if i else 0)
+        return Poly(m, out)
+
+    while True:
+        if family == "plain":
+            f = terms(6)
+        elif family == "square":
+            f = terms(3) ** 2
+        elif family == "sum of squares":
+            f = terms(3) ** 2 + terms(3) ** 2 + terms(3) ** 2
+        else:
+            f = p * terms(6) + terms(3) ** 2
+        if any(c % p for c in f.terms.values()):
+            return f
+
+
+PADIC_FAMILIES = ("plain", "square", "sum of squares", "p g + h^2")
+
+
 class TestPadic:
     def brute_padic(self, poly, p, k):
         if k == 0:
@@ -282,6 +369,40 @@ class TestPadic:
         poly = parse_poly(text)
         got = padic_solution_counts(poly, p, k_max)
         assert got == [self.brute_padic(poly, p, k) for k in range(k_max + 1)]
+
+    def test_matches_oracle_on_random_polynomials(self):
+        rng = random.Random(5150)
+        for _ in range(60):
+            family = rng.choice(PADIC_FAMILIES)
+            p = 2 if family == "sum of squares" else rng.choice([2, 3, 5, 7])
+            m = rng.randint(1, 3)
+            f = padic_poly(rng.choice, p, m, family)
+            k = oracle_depth(p, m)
+            assert padic_solution_counts(f, p, k) == brute_padic_counts(f, p, k), \
+                (str(f), p, family)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), p=st.sampled_from([2, 3, 5, 7]), m=st.integers(1, 3),
+           family=st.sampled_from(PADIC_FAMILIES), shallower=st.integers(0, 2))
+    def test_matches_oracle_hypothesis(self, data, p, m, family, shallower):
+        p = 2 if family == "sum of squares" else p
+        f = padic_poly(lambda seq: data.draw(st.sampled_from(seq)), p, m, family)
+        k = max(oracle_depth(p, m) - shallower, 0)
+        assert padic_solution_counts(f, p, k) == brute_padic_counts(f, p, k)
+
+    def test_benchmark_quartic(self):
+        # the castling partner of x1^2 + x2^2 + x3^2: singular everywhere mod 2
+        g = parse_poly("(x1*x4 - x2*x3)^2 + (x1*x6 - x2*x5)^2"
+                       " + (x3*x6 - x4*x5)^2")
+        tracemalloc.start()
+        try:
+            got = padic_solution_counts(g, 2, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == [1, 40, 1408, 53248, 1638400, 60817408]
+        assert peak < 16 << 20
+        assert padic_solution_counts(g, 3, 3) == [1, 297, 123201, 33126489]
 
     def test_igusa_linear(self):
         # f = x: the measure of {ord x = n} is (1 - 1/p) p^-n

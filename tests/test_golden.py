@@ -1,4 +1,5 @@
-"""Golden CLI output: the printed bytes of the symbolic commands are pinned.
+"""Golden CLI output: the printed bytes of the symbolic commands and of the
+p-adic castling transfer are pinned.
 
 The expected stdout, stderr and exit code of every case live in
 ``tests/golden/cli.json``.  They were recorded from a known-good build; a
@@ -24,6 +25,13 @@ GOLDEN = Path(__file__).resolve().parent / "golden" / "cli.json"
 
 # (m, r1, r2) with a single invariant of degree 2.
 CASTLINGS = ((3, 1, 2), (3, 2, 1), (7, 2, 5))
+
+QUADRIC = "x1^2 + x2^2 + x3^2"
+# The castling partner of QUADRIC under (3, 1, 2): a sum of squares, so it is
+# singular everywhere mod 2.
+PARTNER = "(x1*x4 - x2*x3)^2 + (x1*x6 - x2*x5)^2 + (x3*x6 - x4*x5)^2"
+# (p, order, with the partner) of the castle-igusa cases.
+IGUSA = ((2, 3, True), (3, 2, True), (2, 4, True), (5, 4, False))
 
 
 def _data(name):
@@ -62,6 +70,14 @@ def cases(tmp):
         out["castle-milnor 'L + 1' '1 + t' %s" % tag] = [
             "castle-milnor", "--castling", str(path), "--value", "L + 1",
             "--spectrum", "1 + t"]
+    path = castling_path(tmp, 3, 1, 2)
+    for p, order, partner in IGUSA:
+        case = "castle-igusa %r --p %d --order %d%s {m:3,r1:1,r2:2,d:[2]}" % (
+            QUADRIC, p, order, " --partner" if partner else "")
+        out[case] = ["castle-igusa", "--castling", str(path), "--poly", QUADRIC,
+                     "--p", str(p), "--order", str(order)]
+        if partner:
+            out[case] += ["--partner", PARTNER]
     return out
 
 
