@@ -9,8 +9,22 @@ f_i are settled in closed form (Hensel), prefixes that cannot reach any
 requested index are dropped, and only the rest are enumerated; see
 CountPlan for the rules.
 
+A plan is compiled once into integer data.  Its symbolic jets are written in
+monomial form: the arc variable of level k and coordinate j has id k*r + j,
+which is also its column in the sweep's row arrays, and a monomial is the
+sorted tuple of the ids of its variables, a power repeating the id.  Splitting
+a coefficient by level only filters these tuples.  Polynomials compile into
+slot tables (_SlotTable): slot i holds the i-th column id of every monomial of
+degree > i, and the coefficients form a matrix.  One kernel, _eval_poly_mod,
+evaluates a table at a block of rows with one gather and one multiply per slot;
+it reduces mod `mod` only when its running bound on the products, (mod-1)^s
+after s slots and at most T max|coef| times that in the final sum, could pass
+2^62.  Whether a prefix can still reach a target is a table lookup by the code
+of its orders, decided once per (code, level) and reused by the final sum.
+
 Also here: p-adic solution counting by stationary-phase lifting (Hensel at
 smooth zeros), which realizes the local zeta series of a polynomial at a prime.
+It evaluates f and its gradient with the same kernel.
 """
 
 from __future__ import annotations
@@ -145,74 +159,80 @@ class ArcCountTable:
 # ---------------------------------------------------------------------------
 # Symbolic coefficients of f(arc) as polynomials in the arc coefficients
 # ---------------------------------------------------------------------------
-# Arc variable (level k, coordinate j) gets the integer id k*r + j; a monomial
-# is a sorted tuple of (id, exponent) pairs.
+# Arc variable (level k, coordinate j) gets the integer id k*r + j, which is
+# also its column in the row arrays of the sweep.  A monomial is the sorted
+# tuple of the ids of its variables, a power repeating the id (a_{0,0}^2
+# a_{1,1} is (0, 0, r + 1)); a polynomial is a dict monomial -> coefficient.
 
 
-def _mono_mul(m1, m2):
-    out = dict(m1)
-    for v, e in m2:
-        out[v] = out.get(v, 0) + e
-    return tuple(sorted(out.items()))
+def _monomials(poly):
+    """The terms of a Poly in monomial form (variable x_(j+1) has id j)."""
+    return {tuple(j for j, e in enumerate(mono) for _ in range(e)): c
+            for mono, c in poly.terms.items()}
 
 
-def _tp_add_into(acc, other):
-    for mono, c in other.items():
-        v = acc.get(mono, 0) + c
-        if v:
-            acc[mono] = v
-        elif mono in acc:
-            del acc[mono]
-
-
-def _tp_mul(a, b):
+def _partial(terms, j):
+    """d/dx_j of a polynomial in monomial form."""
     out = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            m = _mono_mul(m1, m2)
-            v = out.get(m, 0) + c1 * c2
-            if v:
-                out[m] = v
-            elif m in out:
-                del out[m]
+    for mono, c in terms.items():
+        e = mono.count(j)
+        if e:
+            i = mono.index(j)
+            out[mono[:i] + mono[i + 1:]] = c * e
     return out
 
 
 def _series_mul(a, b, maxdeg):
-    out = [dict() for _ in range(maxdeg + 1)]
+    """Product of two series truncated at t^maxdeg whose coefficients are
+    polynomials with positive coefficients, so that no term cancels."""
+    out = [{} for _ in range(maxdeg + 1)]
     for i, ai in enumerate(a):
         if not ai:
             continue
         for j in range(maxdeg - i + 1):
-            if b[j]:
-                _tp_add_into(out[i + j], _tp_mul(ai, b[j]))
+            acc = out[i + j]
+            for m1, c1 in ai.items():
+                for m2, c2 in b[j].items():
+                    m = tuple(sorted(m1 + m2))
+                    acc[m] = acc.get(m, 0) + c1 * c2
     return out
 
 
 def arc_value_coefficients(poly, maxdeg, origin):
     """Coefficients of t^0..t^maxdeg of poly(a_0 + a_1 t + ...), each a
-    polynomial in the arc variables; origin=True substitutes a_0 = 0."""
+    polynomial in the arc variables in monomial form; origin=True
+    substitutes a_0 = 0."""
     r = poly.nvars
-    xs = []
+    powers = []  # powers[j][e - 1] is the series x_j(t)^e, built once
     for j in range(r):
-        s = [dict() for _ in range(maxdeg + 1)]
+        x = [{} for _ in range(maxdeg + 1)]
         for k in range(1 if origin else 0, maxdeg + 1):
-            s[k] = {((k * r + j, 1),): 1}
-        xs.append(s)
-    out = [dict() for _ in range(maxdeg + 1)]
+            x[k] = {(k * r + j,): 1}
+        powers.append([x])
+    out = [{} for _ in range(maxdeg + 1)]
     for mono, c in poly.terms.items():
-        term = [{(): c}] + [dict() for _ in range(maxdeg)]
-        for j, e in enumerate(mono):
-            for _ in range(e):
-                term = _series_mul(term, xs[j], maxdeg)
-        for k in range(maxdeg + 1):
-            _tp_add_into(out[k], term[k])
+        term = None
+        for pw, e in zip(powers, mono):
+            while len(pw) < e:
+                pw.append(_series_mul(pw[-1], pw[0], maxdeg))
+            if e:
+                term = pw[e - 1] if term is None else _series_mul(term, pw[e - 1], maxdeg)
+        for acc, part in zip(out, term or [{(): 1}]):
+            for m, v in part.items():
+                s = acc.get(m, 0) + c * v
+                if s:
+                    acc[m] = s
+                else:
+                    del acc[m]
     return out
 
 
 # ---------------------------------------------------------------------------
 # Vectorized evaluation mod q
 # ---------------------------------------------------------------------------
+# _eval_poly_mod keeps its products and sums within 2^62, which leaves room in
+# int64 for the constant terms.
+_EXACT = 1 << 62
 
 
 def _full_row_rank(A, q):
@@ -231,20 +251,6 @@ def _full_row_rank(A, q):
     return ok
 
 
-def _eval_poly_mod(poly, X, mod):
-    """poly at the rows of X, reduced mod `mod`.  Exact for entries of X in
-    [0, 2^31) of any integer dtype and mod <= 2^31 (guarded by the callers):
-    no product exceeds 2^62."""
-    acc = np.zeros(X.shape[0], dtype=np.int64)
-    for mono, c in poly.terms.items():
-        t = c % mod
-        for j, e in enumerate(mono):
-            if e:
-                t = _pow_mod(X[:, j], e, mod) * t % mod
-        acc += t
-    return acc % mod
-
-
 def _pow_mod(col, e, mod):
     """col^e mod `mod` for e >= 1, squaring with a reduction at every step."""
     base = col.astype(np.int64)
@@ -258,6 +264,87 @@ def _pow_mod(col, e, mod):
         base = base * base % mod
 
 
+class _SlotTable:
+    """Polynomials f_1..f_p in monomial form, compiled on first use into
+    integer arrays for _eval_poly_mod.
+
+    The T distinct nonconstant monomials are sorted by degree, longest
+    first; slot i holds the i-th variable id of every monomial of degree
+    > i, a prefix of the monomials.  Coefficients become a T x p matrix,
+    reduced into [-mod/2, mod/2) once per modulus."""
+
+    __slots__ = ("polys", "_slots", "_row", "_coefs")
+
+    def __init__(self, polys):
+        self.polys = list(polys)
+        self._slots = None
+        self._coefs = {}
+
+    def compiled(self, mod):
+        """(slots, coefficient matrix, constants, largest absolute column
+        sum of the matrix) mod `mod`."""
+        if self._slots is None:
+            monos = sorted({m for f in self.polys for m in f if m}, key=len,
+                           reverse=True)
+            self._row = {m: t for t, m in enumerate(monos)}
+            self._slots = [np.array([m[i] for m in monos if len(m) > i], dtype=np.intp)
+                           for i in range(len(monos[0]) if monos else 0)]
+        got = self._coefs.get(mod)
+        if got is None:
+            half = mod // 2
+            C = np.zeros((len(self._row), len(self.polys)), dtype=np.int64)
+            const = np.zeros(len(self.polys), dtype=np.int64)
+            for j, f in enumerate(self.polys):
+                for m, c in f.items():
+                    c = (c + half) % mod - half
+                    if m:
+                        C[self._row[m], j] = c
+                    else:
+                        const[j] = c
+            got = self._coefs[mod] = (self._slots, C, const,
+                                      int(np.abs(C).sum(axis=0).max(initial=0)))
+        return got
+
+
+def _eval_poly_mod(table, X, mod):
+    """The polynomials of a _SlotTable at the rows of X, reduced mod `mod`,
+    as a rows x p int64 array.  Exact for entries of X in [0, mod) of any
+    integer dtype and mod <= 2^31 (guarded by the callers).
+
+    Per slot one gather of columns and one multiply; a running bound on the
+    products, (mod-1)^s after s slots, triggers a reduction mod `mod` only
+    where the next product or the sum against the coefficients (bound times
+    the largest absolute column sum, at most T max|coef|) could pass 2^62.
+    Rows go in chunks, so each temporary has at most _CHUNK cells."""
+    slots, C, const, csum = table.compiled(mod)
+    out = np.empty((len(X), len(const)), dtype=np.int64)
+    if not slots:
+        out[:] = const % mod
+        return out
+    per = max(1, _CHUNK // len(C))
+    for lo in range(0, len(X), per):
+        Xc = X[lo:lo + per]
+        P = Xc[:, slots[0]].astype(np.int64)
+        bound = mod - 1
+        for cols in slots[1:]:
+            if bound * (mod - 1) > _EXACT:
+                P %= mod
+                bound = mod - 1
+            P[:, :len(cols)] *= Xc[:, cols]
+            bound *= mod - 1
+        if bound * csum > _EXACT:
+            P %= mod
+            bound = mod - 1
+        if bound * csum > _EXACT:  # only for huge moduli: reduce each product
+            out[lo:lo + per] = np.stack([(P * C[:, j] % mod).sum(axis=1)
+                                         for j in range(len(const))], axis=1)
+        else:
+            out[lo:lo + per] = P @ C
+    out += const
+    out %= mod
+    return out
+
+
 # ---------------------------------------------------------------------------
 # The counting plan
 # ---------------------------------------------------------------------------
@@ -269,23 +356,23 @@ def order_indices(l, n_max, low=1):
             if sum(n) <= n_max]
 
 
-def _level_split(terms, k, r):
-    """[c0, w_0, .., w_(r-1)] with terms = c0 + sum_j w_j a_{k,j} once the
-    terms in levels above k are dropped, as Polys in the arc variables of
-    levels 0..k-1; None if the terms are not affine in level k."""
-    parts = [dict() for _ in range(r + 1)]
+def _level_split(terms, h, r):
+    """[c0, w_0, .., w_(r-1)] with terms = c0 + sum_j w_j a_{h,j} once the
+    monomials reading levels above h are dropped, c0 and the w_j reading
+    levels 0..h-1 only; None if the terms are not affine in level h."""
+    lo, hi = h * r, (h + 1) * r
+    parts = [{} for _ in range(r + 1)]
     for mono, c in terms.items():
-        top = [(v, e) for v, e in mono if v >= k * r]
-        if any(v >= (k + 1) * r for v, _e in top):
+        top = mono[-1] if mono else -1
+        if top >= hi:
             continue
-        if top and (len(top) > 1 or top[0][1] > 1):
+        if top < lo:
+            parts[0][mono] = c
+        elif len(mono) > 1 and mono[-2] >= lo:
             return None
-        exps = [0] * (k * r)
-        for v, e in mono:
-            if v < k * r:
-                exps[v] = e
-        parts[top[0][0] - k * r + 1 if top else 0][tuple(exps)] = c
-    return [Poly(k * r, part) for part in parts]
+        else:
+            parts[top - lo + 1][mono[:-1]] = c
+    return parts
 
 
 def _settle(ords, one, v, k):
@@ -293,12 +380,6 @@ def _settle(ords, one, v, k):
     (order -1) with v_i != 0 gets order k."""
     hit = (ords < 0) & (v != 0)
     return np.where(hit, k, ords), one & ~(hit & (v != 1)).any(axis=-1)
-
-
-def _fits(ords, n, level):
-    """Can a prefix of length `level` with these orders (-1 = still open)
-    end at the multi-index n?"""
-    return all(ni == o if o >= 0 else ni >= level for o, ni in zip(ords, n))
 
 
 class CountPlan:
@@ -324,7 +405,7 @@ class CountPlan:
         self.depth = max((max(n) for n in self.targets), default=0)
         self.origin = constraint.kind == "origin"
         self._base = (self.depth + 2) ** np.arange(sys.l)
-        self._live, self._dist = {}, None
+        self._ends, self._fits, self._dist = {}, {}, None
 
     def estimate(self):
         """Candidate rows charged to the sweep: q^(r E) for the E levels below
@@ -360,28 +441,31 @@ class CountPlan:
             start = start[_full_row_rank(
                 start.reshape(-1, m, r_mat).transpose(0, 2, 1), q)]
         self.start = start
-        jac = np.stack([np.stack([_eval_poly_mod(_partial(f, j), start, q)
-                                  for j in range(r)], axis=1) for f in polys], axis=1)
+        monos = [_monomials(f) for f in polys]
+        jac = _eval_poly_mod(_SlotTable([_partial(f, j) for f in monos for j in range(r)]),
+                             start, q).reshape(len(start), len(polys), r)
         # per open set U (bit i for f_i) and start: is J_U of full rank, is it 0?
         subsets = [[i for i in range(len(polys)) if u >> i & 1]
                    for u in range(1 << len(polys))]
         self.smooth = np.array([_full_row_rank(jac[:, U], q) for U in subsets])
         self.flat = np.array([~jac[:, U].any(axis=(1, 2)) for U in subsets])
         jets = [arc_value_coefficients(f, self.depth, self.origin) for f in polys]
-        # per level k: the t^k coefficients; the levels 0..need[k]-1 they read
-        # besides a_k; without their a_k terms (all a flat prefix needs); and
-        # split at the top level h of those (None where not affine in it)
-        sloped = not (self.smooth | self.flat).all()  # some prefix reads all of t^k
-        self.c, self.need, self.g, self.split = [], [], [], []
-        for k in range(self.depth + 1):
-            self.c.append(sloped and [_level_split(c[k], k + 1, r)[0] for c in jets])
-            self.need.append(1 + max([v // r for c in jets for mono in c[k]
-                                      for v, _e in mono if v < k * r], default=0))
-            h = max(self.need[k] - 1, 1)
-            self.g.append([_level_split(c[k], k, r)[0] for c in jets] if k else None)
-            self.split.append([_level_split(c[k], h, r) for c in jets] if k else None)
+        # per level k >= 1: the t^k coefficients (c); the levels 0..need[k]-1
+        # they read besides a_k; without their a_k terms (g, all a flat prefix
+        # needs); and, per f_i, split at the top level h of those into c0 and
+        # the w_j (None where not affine in it).  Tables compile on first use.
+        self.c, self.need, self.g, self.split = [None], [None], [None], [None]
+        for k in range(1, self.depth + 1):
+            self.c.append(_SlotTable([jet[k] for jet in jets]))
+            self.need.append(1 + max([v // r for jet in jets for mono in jet[k]
+                                      for v in mono if v < k * r], default=0))
+            self.g.append(_SlotTable([_level_split(jet[k], k, r)[0] for jet in jets]))
+            parts = [_level_split(jet[k], max(self.need[k] - 1, 1), r) for jet in jets]
+            self.split.append([p and (_SlotTable(p[:1]), _SlotTable(p[1:]))
+                               for p in parts])
         self.dtype = np.int8 if q <= 127 else np.int64
-        return np.stack([_eval_poly_mod(f, start, q) for f in polys], axis=1)
+        self.digits = self.grid.astype(self.dtype)
+        return _eval_poly_mod(_SlotTable([jet[0] for jet in jets]), start, q)
 
     def _sweep(self, threads):
         rec = Counter()
@@ -417,16 +501,15 @@ class CountPlan:
         """The rows with the levels below `width` enumerated, in chunks of
         at most _CHUNK rows."""
         X, a0, ords, one = rows
-        M = len(self.grid)
+        M = len(self.digits)
         if X.shape[1] >= width * self.r:
             yield rows
             return
         per = max(1, _CHUNK // M)
-        grid = self.grid.astype(self.dtype)
         for lo in range(0, len(X), per):
             s = slice(lo, lo + per)
             yield from self._expand((
-                np.hstack([np.repeat(X[s], M, axis=0), np.tile(grid, (len(X[s]), 1))]),
+                np.hstack([np.repeat(X[s], M, axis=0), np.tile(self.digits, (len(X[s]), 1))]),
                 np.repeat(a0[s], M), np.repeat(ords[s], M, axis=0),
                 np.repeat(one[s], M)), width)
 
@@ -447,35 +530,35 @@ class CountPlan:
             X, a0, ords, one = rows
             width, act = X.shape[1] // r, ords < 0
             flat = self.flat[_bits(act), a0]
-            codes = (ords + 1) @ self._base
             ends = flat & (act.sum(axis=1) == 1) & (act & affine).any(axis=1)
-            ends &= (width <= h) & ~self._live_mask(codes, k + 1)
+            if width <= h and ends.any():
+                ends &= ~self._live_mask((ords + 1) @ self._base, k + 1)
+            else:
+                ends[:] = False
             for i in np.flatnonzero(affine if ends.any() else []):
+                c0_table, w_table = self.split[k][i]
                 sel = tuple(a[ends & act[:, i]] for a in rows)
                 for Xs, _a, o, o1 in self._expand(sel, h):
-                    c0 = _eval_poly_mod(self.split[k][i][0], Xs, q)
-                    wnz = np.any([_eval_poly_mod(wj, Xs, q) != 0
-                                  for wj in self.split[k][i][1:]], axis=0)
+                    c0 = _eval_poly_mod(c0_table, Xs, q)[:, 0]
+                    wnz = _eval_poly_mod(w_table, Xs, q).any(axis=1)
                     codes_i = (o + 1) @ self._base + (k + 1) * self._base[i]
                     w = q ** (r * (k - h) + r - 1)
                     _record(rec, k + 1, codes_i[wnz], o1[wnz], w, w * (q - 1))
                     hit = ~wnz & (c0 != 0)
                     _record(rec, k + 1, codes_i[hit], (o1 & (c0 == 1))[hit],
                             w * q, w * q)
-            wide = ~ends & (np.where(flat, need, k + 1) > width)
-            for sel, w in ((wide & flat, need), (wide & ~flat, k + 1)):
-                if sel.any():
-                    yield from self._step(_batches(self._expand(
-                        tuple(a[sel] for a in rows), w)), k, rec)
-            rest = ~ends & ~wide
-            if not rest.any():
-                continue
-            X, a0, ords, one = (a[rest] for a in rows)
-            polys = self.g[k] if width <= k else self.c[k]
-            v = np.stack([_eval_poly_mod(p, X, q) for p in polys], axis=1)
-            o, o1 = _settle(ords, one, v, k)
-            keep = self._classify(o, o1, a0, k + 1, q ** (r * (k + 1 - width)), rec)
-            yield X[keep], a0[keep], o[keep], o1[keep]
+            # the rest read levels 0..need-1 (flat) or 0..k (any other), which
+            # an expansion to that width enumerates where not yet carried
+            for sel, w in ((~ends & flat, need), (~ends & ~flat, k + 1)):
+                if not sel.any():
+                    continue
+                for X, a0, ords, one in self._expand(tuple(a[sel] for a in rows), w):
+                    width = X.shape[1] // r
+                    v = _eval_poly_mod(self.g[k] if width <= k else self.c[k], X, q)
+                    o, o1 = _settle(ords, one, v, k)
+                    keep = self._classify(o, o1, a0, k + 1, q ** (r * (k + 1 - width)),
+                                          rec)
+                    yield X[keep], a0[keep], o[keep], o1[keep]
 
     def _classify(self, ords, one, a0, level, weight, rec):
         """Of the prefixes of length `level` that can still reach a target,
@@ -488,48 +571,57 @@ class CountPlan:
         return live & ~done
 
     def _live_mask(self, codes, level):
-        return np.isin(codes, [c for c in _present(codes) if self._is_live(c, level)])
+        """Which rows can still reach a target at this level: a table over
+        the codes present, indexed by code."""
+        present = np.bincount(codes)
+        table = np.zeros(len(present), dtype=bool)
+        for code in np.flatnonzero(present):
+            table[code] = bool(self._fitting(int(code), level))
+        return table[codes]
 
-    def _decode(self, code):
-        b = self.depth + 2
-        return [code // b ** i % b - 1 for i in range(self.sys.l)]
-
-    def _is_live(self, code, level):
+    def _fitting(self, code, level):
+        """The targets n a prefix of length `level` with this code can end
+        at (n_i = ord f_i where known, n_i >= level on the open set U), each
+        with the exponent of q and |U| in its closed form (see _assemble)."""
         # shared by the shards; a race only computes the same value twice
         key = (code, level)
-        if key not in self._live:
-            ords = self._decode(code)
-            self._live[key] = any(_fits(ords, n, level) for n in self.targets)
-        return self._live[key]
+        if key not in self._fits:
+            b, r = self.depth + 2, self.r
+            ords = [code // b ** i % b - 1 for i in range(self.sys.l)]
+            U = [i for i, o in enumerate(ords) if o < 0]
+            if code not in self._ends:
+                # the targets with these known orders, with their least n_i
+                # over U (past every level for U empty), largest first
+                self._ends[code] = sorted(
+                    ((min([n[i] for i in U], default=self.depth + 1), n)
+                     for n in self.targets
+                     if all(ni == o for ni, o in zip(n, ords) if o >= 0)),
+                    reverse=True)
+            ends = self._ends[code]
+            self._fits[key] = [
+                (n, r * (sum(n) - max(n) + max(max(n) - level + 1, 0))
+                 - sum(n[i] - level + 1 for i in U), len(U))
+                for low, n in itertools.takewhile(lambda e: e[0] >= level, ends)]
+        return self._fits[key]
 
     def _assemble(self, rec):
         """Closed form per record: a prefix of length k with open set U has
-        prod_{j=k..max n} q^(r-|U_j|) (q-1)^(s_j) completions with ord f_i =
-        n_i (i in U), U_j = {n_i >= j}, s_j = #{n_i = j}; 1 for q-1 when every
-        leading coefficient must be 1.  Levels past max n are free."""
-        q, r = self.q, self.r
+        prod_{j=k..m} q^(r-|U_j|) (q-1)^(s_j) completions with ord f_i = n_i
+        (i in U), m = max n, U_j = {n_i >= j}, s_j = #{n_i = j}; 1 for q-1
+        when every leading coefficient must be 1.  Levels past m are free:
+        q^(r(|n|-m)).  As every n_i (i in U) lies in [k, m], the product is
+        q^(r(m-k+1) - sum_U (n_i-k+1)) (q-1)^|U|."""
+        q = self.q
         dist = {n: [0, 0] for n in self.targets}
         for (k, code, side), mult in rec.items():
-            ords = self._decode(code)
-            U = [i for i, o in enumerate(ords) if o < 0]
-            for n in (n for n in self.targets if _fits(ords, n, k)):
-                m = max(n)
-                p = mult * q ** (r * (sum(n) - m))
-                for j in range(k, m + 1):
-                    p *= (q ** (r - sum(n[i] >= j for i in U))
-                          * (q - 1 if side else 1) ** sum(n[i] == j for i in U))
-                dist[n][side] += p
+            for n, e, u in self._fitting(code, k):
+                dist[n][side] += mult * q ** e * (q - 1) ** (u * side)
         return {n: tuple(v) for n, v in dist.items()}
 
 
 def _bits(act):
     """The open set of each row as a bit mask (bit i for f_i)."""
-    return sum(act[:, i].astype(np.int64) << i for i in range(act.shape[1]))
-
-
-def _present(values):
-    """The distinct values of a nonnegative int array, as Python ints."""
-    return [int(v) for v in np.flatnonzero(np.bincount(values))]
+    return act @ (1 << np.arange(act.shape[1]))
 
 
 def _batches(chunks):
@@ -539,11 +631,16 @@ def _batches(chunks):
         buf = bufs.setdefault(chunk[0].shape[1], [])
         buf.append(chunk)
         if sum(len(c[1]) for c in buf) >= _CHUNK:
-            yield tuple(np.concatenate(p) for p in zip(*buf))
+            yield _concat(buf)
             buf.clear()
     for buf in bufs.values():
         if buf:
-            yield tuple(np.concatenate(p) for p in zip(*buf))
+            yield _concat(buf)
+
+
+def _concat(chunks):
+    """One batch from row chunks of one width."""
+    return chunks[0] if len(chunks) == 1 else tuple(np.concatenate(p) for p in zip(*chunks))
 
 
 def _record(rec, level, codes, one, w_one, w_any):
@@ -640,16 +737,6 @@ def homogeneity_check(sys, q, n, threads=1):
 # ---------------------------------------------------------------------------
 
 
-def _partial(f, j):
-    out = {}
-    for mono, c in f.terms.items():
-        e = mono[j]
-        if e:
-            down = mono[:j] + (e - 1,) + mono[j + 1:]
-            out[down] = out.get(down, 0) + c * e
-    return Poly(f.nvars, out)
-
-
 def padic_solution_counts(f, p, k_max):
     """[A_0, ..., A_k_max] with A_k = #{x in (Z/p^k)^m : f(x) = 0 mod p^k}.
 
@@ -671,7 +758,8 @@ def padic_solution_counts(f, p, k_max):
     m = f.nvars
     _check_grid(p, m)
     grid = _residue_grid(p, m)
-    grads = [_partial(f, i) for i in range(m)]
+    terms = _monomials(f)
+    values, grads = _SlotTable([terms]), _SlotTable([_partial(terms, i) for i in range(m)])
     A = [0] * (k_max + 1)
     base, d = np.zeros((1, m), dtype=np.int64), 0
     while len(base):
@@ -683,14 +771,13 @@ def padic_solution_counts(f, p, k_max):
         per = max(1, _CHUNK // len(grid))
         for a in (base[lo:lo + per] for lo in range(0, len(base), per)):
             c = np.repeat(a, len(grid), axis=0) + p ** d * np.tile(grid, (len(a), 1))
-            v = _eval_poly_mod(f, c, p ** min(2 * d + 2, k_max))
+            v = _eval_poly_mod(values, c, p ** min(2 * d + 2, k_max))[:, 0]
             zero = v % p ** (2 * d + 1) == 0
             c, v = c[zero], v[zero]
             A[2 * d + 1] += len(c) * w
             if 2 * d + 2 > k_max:
                 continue
-            smooth = np.any([_eval_poly_mod(g, c, p ** (d + 1)) != 0
-                             for g in grads], axis=0)
+            smooth = _eval_poly_mod(grads, c, p ** (d + 1)).any(axis=1)
             for j in range(2, k_max - 2 * d + 1):
                 A[2 * d + j] += int(smooth.sum()) * w * p ** ((m - 1) * (j - 1))
             lifts.append(c[~smooth & (v == 0)])

@@ -4,7 +4,8 @@ Point counts of the classes used throughout the package are obtained by
 substituting a prime power for L, so everything here is kept exact: integer
 coefficients, Fraction specialization, no floating point.  Quotients are
 never factored: two of them are added over a shared denominator when their
-denominators agree up to a power of L, and over the product otherwise.
+denominators agree up to a power of L and an integer factor, and over the
+product otherwise.
 """
 
 from __future__ import annotations
@@ -216,7 +217,8 @@ class RationalMotive:
     Equality is decided by cross-multiplication; no factorization is ever
     attempted.  A cheap normalization (integer content and monomial factors)
     keeps intermediate results small.  A sum of two quotients whose
-    denominators agree up to a power of L keeps that denominator; any other
+    denominators agree up to a power of L and an integer factor is taken
+    over their least common multiple, which has the same terms; any other
     sum is taken over the product of the denominators.
     """
 
@@ -244,11 +246,14 @@ class RationalMotive:
 
     def __add__(self, other):
         other = _coerce_rm(other)
-        s = _shift_between(self.den, other.den)
-        if s is not None:
+        shared = _shift_between(self.den, other.den)
+        if shared is None:
+            return RationalMotive(self.num * other.den + other.num * self.den,
+                                  self.den * other.den)
+        s, u, v = shared
+        if (u, v) == (1, 1):
             return RationalMotive(self.num.shift(s) + other.num, other.den)
-        return RationalMotive(self.num * other.den + other.num * self.den,
-                              self.den * other.den)
+        return RationalMotive(self.num.shift(s) * u + other.num * v, other.den * v)
 
     __radd__ = __add__
 
@@ -345,15 +350,19 @@ def _gcd(a, b):
 
 
 def _shift_between(a, b):
-    """The s with b == a * L^s, or None if b is not a shifted copy of a."""
+    """(s, u, v) with a * L^s * u == b * v for the least integers u, v with
+    v > 0, or None if b is not an integer multiple of a shifted copy of a."""
     if len(a.terms) != len(b.terms):
         return None
     s = b.min_exp() - a.min_exp()
+    ca, cb = a.terms[a.min_exp()], b.terms[b.min_exp()]
+    g = _gcd(abs(ca), abs(cb)) * (1 if ca > 0 else -1)
+    u, v = cb // g, ca // g
     bt = b.terms
     for e, c in a.terms.items():
-        if bt.get(e + s) != c:
+        if bt.get(e + s, 0) * v != c * u:
             return None
-    return s
+    return s, u, v
 
 
 def _reduce_pair(num, den):

@@ -61,11 +61,7 @@ class Poly:
         return other
 
     def __add__(self, other):
-        other = self._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, 0) + c
-        return Poly(self.nvars, out)
+        return Poly(self.nvars, _add(self.terms, self._check(other).terms))
 
     __radd__ = __add__
 
@@ -79,27 +75,14 @@ class Poly:
         return self._check(other) + (-self)
 
     def __mul__(self, other):
-        other = self._check(other)
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                out[m] = out.get(m, 0) + c1 * c2
-        return Poly(self.nvars, out)
+        return Poly(self.nvars, _mul(self.terms, self._check(other).terms))
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
         if n < 0:
             raise PolyError("negative power")
-        out = Poly.const(self.nvars, 1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return Poly(self.nvars, _pow(self.terms, n, self.nvars))
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -197,9 +180,41 @@ def _tokenize(text):
     return out
 
 
+# Arithmetic on term dicts (exponent tuple -> nonzero coefficient), shared by
+# Poly and the parser, which builds no Poly until the end.
+
+
+def _add(a, b, sign=1):
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, 0) + sign * c
+    return {m: c for m, c in out.items() if c}
+
+
+def _mul(a, b):
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = tuple(x + y for x, y in zip(m1, m2))
+            out[m] = out.get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def _pow(a, n, nvars):
+    out = {(0,) * nvars: 1}
+    while n:
+        if n & 1:
+            out = _mul(out, a)
+        n >>= 1
+        if n:
+            a = _mul(a, a)
+    return out
+
+
 class _Parser:
     """Recursive descent over +, -, *, ^ and parentheses; * binds tighter
-    than + and -, ^ tighter than *, and only integer exponents are allowed."""
+    than + and -, ^ tighter than *, and only integer exponents are allowed.
+    Values are term dicts, as in Poly.terms."""
 
     def __init__(self, tokens, nvars):
         self.tokens = tokens
@@ -222,13 +237,12 @@ class _Parser:
         if t == ("op", "+") or t == ("op", "-"):
             self.take()
             sign = -1 if t[1] == "-" else 1
-        out = self.product() * sign
+        out = _add({}, self.product(), sign)
         while True:
             t = self.peek()
             if t == ("op", "+") or t == ("op", "-"):
                 self.take()
-                rhs = self.product()
-                out = out + (rhs if t[1] == "+" else -rhs)
+                out = _add(out, self.product(), 1 if t[1] == "+" else -1)
             else:
                 return out
 
@@ -238,10 +252,10 @@ class _Parser:
             t = self.peek()
             if t == ("op", "*"):
                 self.take()
-                out = out * self.power()
+                out = _mul(out, self.power())
             elif t is not None and t[0] in ("int", "var") or t == ("op", "("):
                 # implicit multiplication, e.g. 2x1 or (x1+1)(x2+1)
-                out = out * self.power()
+                out = _mul(out, self.power())
             else:
                 return out
 
@@ -252,22 +266,27 @@ class _Parser:
             t = self.take()
             if t[0] != "int":
                 raise PolyError("exponent must be a nonnegative integer")
-            return base ** t[1]
+            return _pow(base, t[1], self.nvars)
         return base
 
     def atom(self):
         t = self.take()
         if t[0] == "int":
-            return Poly.const(self.nvars, t[1])
+            if self.nvars < 1:
+                raise PolyError("need at least one variable")
+            return {(0,) * self.nvars: t[1]} if t[1] else {}
         if t[0] == "var":
-            return Poly.var(self.nvars, t[1])
+            if not 1 <= t[1] <= self.nvars:
+                raise PolyError("variable index %d out of range 1..%d"
+                                % (t[1], self.nvars))
+            return {tuple(int(j == t[1] - 1) for j in range(self.nvars)): 1}
         if t == ("op", "("):
             inner = self.expr()
             if self.take() != ("op", ")"):
                 raise PolyError("missing closing parenthesis")
             return inner
         if t == ("op", "-"):
-            return -self.atom()
+            return _add({}, self.atom(), -1)
         raise PolyError("unexpected token %r" % (t,))
 
 
@@ -280,7 +299,7 @@ def parse_poly(text, nvars=None):
     out = p.expr()
     if p.peek() is not None:
         raise PolyError("trailing input at token %r" % (p.peek(),))
-    return out
+    return Poly(nvars, out)
 
 
 def parse_system(texts, nvars=None):

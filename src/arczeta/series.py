@@ -159,12 +159,15 @@ class RationalSeries:
         Laurent polynomial of its geometric factors' product at T^n."""
         if order < 0:
             raise SeriesError("order must be >= 0")
-        coeffs = {}
+        coeffs, products = {}, {}
         for t in self.terms:
             room = order - mi_total(t.shift)
             if room < 0:
                 continue
-            for n, poly in _geometric_product(t.factors, room, self.nvars).items():
+            if (t.factors, room) not in products:  # terms share their factors
+                products[t.factors, room] = _geometric_product(t.factors, room,
+                                                               self.nvars)
+            for n, poly in products[t.factors, room].items():
                 n = mi_add(t.shift, n)
                 part = RationalMotive(t.coeff.num * LaurentMotive(poly), t.coeff.den)
                 coeffs[n] = coeffs[n] + part if n in coeffs else part

@@ -13,7 +13,9 @@ from arczeta import (ArcConstraint, ArcError, CountPlan, Poly, PolySystem,
                      count_arcs, count_pair, count_stratum, estimate_work,
                      homogeneity_check, igusa_coeffs, padic_solution_counts,
                      parse_poly, parse_system, zeta_coeffs_from_counts)
-from arczeta.arcs import (_residue_grid, build_count_table, is_prime,
+from arczeta import arcs
+from arczeta.arcs import (_SlotTable, _eval_poly_mod, _residue_grid,
+                          arc_value_coefficients, build_count_table, is_prime,
                           order_indices)
 
 
@@ -417,3 +419,116 @@ class TestPadic:
         for n in range(4):
             assert series.coefficient((n,)) == (
                 (n + 1) * unit * unit * Fraction(1, 3 ** n))
+
+
+def python_value(terms, row):
+    """A polynomial in monomial form at one row, with Python ints."""
+    total = 0
+    for mono, c in terms.items():
+        for v in mono:
+            c *= int(row[v])
+        total += c
+    return total
+
+
+def random_terms(rng, width, degree, count):
+    """Up to `count` monomials of degree <= `degree` in the column ids
+    0..width-1, with signed coefficients (a constant term sometimes)."""
+    out = {}
+    for _ in range(count):
+        mono = tuple(sorted(rng.randrange(width)
+                            for _ in range(rng.randint(0, degree))))
+        out[mono] = rng.choice([-1, 1]) * rng.randint(1, 10 ** rng.randint(0, 12))
+    return out
+
+
+class TestSlotEvaluator:
+    # p^(k+1) <= 2^31 is the callers' guard on p-adic moduli; the
+    # evaluator itself is exact up to 2^31
+    MODULI = (2, 3, 113, 127, 131, 251, 2 ** 30, 3 ** 18, 7 ** 10, 2 ** 31 - 1)
+
+    @pytest.mark.parametrize("mod", MODULI)
+    def test_matches_python_ints(self, mod):
+        rng = random.Random(mod)
+        for trial in range(12):
+            width = rng.randint(1, 8)
+            polys = [random_terms(rng, width, rng.randint(0, 12), rng.randint(0, 40))
+                     for _ in range(rng.randint(1, 3))]
+            dtype = np.int8 if mod <= 127 and trial % 2 else np.int64
+            X = np.array([[rng.randrange(mod) for _ in range(width)]
+                          for _ in range(rng.randint(0, 60))],
+                         dtype=dtype).reshape(-1, width)
+            got = _eval_poly_mod(_SlotTable(polys), X, mod)
+            assert got.dtype == np.int64 and got.shape == (len(X), len(polys))
+            want = [[python_value(f, row) % mod for f in polys] for row in X]
+            assert got.tolist() == want, (mod, trial)
+
+    def test_high_powers_reduce_lazily(self):
+        # x^12 at mod 2^30 needs a reduction after every product; x^12 at
+        # mod 2 none
+        for mod in (2, 5, 127, 2 ** 30):
+            X = np.arange(min(mod, 300)).reshape(-1, 1)
+            got = _eval_poly_mod(_SlotTable([{(0,) * 12: -3, (): 5}]), X, mod)
+            assert got[:, 0].tolist() == [(-3 * x ** 12 + 5) % mod for x in range(len(X))]
+
+    def test_large_coefficient_sums(self):
+        # 20 products near 2^31 times coefficients near -2^30 sum past 2^63;
+        # an odd modulus, as int64 wrapping is invisible mod a power of 2
+        mod = 2 ** 31 - 1
+        terms = {(j,): -(mod // 2) for j in range(20)}
+        terms.update({(j, j): mod // 2 - 1 for j in range(20)})
+        X = np.full((3, 20), mod - 1)
+        got = _eval_poly_mod(_SlotTable([terms, {(0,): 1}]), X, mod)
+        assert got.tolist() == [[python_value(terms, row) % mod, mod - 1] for row in X]
+
+    def test_temporaries_stay_within_chunk(self, monkeypatch):
+        monkeypatch.setattr(arcs, "_CHUNK", 1 << 12)
+        rng = random.Random(7)
+        table = _SlotTable([random_terms(rng, 20, 6, 40)])
+        X = np.array([[rng.randrange(5) for _ in range(20)] for _ in range(1 << 14)],
+                     dtype=np.int8)
+        _eval_poly_mod(table, X[:10], 5)  # compile outside the measurement
+        tracemalloc.start()
+        try:
+            got = _eval_poly_mod(table, X, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # unchunked, the products alone would take 16384 x 40 x 8 = 5.2 MB
+        assert peak <= got.nbytes + 4 * 8 * arcs._CHUNK
+        assert got[:50, 0].tolist() == [python_value(table.polys[0], row) % 5
+                                        for row in X[:50]]
+
+
+def arc_substitution(poly, arc, maxdeg):
+    """poly(a(t)) truncated at t^maxdeg, with Python ints; arc[j][k] is the
+    t^k coefficient of coordinate j."""
+    out = [0] * (maxdeg + 1)
+    for mono, c in poly.terms.items():
+        term = [c] + [0] * maxdeg
+        for j, e in enumerate(mono):
+            for _ in range(e):
+                term = [sum(term[i] * arc[j][k - i] for i in range(k + 1))
+                        for k in range(maxdeg + 1)]
+        out = [a + b for a, b in zip(out, term)]
+    return out
+
+
+def test_jets_match_arc_substitution():
+    rng = random.Random(2718)
+    for _ in range(80):
+        r, maxdeg, origin = rng.randint(1, 3), rng.randint(0, 5), rng.random() < 0.5
+        f = Poly(r, {tuple(rng.randint(0, 4) for _ in range(r)): rng.randint(-9, 9)
+                     for _ in range(rng.randint(1, 5))} or {(0,) * r: 1})
+        if f.is_zero():
+            continue
+        jets = arc_value_coefficients(f, maxdeg, origin)
+        for _ in range(3):
+            arc = [[0 if origin and k == 0 else rng.randint(-20, 20)
+                    for k in range(maxdeg + 1)] for _ in range(r)]
+            row = [arc[v % r][v // r] for v in range(r * (maxdeg + 1))]
+            assert [python_value(jet, row) for jet in jets] == \
+                arc_substitution(f, arc, maxdeg), (str(f), maxdeg, origin)
+            for jet in jets:
+                assert all(list(mono) == sorted(mono) for mono in jet)
+                assert not origin or all(v >= r for mono in jet for v in mono)

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 from arczeta import (LaurentError, LaurentMotive, Permutation, RationalMotive,
                      fibration_factor, parse_laurent, partition_weight_sum,
                      sl_class, z_w_class)
-from arczeta.motive import compositions
+from arczeta.motive import _shift_between, compositions
 
 L = LaurentMotive.L()
 ONE = LaurentMotive.one()
@@ -119,6 +119,27 @@ class TestRationalMotive:
         # same exponents, other coefficients: not a shared denominator
         assert (RationalMotive(1, 2 * L + 2) + RationalMotive(1, L + 1)
                 == RationalMotive(3, 2 * L + 2))
+
+    @given(a=laurents, b=laurents, d=primitive_denominators,
+           s=st.integers(-4, 4), u=st.integers(-6, 6).filter(bool),
+           v=st.integers(-6, 6).filter(bool))
+    def test_sum_over_denominators_with_integer_content(self, a, b, d, s, u, v):
+        # denominators u d and v L^s d: the sum keeps the terms of d
+        x, y = RationalMotive(a, d * u), RationalMotive(b, d.shift(s) * v)
+        total = x + y
+        assert total == RationalMotive(x.num * y.den + y.num * x.den,
+                                       x.den * y.den)
+        assert total.is_zero() or len(total.den.terms) == len(d.terms)
+
+    @given(d=primitive_denominators, s=st.integers(-4, 4))
+    def test_shifted_copies_need_no_scaling(self, d, s):
+        # whatever the sign of the lowest coefficient, as in L - 1
+        assert _shift_between(d, d.shift(s)) == (s, 1, 1)
+
+    def test_sum_keeps_denominator_with_integer_content(self):
+        total = RationalMotive(1, 2 * L + 2) + RationalMotive(2, 2 * L + 2)
+        assert total == RationalMotive(3, 2 * L + 2)
+        assert total.den == 2 * L + 2
 
 
 class TestNamedClasses:
