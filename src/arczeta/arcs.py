@@ -34,6 +34,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 
@@ -182,48 +183,56 @@ def _partial(terms, j):
     return out
 
 
-def _series_mul(a, b, maxdeg):
-    """Product of two series truncated at t^maxdeg whose coefficients are
-    polynomials with positive coefficients, so that no term cancels."""
-    out = [{} for _ in range(maxdeg + 1)]
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j in range(maxdeg - i + 1):
-            acc = out[i + j]
-            for m1, c1 in ai.items():
-                for m2, c2 in b[j].items():
-                    m = tuple(sorted(m1 + m2))
-                    acc[m] = acc.get(m, 0) + c1 * c2
+def _level_multisets(e, lo, maxdeg):
+    """The terms of x(t)^e = (sum_{k>=lo} a_k t^k)^e up to t^maxdeg, each
+    once: (degree, levels, multinomial coefficient) for every nondecreasing
+    e-tuple of levels >= lo with sum <= maxdeg."""
+    out = []
+
+    def extend(levels, start, left, budget, coef):
+        if not left:
+            out.append((maxdeg - budget, levels, coef))
+            return
+        for k in range(start, budget // left + 1):
+            for m in range(1, left + 1):  # level k taken m times
+                if k * m > budget:
+                    break
+                extend(levels + (k,) * m, k + 1, left - m, budget - k * m,
+                       coef * comb(left, m))
+
+    extend((), lo, e, maxdeg, 1)
     return out
 
 
 def arc_value_coefficients(poly, maxdeg, origin):
     """Coefficients of t^0..t^maxdeg of poly(a_0 + a_1 t + ...), each a
     polynomial in the arc variables in monomial form; origin=True
-    substitutes a_0 = 0."""
+    substitutes a_0 = 0.
+
+    x_j(t)^e is enumerated by the multisets of its levels, so each monomial
+    of a term of poly is produced once and sorted once."""
     r = poly.nvars
-    powers = []  # powers[j][e - 1] is the series x_j(t)^e, built once
-    for j in range(r):
-        x = [{} for _ in range(maxdeg + 1)]
-        for k in range(1 if origin else 0, maxdeg + 1):
-            x[k] = {(k * r + j,): 1}
-        powers.append([x])
+    lo = 1 if origin else 0
+    powers = {}  # (j, e) -> the terms of x_j(t)^e
     out = [{} for _ in range(maxdeg + 1)]
     for mono, c in poly.terms.items():
-        term = None
-        for pw, e in zip(powers, mono):
-            while len(pw) < e:
-                pw.append(_series_mul(pw[-1], pw[0], maxdeg))
-            if e:
-                term = pw[e - 1] if term is None else _series_mul(term, pw[e - 1], maxdeg)
-        for acc, part in zip(out, term or [{(): 1}]):
-            for m, v in part.items():
-                s = acc.get(m, 0) + c * v
-                if s:
-                    acc[m] = s
-                else:
-                    del acc[m]
+        parts = [((), 0, c)]  # (ids, degree, coefficient) of the term so far
+        for j, e in enumerate(mono):
+            if not e:
+                continue
+            if (j, e) not in powers:
+                powers[j, e] = [(d, tuple(k * r + j for k in ks), m)
+                                for d, ks, m in _level_multisets(e, lo, maxdeg)]
+            parts = [(ids + more, deg + d, coef * m)
+                     for ids, deg, coef in parts
+                     for d, more, m in powers[j, e] if deg + d <= maxdeg]
+        for ids, deg, coef in parts:
+            acc, m = out[deg], tuple(sorted(ids))
+            s = acc.get(m, 0) + coef
+            if s:
+                acc[m] = s
+            else:
+                del acc[m]
     return out
 
 

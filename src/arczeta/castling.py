@@ -4,6 +4,18 @@ A castling datum fixes m = r1 + r2 and the degrees d of the shared invariants;
 the operators push each realization of the zeta data of one partner (series,
 Milnor fiber class, spectrum, b-function roots, p-adic series) to the other.
 All of them are exact and invertible by swapping r1 and r2.
+
+The symbolic transfers reduce each output value once.  The Milnor transfer
+multiplies numerator and denominator of its counting channel by the
+binomials (1 - L^j) in the Laurent ring and builds one RationalMotive; it does
+not cancel the factors the two sides share, because its denominator is
+printed as it stands and quotients are never factored.  The spectrum values
+of Z[t^(1/Z)] have a canonical form, so the spectrum channel and
+castle_spectrum cancel the shared factors j <= min(r1, r2) first: one product
+when r2 >= r1 and one exact division otherwise.  Z[t^(1/Z)] is an integral
+domain, so the cancelled division is inexact exactly when the uncancelled one
+is, and its error reports the lowest remainder term, which the shared factors
+(constant term 1) leave unchanged.
 """
 
 from __future__ import annotations
@@ -88,12 +100,8 @@ def castle_local_zeta(Z1_0, c):
     if Z1_0.nvars != c.l:
         raise CastlingError("series has %d variables, datum says %d"
                             % (Z1_0.nvars, c.l))
-    u_num = LaurentMotive.one()
-    for j in range(1, c.r2 + 1):
-        u_num = u_num * LaurentMotive({0: 1, -j: -1})
-    u_den = LaurentMotive.one()
-    for j in range(1, c.r1 + 1):
-        u_den = u_den * LaurentMotive({0: 1, -j: -1})
+    u_num = LaurentMotive({-e: v for e, v in _binomials(0, c.r2).items()})
+    u_den = LaurentMotive({-e: v for e, v in _binomials(0, c.r1).items()})
     out = Z1_0 * RationalMotive(u_num, u_den)
     for j in range(1, c.r1 + 1):
         out = out.times_binomial(j, c.d)
@@ -131,23 +139,14 @@ def castle_milnor(S1, c):
     counting, spectrum = S1 if isinstance(S1, tuple) else (S1, None)
     if not isinstance(counting, RationalMotive):
         counting = RationalMotive(counting)
-    for j in range(1, c.r2 + 1):
-        counting = counting * RationalMotive(LaurentMotive({0: 1, j: -1}))
-    for j in range(1, c.r1 + 1):
-        counting = counting / RationalMotive(LaurentMotive({0: 1, j: -1}))
-    out_spec = None
-    if spectrum is not None:
-        num = spectrum
-        for j in range(1, c.r2 + 1):
-            num = num * Spectrum({0: 1, j: -1})
-        den = Spectrum.one()
-        for j in range(1, c.r1 + 1):
-            den = den * Spectrum({0: 1, j: -1})
-        try:
-            out_spec = num.exact_div(den)
-        except SpectrumError as exc:
-            raise CastlingError("spectrum channel is not divisible: %s" % exc) from exc
-    return (counting, out_spec) if spectrum is not None else counting
+    counting = RationalMotive(counting.num * LaurentMotive(_binomials(0, c.r2)),
+                              counting.den * LaurentMotive(_binomials(0, c.r1)))
+    if spectrum is None:
+        return counting
+    try:
+        return counting, _spectrum_ratio(spectrum, c.r1, c.r2)
+    except SpectrumError as exc:
+        raise CastlingError("spectrum channel is not divisible: %s" % exc) from exc
 
 
 def castle_spectrum(h1, c):
@@ -156,17 +155,31 @@ def castle_spectrum(h1, c):
     inexact division means h1 is not the spectrum of a genuine partner."""
     s1 = -1 if (c.m * c.r1 - 1) % 2 else 1
     s2 = -1 if (c.m * c.r2 - 1) % 2 else 1
-    num = Spectrum.one() + s1 * h1
-    for j in range(1, c.r2 + 1):
-        num = num * Spectrum({0: 1, j: -1})
-    den = Spectrum.one()
-    for j in range(1, c.r1 + 1):
-        den = den * Spectrum({0: 1, j: -1})
     try:
-        quotient = num.exact_div(den)
+        quotient = _spectrum_ratio(Spectrum.one() + s1 * h1, c.r1, c.r2)
     except SpectrumError as exc:
         raise CastlingError("not a castling-partner spectrum: %s" % exc) from exc
     return s2 * (quotient - Spectrum.one())
+
+
+def _binomials(lo, hi):
+    """prod_{lo<j<=hi}(1 - X^j) as a dict exponent -> integer coefficient."""
+    out = {0: 1}
+    for j in range(lo + 1, hi + 1):
+        nxt = dict(out)
+        for e, v in out.items():
+            nxt[e + j] = nxt.get(e + j, 0) - v
+        out = nxt
+    return out
+
+
+def _spectrum_ratio(x, r1, r2):
+    """x * prod_{j<=r2}(1 - t^j) / prod_{j<=r1}(1 - t^j) with the shared
+    factors j <= min(r1, r2) cancelled: one product, or one exact division
+    (SpectrumError if inexact)."""
+    if r2 >= r1:
+        return x * Spectrum(_binomials(r1, r2))
+    return x.exact_div(Spectrum(_binomials(r2, r1)))
 
 
 @dataclass(frozen=True)

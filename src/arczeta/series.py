@@ -7,9 +7,14 @@ reports one.
 
 Expansion works in the Laurent ring: the geometric factors of a term have
 monomial coefficients L^(-nu k), so their product is expanded with integer
-arithmetic and multiplied into the term's coefficient once per index.  The
-coefficients of a transfer share one denominator up to a power of L, and
-their sum keeps it (see RationalMotive).
+arithmetic, once per factor tuple.  The coefficients are summed as integer
+dicts: a term's denominator is c * L^k * d0 with d0 primitive, and each index
+keeps one integer numerator per class d0 over C * d0, C the lcm of the
+class's c.  Only then is one RationalMotive built per (index, class); the
+classes of an index are added in order of first appearance.  Content and
+lowest L-exponent are multiplicative (Gauss's lemma), so RationalMotive's
+reduction is one canonical form within a class, and a single-class sum (every
+transfer of the package) prints exactly as the reduced term-by-term sum.
 """
 
 from __future__ import annotations
@@ -17,6 +22,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add
 
 from .motive import LaurentMotive, RationalMotive, parse_laurent
 
@@ -35,7 +42,7 @@ def multi_index(entries):
 
 
 def mi_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 def mi_scale(k, a):
     return tuple(k * x for x in a)
@@ -156,21 +163,50 @@ class RationalSeries:
         """Exact truncated expansion: coefficients of all T^n with |n| <= order.
 
         Each term contributes coeff * P_n at T^(shift + n), where P_n is the
-        Laurent polynomial of its geometric factors' product at T^n."""
+        Laurent polynomial of its geometric factors' product at T^n.  The
+        numerators are summed as integer dicts, one per index and class of
+        denominators (see _denominator_class), and each sum is reduced once."""
         if order < 0:
             raise SeriesError("order must be >= 0")
-        coeffs, products = {}, {}
+        live, classes = [], {}
         for t in self.terms:
-            room = order - mi_total(t.shift)
-            if room < 0:
-                continue
-            if (t.factors, room) not in products:  # terms share their factors
-                products[t.factors, room] = _geometric_product(t.factors, room,
-                                                               self.nvars)
-            for n, poly in products[t.factors, room].items():
-                n = mi_add(t.shift, n)
-                part = RationalMotive(t.coeff.num * LaurentMotive(poly), t.coeff.den)
-                coeffs[n] = coeffs[n] + part if n in coeffs else part
+            if mi_total(t.shift) <= order:
+                key, c, k = _denominator_class(t.coeff.den)
+                classes[key] = lcm(classes.get(key, 1), c)
+                live.append((t, key, c, k))
+        # numerators over C * d0 (C the lcm of the class's contents), summed
+        # over the terms that share their factors, shift and class
+        groups = {}
+        for t, key, c, k in live:
+            num = groups.setdefault((t.factors, t.shift, key), {})
+            scale = classes[key] // c
+            for e, v in t.coeff.num.terms.items():
+                num[e - k] = num.get(e - k, 0) + v * scale
+        rooms = {}
+        for factors, shift, _key in groups:
+            rooms[factors] = max(order - mi_total(shift), rooms.get(factors, 0))
+        # one product per factor tuple, cut at each term's room
+        products = {fs: _geometric_product(fs, room, self.nvars)
+                    for fs, room in rooms.items()}
+        sums = {}  # n -> {class key: numerator over C * d0}
+        for (factors, shift, key), num in groups.items():
+            room = order - mi_total(shift)
+            num = list(num.items())
+            for total, n, poly in products[factors]:
+                if total > room:
+                    break
+                acc = sums.setdefault(mi_add(shift, n), {}).setdefault(key, {})
+                for e1, c1 in num:
+                    for e2, c2 in poly.items():
+                        acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
+        coeffs = {}
+        for n, by_class in sums.items():
+            total = None
+            for key, acc in by_class.items():
+                den = LaurentMotive({e: classes[key] * v for e, v in key})
+                part = RationalMotive(LaurentMotive(acc), den)
+                total = part if total is None else total + part
+            coeffs[n] = total
         return TruncatedSeries(self.nvars, order, coeffs, zero=RationalMotive.zero())
 
     def limit_at_infinity(self):
@@ -270,22 +306,41 @@ class RationalSeries:
         return cls(nvars, terms)
 
 
+def _denominator_class(den):
+    """(key, c, k) with den = c * L^k * d0, d0 primitive with lowest exponent
+    0; key is d0 as sorted (exponent, coefficient) pairs.  den is a reduced
+    denominator, so its top coefficient and c are positive.
+
+    Integer content and lowest exponent are multiplicative (Gauss's lemma),
+    so RationalMotive's reduction gives a value one canonical form over all
+    denominators of the class {c * L^k * d0}: summing numerators over C * d0,
+    C the lcm of the class's |c|, and reducing once yields the same bytes as
+    summing the reduced quotients one at a time."""
+    terms = den.terms
+    k = min(terms)
+    c = gcd(*terms.values())
+    return tuple(sorted((e - k, v // c) for e, v in terms.items())), c, k
+
+
 def _geometric_product(factors, order, nvars):
-    """prod_j (1 - L^-nu_j T^N_j)^-1 up to |n| <= order, as
-    {n: {exponent of L: multiplicity}}."""
+    """prod_j (1 - L^-nu_j T^N_j)^-1 up to |n| <= order, as a list of
+    (|n|, n, {exponent of L: multiplicity}) sorted by |n|."""
     prod = {(0,) * nvars: {0: 1}}
     for f in factors:
         out = {}
+        step = mi_total(f.N)
         for n, poly in prod.items():
-            drop = 0
-            while mi_total(n) <= order:
+            total, drop = mi_total(n), 0
+            while total <= order:
                 dst = out.setdefault(n, {})
                 for e, c in poly.items():
                     dst[e - drop] = dst.get(e - drop, 0) + c
                 n = mi_add(n, f.N)
+                total += step
                 drop += f.nu
         prod = out
-    return prod
+    return sorted(((mi_total(n), n, poly) for n, poly in prod.items()),
+                  key=lambda item: item[0])
 
 
 def _monomial_str(shift):

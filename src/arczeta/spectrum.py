@@ -33,6 +33,13 @@ class Spectrum:
         raise AttributeError("Spectrum is immutable")
 
     @classmethod
+    def _of(cls, terms):
+        """A value from exponents that are already Fractions; zeros dropped."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "terms", {e: c for e, c in terms.items() if c})
+        return self
+
+    @classmethod
     def zero(cls):
         return cls()
 
@@ -49,7 +56,7 @@ class Spectrum:
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = out.get(e, 0) + c
-        return Spectrum(out)
+        return Spectrum._of(out)
 
     __radd__ = __add__
 
@@ -69,7 +76,7 @@ class Spectrum:
             for e2, c2 in other.terms.items():
                 e = e1 + e2
                 out[e] = out.get(e, 0) + c1 * c2
-        return Spectrum(out)
+        return Spectrum._of(out)
 
     __rmul__ = __mul__
 
@@ -113,7 +120,15 @@ class Spectrum:
         sa, sb = min(a), min(b)
         a = {e - sa: c for e, c in a.items()}
         b = {e - sb: c for e, c in b.items()}
-        q = _poly_div_exact(a, b)
+        try:
+            q = _poly_div_exact(a, b)
+        except _Remainder as exc:
+            # the lowest term of the remainder: unchanged when both sides
+            # are multiplied by a factor with constant term 1
+            e, c = exc.args
+            raise SpectrumError("inexact spectrum division (remainder starts "
+                                "with %s)" % Spectrum({Fraction(e + sa, denom): c})
+                                ) from None
         return Spectrum({Fraction(e + sa - sb, denom): c for e, c in q.items()})
 
     def __str__(self):
@@ -158,6 +173,10 @@ def _lcm(a, b):
     return a // g * b
 
 
+class _Remainder(Exception):
+    """(exponent, coefficient) of the lowest term of a nonzero remainder."""
+
+
 def _poly_div_exact(a, b):
     """Exact division of integer-exponent polynomials given as dicts."""
     blow = min(b)
@@ -175,7 +194,7 @@ def _poly_div_exact(a, b):
     while rem:
         e = min(rem)
         if e > qmax:
-            raise SpectrumError("inexact spectrum division (remainder %r)" % rem)
+            raise _Remainder(e, rem[e])
         c, r = divmod(rem[e], c0)
         if r:
             raise SpectrumError("inexact spectrum division (coefficient %d/%d)" % (rem[e], c0))

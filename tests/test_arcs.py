@@ -1,8 +1,10 @@
 """Arc counting against a direct enumeration oracle, plus the p-adic engine."""
 
 import itertools
+import math
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -532,3 +534,32 @@ def test_jets_match_arc_substitution():
             for jet in jets:
                 assert all(list(mono) == sorted(mono) for mono in jet)
                 assert not origin or all(v >= r for mono in jet for v in mono)
+
+
+def test_jets_match_arc_substitution_high_powers():
+    """Powers x_j^e with e >= 6, where each monomial of x_j(t)^e comes from
+    one multiset of levels with its multinomial coefficient."""
+    rng = random.Random(6180)
+    for _ in range(40):
+        r, maxdeg, origin = rng.randint(1, 2), rng.randint(6, 14), rng.random() < 0.5
+        f = Poly(r, {tuple(rng.choice((0, 1, 2, 6, 7, 9, 12)) for _ in range(r)):
+                     rng.choice((-3, -1, 1, 2, 5)) for _ in range(rng.randint(1, 3))})
+        if f.is_zero():
+            continue
+        jets = arc_value_coefficients(f, maxdeg, origin)
+        arc = [[0 if origin and k == 0 else rng.randint(-9, 9)
+                for k in range(maxdeg + 1)] for _ in range(r)]
+        row = [arc[v % r][v // r] for v in range(r * (maxdeg + 1))]
+        assert [python_value(jet, row) for jet in jets] == \
+            arc_substitution(f, arc, maxdeg), (str(f), maxdeg, origin)
+    for e, lo, maxdeg in ((6, 0, 10), (7, 1, 12), (9, 0, 8)):
+        jets = arc_value_coefficients(Poly(1, {(e,): 1}), maxdeg, lo == 1)
+        for k, jet in enumerate(jets):
+            want = {}
+            for levels in itertools.combinations_with_replacement(range(lo, k + 1), e):
+                if sum(levels) == k:
+                    coef = math.factorial(e)
+                    for m in Counter(levels).values():
+                        coef //= math.factorial(m)
+                    want[levels] = coef
+            assert jet == want, (e, lo, k)
