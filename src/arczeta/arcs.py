@@ -142,21 +142,6 @@ class ArcConstraint:
         raise ArcError("unknown constraint %r" % text)
 
 
-@dataclass(frozen=True)
-class ArcCountTable:
-    """Exact counts per order multi-index; leading-one counts only exist for
-    a single polynomial."""
-
-    q: int
-    n_max: int
-    entries: dict
-
-    def __post_init__(self):
-        for n, (one, all_) in self.entries.items():
-            if one is not None and not 0 <= one <= all_:
-                raise ArcError("count invariant violated at %r" % (n,))
-
-
 # ---------------------------------------------------------------------------
 # Symbolic coefficients of f(arc) as polynomials in the arc coefficients
 # ---------------------------------------------------------------------------
@@ -712,12 +697,6 @@ def count_pair(sys, n, q, constraint=None, threads=1):
     n = _validate(sys, n, q, "any")
     one, all_ = CountPlan(sys, q, constraint, [n]).counts(threads)[n]
     return (one if sys.l == 1 else None), all_
-
-
-def build_count_table(sys, q, n_max, constraint=None, threads=1):
-    counts = CountPlan(sys, q, constraint, order_indices(sys.l, n_max)).counts(threads)
-    return ArcCountTable(q, n_max, {n: (one if sys.l == 1 else None, all_)
-                                    for n, (one, all_) in counts.items()})
 
 
 def zeta_coeffs_from_counts(sys, q, n_max, constraint=None, leading="one",

@@ -5,6 +5,11 @@ the operators push each realization of the zeta data of one partner (series,
 Milnor fiber class, spectrum, b-function roots, p-adic series) to the other.
 All of them are exact and invertible by swapping r1 and r2.
 
+The four series transfers share one skeleton, _transfer: a scalar, then r1
+binomials (1 - L^-j T^d) traded for r2 geometric factors.  castle_zeta and
+castle_local_zeta run it on RationalSeries; castle_zeta_numeric and
+castle_igusa are its specialization at L = q, on truncated Fraction series.
+
 The symbolic transfers reduce each output value once.  The Milnor transfer
 multiplies numerator and denominator of its counting channel by the
 binomials (1 - L^j) in the Laurent ring and builds one RationalMotive; it does
@@ -27,7 +32,7 @@ from fractions import Fraction
 
 from .arcs import CountPlan, order_indices
 from .motive import LaurentMotive, RationalMotive, sl_class
-from .series import RationalSeries, mi_scale
+from .series import mi_scale
 from .spectrum import Spectrum, SpectrumError
 
 
@@ -75,15 +80,7 @@ def castle_zeta(Z1, c):
     """Transfer of the global zeta series: multiply by the ratio of special
     linear group classes and trade r1 binomials (1 - L^-j T^d) for r2
     geometric factors, T^d meaning the product of T_i^d_i."""
-    if Z1.nvars != c.l:
-        raise CastlingError("series has %d variables, datum says %d"
-                            % (Z1.nvars, c.l))
-    out = Z1 * RationalMotive(sl_class(c.r2), sl_class(c.r1))
-    for j in range(1, c.r1 + 1):
-        out = out.times_binomial(j, c.d)
-    for j in range(1, c.r2 + 1):
-        out = out.over_binomial(j, c.d)
-    return out
+    return _transfer(Z1, c, _sl_ratio(c), lambda j: j)
 
 
 def castle_local_zeta(Z1_0, c):
@@ -97,20 +94,36 @@ def castle_local_zeta(Z1_0, c):
     monomial shift is negative and fails loudly if a term would leave the
     series ring (degree bookkeeping error).
     """
-    if Z1_0.nvars != c.l:
-        raise CastlingError("series has %d variables, datum says %d"
-                            % (Z1_0.nvars, c.l))
-    u_num = LaurentMotive({-e: v for e, v in _binomials(0, c.r2).items()})
-    u_den = LaurentMotive({-e: v for e, v in _binomials(0, c.r1).items()})
-    out = Z1_0 * RationalMotive(u_num, u_den)
-    for j in range(1, c.r1 + 1):
-        out = out.times_binomial(j, c.d)
-    for j in range(1, c.r2 + 1):
-        out = out.over_binomial(j, c.d)
+    out = _transfer(Z1_0, c, _local_unit(c), lambda j: j)
     try:
         return out.shifted(mi_scale(c.r2 - c.r1, c.d))
     except ValueError as exc:
         raise CastlingError("degree bookkeeping failed: %s" % exc) from exc
+
+
+def _transfer(Z, c, scalar, x):
+    """Z * scalar * prod_{j<=r1}(1 - x(j) T^d) / prod_{j<=r2}(1 - x(j) T^d),
+    x(j) the exponent j of L^-j (RationalSeries) or the rational q^-j."""
+    if Z.nvars != c.l:
+        raise CastlingError("series has %d variables, datum says %d"
+                            % (Z.nvars, c.l))
+    out = Z.scale(scalar)
+    for j in range(1, c.r1 + 1):
+        out = out.times_binomial(x(j), c.d)
+    for j in range(1, c.r2 + 1):
+        out = out.over_binomial(x(j), c.d)
+    return out
+
+
+def _sl_ratio(c):
+    return RationalMotive(sl_class(c.r2), sl_class(c.r1))
+
+
+def _local_unit(c):
+    """U = prod_{j<=r2}(1 - L^-j) / prod_{j<=r1}(1 - L^-j)."""
+    return RationalMotive(
+        LaurentMotive({-e: v for e, v in _binomials(0, c.r2).items()}),
+        LaurentMotive({-e: v for e, v in _binomials(0, c.r1).items()}))
 
 
 def localize_by_degree(Z, c, side):
@@ -237,32 +250,19 @@ def castle_bfunction(b1, c):
 def castle_igusa(Z1, q, c):
     """Transfer of the p-adic series in t = q^-s: multiply by
     prod_{j<=r2} (1 - q^-j)/(1 - q^-j t^d) and divide the r1 version out,
-    with exact rational arithmetic at the input truncation order."""
+    with exact rational arithmetic at the input truncation order: the local
+    transfer at L = q without its monomial shift."""
     if c.l != 1:
         raise CastlingError("p-adic transfer needs a single invariant")
     q = Fraction(q)
-    d = (c.d[0],)
-    out = Z1
-    for j in range(1, c.r2 + 1):
-        out = out.scale(1 - q ** -j)
-        out = out.over_binomial(q ** -j, d)
-    for j in range(1, c.r1 + 1):
-        out = out.scale(1 / (1 - q ** -j))
-        out = out.times_binomial(q ** -j, d)
-    return out
+    return _transfer(Z1, c, _local_unit(c).specialize(q), lambda j: q ** -j)
 
 
 def castle_zeta_numeric(Z1, q, c):
     """castle_zeta on a q-specialized truncated series (L already replaced
     by the rational q)."""
     q = Fraction(q)
-    ratio = Fraction(sl_class(c.r2).specialize(q)) / sl_class(c.r1).specialize(q)
-    out = Z1.scale(ratio)
-    for j in range(1, c.r1 + 1):
-        out = out.times_binomial(q ** -j, c.d)
-    for j in range(1, c.r2 + 1):
-        out = out.over_binomial(q ** -j, c.d)
-    return out
+    return _transfer(Z1, c, _sl_ratio(c).specialize(q), lambda j: q ** -j)
 
 
 def counting_series(sys, q, order, leading, threads=1):

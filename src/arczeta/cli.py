@@ -169,18 +169,10 @@ def _cmd_hsp(args, t0):
     return 0
 
 
-def _cmd_castle_zeta(args, t0):
+def _cmd_castle_series(args, t0):
     c = CastlingDatum.load(args.castling)
     Z = _series_input(args)
-    out = castle_zeta(Z, c)
-    _emit({"input": str(Z), "output": str(out)}, args, t0)
-    return 0
-
-
-def _cmd_castle_local(args, t0):
-    c = CastlingDatum.load(args.castling)
-    Z = _series_input(args)
-    out = castle_local_zeta(Z, c)
+    out = args.transfer(Z, c)
     _emit({"input": str(Z), "output": str(out)}, args, t0)
     return 0
 
@@ -320,14 +312,14 @@ def build_parser():
     _add_common(p)
     p.set_defaults(func=_cmd_hsp)
 
-    for name, fn in (("castle-zeta", _cmd_castle_zeta),
-                     ("castle-local", _cmd_castle_local)):
+    for name, transfer in (("castle-zeta", castle_zeta),
+                           ("castle-local", castle_local_zeta)):
         p = sub.add_parser(name, help="transfer a zeta series to the partner")
         p.add_argument("--castling", required=True)
         p.add_argument("--series", help="series text form")
         p.add_argument("--datum", help="resolution datum to build the series")
         _add_common(p)
-        p.set_defaults(func=fn)
+        p.set_defaults(func=_cmd_castle_series, transfer=transfer)
 
     p = sub.add_parser("castle-milnor", help="transfer a Milnor fiber class")
     p.add_argument("--castling", required=True)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import re
 from fractions import Fraction
+from math import gcd
 
 
 class LaurentError(ValueError):
@@ -225,8 +226,8 @@ class RationalMotive:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
-        num = _coerce_rm_part(num)
-        den = LaurentMotive.one() if den is None else _coerce_rm_part(den)
+        num = _coerce(num)
+        den = LaurentMotive.one() if den is None else _coerce(den)
         if den.is_zero():
             raise LaurentError("zero denominator")
         num, den = _reduce_pair(num, den)
@@ -322,31 +323,10 @@ class RationalMotive:
         return "RationalMotive(%r, %r)" % (self.num.terms, self.den.terms)
 
 
-def _coerce_rm_part(x):
-    if isinstance(x, LaurentMotive):
-        return x
-    if isinstance(x, int):
-        return LaurentMotive({0: x})
-    raise TypeError("cannot coerce %r into a Laurent polynomial" % (x,))
-
-
 def _coerce_rm(x):
     if isinstance(x, RationalMotive):
         return x
-    return RationalMotive(_coerce_rm_part(x))
-
-
-def _gcd_all(values):
-    g = 0
-    for v in values:
-        g = _gcd(g, abs(v))
-    return g
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+    return RationalMotive(_coerce(x))
 
 
 def _shift_between(a, b):
@@ -356,7 +336,7 @@ def _shift_between(a, b):
         return None
     s = b.min_exp() - a.min_exp()
     ca, cb = a.terms[a.min_exp()], b.terms[b.min_exp()]
-    g = _gcd(abs(ca), abs(cb)) * (1 if ca > 0 else -1)
+    g = gcd(ca, cb) * (1 if ca > 0 else -1)
     u, v = cb // g, ca // g
     bt = b.terms
     for e, c in a.terms.items():
@@ -378,7 +358,7 @@ def _reduce_pair(num, den):
     if shift:
         num = num.shift(-shift)
         den = den.shift(-shift)
-    g = _gcd(_gcd_all(num.terms.values()), _gcd_all(den.terms.values()))
+    g = gcd(*num.terms.values(), *den.terms.values())
     if g > 1:
         num = LaurentMotive({e: c // g for e, c in num.terms.items()})
         den = LaurentMotive({e: c // g for e, c in den.terms.items()})
@@ -391,10 +371,6 @@ def _reduce_pair(num, den):
 # ---------------------------------------------------------------------------
 # Named classes
 # ---------------------------------------------------------------------------
-
-
-L = LaurentMotive.L()
-ONE = LaurentMotive.one()
 
 
 def sl_class(r):

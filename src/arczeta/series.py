@@ -19,7 +19,6 @@ transfer of the package) prints exactly as the reduced term-by-term sum.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -32,13 +31,12 @@ class SeriesError(ValueError):
     pass
 
 
-def multi_index(entries):
-    t = tuple(int(x) for x in entries)
-    if not t:
-        raise SeriesError("multi-index must have length >= 1")
-    if any(x < 0 for x in t):
-        raise SeriesError("multi-index entries must be >= 0: %r" % (t,))
-    return t
+def _index(N, nvars):
+    """N as a tuple of ints; SeriesError unless it has nvars entries."""
+    N = tuple(int(x) for x in N)
+    if len(N) != nvars:
+        raise SeriesError("multi-index %r needs %d entries" % (N, nvars))
+    return N
 
 
 def mi_add(a, b):
@@ -121,18 +119,22 @@ class RationalSeries:
                                           mi_add(a.shift, b.shift),
                                           a.factors + b.factors))
             return RationalSeries(self.nvars, out)
-        # scalar (RationalMotive / LaurentMotive / int)
-        if not isinstance(other, RationalMotive):
-            other = RationalMotive(other)
-        return RationalSeries(self.nvars,
-                              [SeriesTerm(t.coeff * other, t.shift, t.factors)
-                               for t in self.terms])
+        return self.scale(other)
 
     __rmul__ = __mul__
+
+    def scale(self, c):
+        """Multiply by a scalar (RationalMotive, LaurentMotive or int)."""
+        if not isinstance(c, RationalMotive):
+            c = RationalMotive(c)
+        return RationalSeries(self.nvars,
+                              [SeriesTerm(t.coeff * c, t.shift, t.factors)
+                               for t in self.terms])
 
     def shifted(self, delta):
         """Multiply by T^delta; delta entries may be negative if every term
         stays inside the series ring."""
+        delta = _index(delta, self.nvars)
         out = []
         for t in self.terms:
             s = tuple(x + d for x, d in zip(t.shift, delta))
@@ -144,7 +146,7 @@ class RationalSeries:
 
     def times_binomial(self, nu, N):
         """Multiply by the polynomial (1 - L^-nu T^N)."""
-        N = tuple(int(x) for x in N)
+        N = _index(N, self.nvars)
         mono = RationalMotive(LaurentMotive({-nu: -1}))
         out = []
         for t in self.terms:
@@ -154,7 +156,7 @@ class RationalSeries:
 
     def over_binomial(self, nu, N):
         """Divide by (1 - L^-nu T^N), i.e. append a geometric factor."""
-        f = SeriesFactor(int(nu), tuple(int(x) for x in N))
+        f = SeriesFactor(int(nu), _index(N, self.nvars))
         return RationalSeries(self.nvars,
                               [SeriesTerm(t.coeff, t.shift, t.factors + (f,))
                                for t in self.terms])
@@ -252,11 +254,6 @@ class RationalSeries:
             lsum = sum(f.nu for f in t.factors)
             out = out + t.coeff * RationalMotive(LaurentMotive({lsum: sign}))
         return out
-
-    def specialize(self, q):
-        """Numeric series (coefficients over Fraction is not possible in factored
-        form; use expand().specialize(q) instead)."""
-        raise SeriesError("specialize a truncated expansion, not the factored form")
 
     # -- text / JSON forms -------------------------------------------------
 
@@ -504,7 +501,7 @@ class TruncatedSeries:
 
     def times_binomial(self, c, d):
         """Multiply by (1 - c*T^d)."""
-        d = tuple(int(x) for x in d)
+        d = _index(d, self.nvars)
         out = dict(self.coeffs)
         for n, v in self.coeffs.items():
             k = mi_add(n, d)
@@ -516,7 +513,7 @@ class TruncatedSeries:
 
     def over_binomial(self, c, d):
         """Multiply by the geometric expansion of (1 - c*T^d)^-1."""
-        d = tuple(int(x) for x in d)
+        d = _index(d, self.nvars)
         if all(x == 0 for x in d):
             raise SeriesError("geometric factor needs T-degree > 0")
         geom = {}
@@ -562,14 +559,6 @@ class TruncatedSeries:
     def _check(self, other):
         if not isinstance(other, TruncatedSeries) or self.nvars != other.nvars:
             raise SeriesError("incompatible truncated series")
-
-    def to_json(self):
-        return {
-            "nvars": self.nvars,
-            "order": self.order,
-            "coeffs": {",".join(map(str, n)): str(c)
-                       for n, c in sorted(self.coeffs.items())},
-        }
 
 
 def _zero_like(c):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 
 
 class SpectrumError(ValueError):
@@ -113,7 +114,7 @@ class Spectrum:
             return Spectrum.zero()
         denom = 1
         for e in list(self.terms) + list(other.terms):
-            denom = _lcm(denom, e.denominator)
+            denom = lcm(denom, e.denominator)
         a = {int(e * denom): c for e, c in self.terms.items()}
         b = {int(e * denom): c for e, c in other.terms.items()}
         # shift both to nonnegative integer exponents
@@ -166,22 +167,12 @@ def _coerce(x):
     raise TypeError("cannot coerce %r to Spectrum" % (x,))
 
 
-def _lcm(a, b):
-    g, x = a, b
-    while x:
-        g, x = x, g % x
-    return a // g * b
-
-
 class _Remainder(Exception):
     """(exponent, coefficient) of the lowest term of a nonzero remainder."""
 
 
 def _poly_div_exact(a, b):
     """Exact division of integer-exponent polynomials given as dicts."""
-    blow = min(b)
-    assert blow == 0
-    blead = b[0] if 0 in b else None
     # ascending division: b has a constant term after shifting
     c0 = b[0]
     amax = max(a)

@@ -17,7 +17,7 @@ from arczeta import (ArcConstraint, ArcError, CountPlan, Poly, PolySystem,
                      parse_poly, parse_system, zeta_coeffs_from_counts)
 from arczeta import arcs
 from arczeta.arcs import (_SlotTable, _eval_poly_mod, _residue_grid,
-                          arc_value_coefficients, build_count_table, is_prime,
+                          arc_value_coefficients, is_prime,
                           order_indices)
 
 
@@ -136,8 +136,8 @@ class TestValidationAndHelpers:
         one, all_ = count_pair(self.sys, (1,), 3)
         assert one == count_arcs(self.sys, (1,), 3, leading="one")
         assert all_ == count_arcs(self.sys, (1,), 3, leading="any")
-        table = build_count_table(self.sys, 3, 2)
-        assert table.entries[(1,)] == (one, all_)
+        assert (CountPlan(self.sys, 3, None, order_indices(1, 2)).counts()[(1,)]
+                == (one, all_))
 
     def test_homogeneity_check(self):
         assert homogeneity_check(self.sys, 3, 1)

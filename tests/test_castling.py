@@ -1,5 +1,7 @@
 """Castling transfer operators: algebra, fixtures, numeric verification."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,7 +13,8 @@ from arczeta import (BFunction, CastlingDatum, CastlingError, LaurentMotive,
                      castle_milnor, castle_spectrum, castle_zeta,
                      castle_zeta_numeric, counting_series, igusa_coeffs,
                      globalize_by_degree, localize_by_degree, parse_poly,
-                     series_equal, verify_castling, zeta_from_resolution)
+                     series_equal, sl_class, verify_castling,
+                     zeta_from_resolution)
 from arczeta.fixtures import castling_fixture, resolution_fixture
 
 L = LaurentMotive.L()
@@ -140,11 +143,71 @@ class TestBFunction:
         assert str(b) == "{1, 1, 3/2}"
 
 
+def reference_igusa(Z1, q, c):
+    """castle_igusa as its own loop, one scale per binomial."""
+    q = Fraction(q)
+    d = (c.d[0],)
+    out = Z1
+    for j in range(1, c.r2 + 1):
+        out = out.scale(1 - q ** -j)
+        out = out.over_binomial(q ** -j, d)
+    for j in range(1, c.r1 + 1):
+        out = out.scale(1 / (1 - q ** -j))
+        out = out.times_binomial(q ** -j, d)
+    return out
+
+
+def reference_zeta_numeric(Z1, q, c):
+    """castle_zeta_numeric as its own loop, SL classes specialized apart."""
+    q = Fraction(q)
+    ratio = Fraction(sl_class(c.r2).specialize(q)) / sl_class(c.r1).specialize(q)
+    out = Z1.scale(ratio)
+    for j in range(1, c.r1 + 1):
+        out = out.times_binomial(q ** -j, c.d)
+    for j in range(1, c.r2 + 1):
+        out = out.over_binomial(q ** -j, c.d)
+    return out
+
+
+def random_truncated(rng, nvars, order):
+    coeffs = {n: Fraction(rng.randint(-20, 20), rng.randint(1, 9))
+              for n in itertools.product(range(order + 1), repeat=nvars)
+              if sum(n) <= order and rng.random() < 0.7}
+    return TruncatedSeries(nvars, order, coeffs)
+
+
+def test_numeric_transfers_match_reference_loops():
+    """The skeleton's numeric transfers give the exact Fractions of the
+    separate loops, for r1 < r2, r1 = r2 and r1 > r2, and l = 2 globally."""
+    rng = random.Random(20261018)
+    for r1, r2 in [(1, 2), (1, 3), (2, 4), (1, 1), (2, 2), (2, 1), (3, 1), (4, 2)]:
+        for q in (2, 3, 5):
+            c = CastlingDatum(r1 + r2, r1, r2, 1, (rng.randint(1, 3),))
+            Z = random_truncated(rng, 1, 7)
+            for got, want in ((castle_igusa(Z, q, c), reference_igusa(Z, q, c)),
+                              (castle_zeta_numeric(Z, q, c),
+                               reference_zeta_numeric(Z, q, c))):
+                assert (got.order, got.coeffs) == (want.order, want.coeffs)
+            c2 = CastlingDatum(r1 + r2, r1, r2, 2,
+                               (rng.randint(1, 2), rng.randint(1, 2)))
+            Z2 = random_truncated(rng, 2, 5)
+            got = castle_zeta_numeric(Z2, q, c2)
+            want = reference_zeta_numeric(Z2, q, c2)
+            assert (got.order, got.coeffs) == (want.order, want.coeffs)
+
+
 class TestNumeric:
     def test_igusa_involution(self):
         Z = igusa_coeffs(parse_poly("x1^2 + x2^2 + x3^2"), 3, 3)
         back = castle_igusa(castle_igusa(Z, 3, QUADRIC), 3, QUADRIC.swapped())
         assert back == Z
+
+    def test_variable_count_mismatch(self):
+        Z = TruncatedSeries(1, 3, {(0,): Fraction(1)})
+        with pytest.raises(CastlingError):
+            castle_zeta_numeric(Z, 3, SYM)
+        with pytest.raises(CastlingError):
+            castle_igusa(Z, 3, SYM)
 
     def test_zeta_numeric_matches_symbolic(self):
         Z = quadric_germ_zeta()

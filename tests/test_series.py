@@ -53,6 +53,17 @@ class TestRationalSeries:
         with pytest.raises(SeriesError):
             s.shifted((-2,))
 
+    def test_multi_index_length_checked(self):
+        """An index with more entries than variables is an error, not cut
+        down to the first entries."""
+        s = geometric()
+        with pytest.raises(SeriesError):
+            s.times_binomial(1, (2, 5))
+        with pytest.raises(SeriesError):
+            s.over_binomial(1, (2, 5))
+        with pytest.raises(SeriesError):
+            s.shifted((1, 2))
+
     def test_limit_balanced(self):
         # L^-1 T / (1 - L^-1 T) tends to -1 as T grows
         assert geometric().limit_at_infinity() == RationalMotive(-1)
@@ -119,10 +130,6 @@ class TestRationalSeries:
             assert got == want
             assert set(got.coeffs) == set(want.coeffs)
 
-    def test_specialize_requires_expansion(self):
-        with pytest.raises(SeriesError):
-            geometric().specialize(3)
-
     @settings(max_examples=40, deadline=None)
     @given(a=small_series, b=small_series)
     def test_expand_is_additive_and_multiplicative(self, a, b):
@@ -136,6 +143,13 @@ class TestTruncatedSeries:
         s = TruncatedSeries(1, 6, {(k,): Fraction(k + 1) for k in range(7)})
         c = Fraction(1, 3)
         assert s.times_binomial(c, (2,)).over_binomial(c, (2,)) == s
+
+    def test_multi_index_length_checked(self):
+        s = TruncatedSeries(1, 6, {(k,): Fraction(k + 1) for k in range(7)})
+        with pytest.raises(SeriesError):
+            s.times_binomial(Fraction(1, 3), (2, 5))
+        with pytest.raises(SeriesError):
+            s.over_binomial(Fraction(1, 3), (2, 5))
 
     def test_coefficient_guard(self):
         s = TruncatedSeries(1, 2, {(1,): Fraction(5)})
