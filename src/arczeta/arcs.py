@@ -7,7 +7,8 @@ arcs with ord_t f_i = n_i, with leading coefficients 1 and with any nonzero
 leading coefficients.  Prefixes that start at a smooth point of the open
 f_i are settled in closed form (Hensel), prefixes that cannot reach any
 requested index are dropped, and only the rest are enumerated; see
-CountPlan for the rules.
+CountPlan for the rules; smoothness is decided per start from gradient bits,
+with ranks only for the open sets a live start can carry.
 
 A plan is compiled once into integer data.  Its symbolic jets are written in
 monomial form: the arc variable of level k and coordinate j has id k*r + j,
@@ -385,6 +386,8 @@ class CountPlan:
     J_U(a_0) has rank |U| is settled in closed form (Hensel).  A flat one,
     J_U(a_0) = 0, never reads a_k, so its t^k coefficients are evaluated
     before level k is enumerated; any other prefix gets a_k enumerated.
+    Both tests come from per-start gradient bits, and ranks for |U| >= 2
+    only where a live start can carry U (_start_bits).
     Prefixes that can no longer reach a target are dropped.  Counts come in
     pairs: every leading coefficient 1, and any nonzero leading coefficients.
     """
@@ -408,7 +411,8 @@ class CountPlan:
 
     def count(self, n, leading="any", threads=1):
         """The count at the target n, leading 'one' or 'any'."""
-        one, all_ = self.counts(threads)[_validate(self.sys, n, self.q, leading, 0)]
+        n = _validate(self.sys, n, self.q, leading, 0)
+        one, all_ = self.counts(threads)[n]
         return one if leading == "one" else all_
 
     def counts(self, threads=1):
@@ -435,14 +439,6 @@ class CountPlan:
             start = start[_full_row_rank(
                 start.reshape(-1, m, r_mat).transpose(0, 2, 1), q)]
         self.start = start
-        monos = [_monomials(f) for f in polys]
-        jac = _eval_poly_mod(_SlotTable([_partial(f, j) for f in monos for j in range(r)]),
-                             start, q).reshape(len(start), len(polys), r)
-        # per open set U (bit i for f_i) and start: is J_U of full rank, is it 0?
-        subsets = [[i for i in range(len(polys)) if u >> i & 1]
-                   for u in range(1 << len(polys))]
-        self.smooth = np.array([_full_row_rank(jac[:, U], q) for U in subsets])
-        self.flat = np.array([~jac[:, U].any(axis=(1, 2)) for U in subsets])
         jets = [arc_value_coefficients(f, self.depth, self.origin) for f in polys]
         # per level k >= 1: the t^k coefficients (c); the levels 0..need[k]-1
         # they read besides a_k; without their a_k terms (g, all a flat prefix
@@ -468,7 +464,10 @@ class CountPlan:
         v0 = self._prepare()
         m0, l = v0.shape
         ords, one = _settle(np.full((m0, l), -1), np.ones(m0, dtype=bool), v0, 0)
-        keep = self._classify(ords, one, np.arange(m0), 1, 1, rec)
+        codes = (ords + 1) @ self._base
+        live = self._live_mask(codes, 1)
+        self._start_bits(codes, live)
+        keep = self._classify(ords, one, np.arange(m0), 1, 1, rec, live)
         chunks = [(self.start[keep].astype(self.dtype), np.flatnonzero(keep),
                    ords[keep], one[keep])]
         k0, threads = 1, max(threads, 1)  # shard once there is a row per thread
@@ -490,6 +489,32 @@ class CountPlan:
             for part in (ex.map if threads > 1 else map)(run, shards or [[]]):
                 rec.update(part)
         return rec
+
+    def _start_bits(self, codes, live):
+        """Bit i of nz[a_0] says grad f_i(a_0) != 0 mod q; full[U][a_0] is
+        the rank test of J_U(a_0) for each open set U = {i : n_i >= k} of
+        two or more f_i on the way to a target n of the start's level-0 code,
+        proper subsets of U(a_0) only where J_U(a_0) is rank deficient.  The
+        Jacobian is evaluated at live starts with U(a_0) nonempty only,
+        _CHUNK cells at a time."""
+        q, r, l = self.q, self.r, self.sys.l
+        jac = _SlotTable([_partial(f, j) for f in map(_monomials, self.sys.polys)
+                          for j in range(r)])
+        self.nz, self.full = np.zeros(len(codes), dtype=np.int64), {}
+        cand = np.flatnonzero(live & (codes != self._base.sum()))
+        per = max(1, _CHUNK // (l * r))
+        for a0 in (cand[lo:lo + per] for lo in range(0, len(cand), per)):
+            J = _eval_poly_mod(jac, self.start[a0], q).reshape(len(a0), l, r)
+            self.nz[a0] = _bits(J.any(axis=2))
+            for code in np.flatnonzero(np.bincount(codes[a0])):
+                at = np.flatnonzero(codes[a0] == code)
+                sets = {sum(1 << i for i, ni in enumerate(n) if ni >= k)
+                        for n, _, _ in self._fitting(int(code), 1) for k in n if k}
+                for i, u in enumerate(sorted((u for u in sets if u & (u - 1)),
+                                             key=int.bit_count, reverse=True)):
+                    ok = _full_row_rank(J[at][:, [j for j in range(l) if u >> j & 1]], q)
+                    self.full.setdefault(u, np.zeros(len(codes), dtype=bool))[a0[at]] = ok
+                    at = at if i else at[~ok]  # U(a_0), the largest, comes first
 
     def _expand(self, rows, width):
         """The rows with the levels below `width` enumerated, in chunks of
@@ -523,7 +548,7 @@ class CountPlan:
         for rows in batches:
             X, a0, ords, one = rows
             width, act = X.shape[1] // r, ords < 0
-            flat = self.flat[_bits(act), a0]
+            flat = (self.nz[a0] & _bits(act)) == 0
             ends = flat & (act.sum(axis=1) == 1) & (act & affine).any(axis=1)
             if width <= h and ends.any():
                 ends &= ~self._live_mask((ords + 1) @ self._base, k + 1)
@@ -554,13 +579,20 @@ class CountPlan:
                                           rec)
                     yield X[keep], a0[keep], o[keep], o1[keep]
 
-    def _classify(self, ords, one, a0, level, weight, rec):
-        """Of the prefixes of length `level` that can still reach a target,
-        record those that are settled (no open f_i, or a Jacobian of full
-        rank on the open ones) and return the mask of the others."""
+    def _classify(self, ords, one, a0, level, weight, rec, live=None):
+        """Of the prefixes of length `level` that can still reach a target
+        (`live`), record those that are settled (no open f_i, or J_U(a_0) of
+        full rank) and return the mask of the others.  A live prefix with
+        |U| >= 2 always finds its rank test in full (see _start_bits)."""
         codes = (ords + 1) @ self._base
-        live = self._live_mask(codes, level)
-        done = live & self.smooth[_bits(ords < 0), a0]
+        if live is None:
+            live = self._live_mask(codes, level)
+        u = _bits(ords < 0)
+        done = (self.nz[a0] & u) == u
+        for s, full in self.full.items():
+            at = u == s
+            done[at] = full[a0[at]]
+        done &= live
         _record(rec, level, codes[done], one[done], weight, weight)
         return live & ~done
 

@@ -100,9 +100,9 @@ def _cmd_count(args, t0):
     n = _multi_index(args.n)
     constraint = ArcConstraint.parse(args.constraint)
     _check_budget(sys_, [n], args.q, constraint, args.budget)
-    one, all_ = count_pair(sys_, n, args.q, constraint, args.threads)
-    if args.leading == "one" and one is None:
+    if args.leading == "one" and sys_.l != 1:
         raise ArcError("leading-coefficient-one counts exist only for one polynomial")
+    one, all_ = count_pair(sys_, n, args.q, constraint, args.threads)
     chosen = one if args.leading == "one" else all_
     _emit({
         "q": args.q,

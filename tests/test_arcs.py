@@ -120,6 +120,18 @@ class TestValidationAndHelpers:
             count_arcs(PolySystem([parse_poly("x1", 2), parse_poly("x2", 2)]),
                        (1, 1), 3, leading="one")
 
+    def test_leading_one_on_a_system_is_refused_before_the_sweep(self, monkeypatch):
+        def no_sweep(self, threads=1):
+            raise AssertionError("swept before validating")
+
+        monkeypatch.setattr(CountPlan, "counts", no_sweep)
+        plan = CountPlan(PolySystem([parse_poly("x1", 2), parse_poly("x2", 2)]), 3,
+                         None, order_indices(2, 2))
+        with pytest.raises(ArcError, match="leading-coefficient-one"):
+            plan.count((1, 1), "one")
+        with pytest.raises(ArcError, match="leading-coefficient-one"):
+            plan.series(2, "one")
+
     def test_constraint_parsing(self):
         assert ArcConstraint.parse("none").kind == "none"
         assert ArcConstraint.parse("origin").kind == "origin"
@@ -238,16 +250,98 @@ def test_plan_matches_oracle_on_random_systems():
                 (polys, q, kind, n)
 
 
+def test_plan_matches_oracle_on_random_three_polynomial_systems():
+    rng = random.Random(20261)
+    shapes = [s for s in CORPUS_SHAPES if s[0] in (2, 3)]
+    for i in range(30):
+        q, r, order = rng.choice(shapes)
+        polys = [_random_poly(rng, r, rng.random() < 0.5) for _ in range(3)]
+        kind = ("none", "origin", "full_rank")[i % 3]
+        constraint = {"none": None, "origin": ArcConstraint.origin(),
+                      "full_rank": ArcConstraint.full_rank(r, 1)}[kind]
+        counts = CountPlan(PolySystem(polys), q, constraint,
+                           order_indices(3, order, low=0)).counts()
+        for n, (_one, any_) in counts.items():
+            assert any_ == brute_count(polys, n, q, "any", origin=kind == "origin",
+                                       nonzero_start=kind == "full_rank"), \
+                (polys, q, kind, n)
+
+
+def orders_oracle(polys, q, top):
+    """Counter of (min(ord_t f_i, top + 1))_i over all arcs with levels 0..top."""
+    r = polys[0].nvars
+    tally = Counter()
+    for digits in itertools.product(range(q), repeat=r * (top + 1)):
+        arc = [digits[j * (top + 1):(j + 1) * (top + 1)] for j in range(r)]
+        tally[tuple(next((k for k, v in enumerate(arc_substitution(f, arc, top))
+                          if v % q), top + 1) for f in polys)] += 1
+    return tally
+
+
+def test_rank_deficient_start_settles_on_a_full_rank_subset():
+    """At a_0 = 0, J = (e1; e2; e1) has rank 2 < 3 while J_{f1,f2} has full
+    rank.  A prefix with a_1 = (0, 0, 1) and a_2 = 0 ends f3 at order 2 (its
+    t^2 coefficient is a_21 + a_13^2) and carries the open set {f1, f2}
+    into level 3, where the closed form reads that subset's rank.  Orders
+    n_i <= 3 depend on levels 0..3 only, so arcs of length |n| number the
+    count over those levels times q^(r (|n| - 3))."""
+    polys = parse_system(["x1", "x2", "x1 + x3^2"])
+    q, r, top = 2, 3, 3
+    targets = [n for n in order_indices(3, 8, low=0) if max(n) <= top]
+    plan = CountPlan(PolySystem(polys), q, None, targets)
+    counts = plan.counts()
+    assert not plan.full[0b111][0] and plan.full[0b011][0]
+    tally = orders_oracle(polys, q, top)
+    for n in targets:
+        want = Fraction(tally[n] * q ** (r * sum(n)), q ** (r * top))
+        assert counts[n][1] == want, n
+        if sum(n) <= 3:
+            assert counts[n][1] == brute_count(polys, n, q, "any"), n
+    assert counts[(3, 3, 2)][1] > 0
+
+
 @pytest.mark.parametrize("polys,q,constraint,order", [
     (("x1*x4 - x2*x3", "x1*x6 - x2*x5", "x3*x6 - x4*x5"), 3, None, 2),
     (("x1*x4 - x2*x3",), 3, ArcConstraint.origin(), 4),
     (("x1^2 - x2^3",), 5, None, 6),
+    (("x1*x4 - x2*x3", "x1*x6 - x2*x5", "x3*x6 - x4*x5"), 5, None, 2),
 ])
 def test_plan_distribution_is_thread_independent(polys, q, constraint, order):
     sys = PolySystem(parse_system(list(polys)))
     plans = [CountPlan(sys, q, constraint, order_indices(sys.l, order, low=0))
              for _ in range(2)]
     assert plans[0].counts(threads=1) == plans[1].counts(threads=2)
+
+
+def test_start_point_setup_stays_within_grid_and_chunk(monkeypatch):
+    """Smoothness at the starts costs the grid plus _CHUNK-cell blocks.
+
+    f_i = x_i + a quadratic form in x4..x14 at q = 2: J_U(a_0) has full rank
+    for every U, so every count is settled at level 1 and the peak falls in
+    the work at the start points.  That work holds the grid (G = 8 r q^r
+    bytes) and its int8 copy (G/8); int64 columns per start (the l values,
+    the l orders, codes, open-set bits, gradient bits, row indices and
+    their temporaries), at most 2l + 12 = 18 of them, where r = 14 columns
+    make one G; and the Jacobian, evaluated _CHUNK cells at a time, with
+    its rank copies and the evaluator's temporaries, a few such blocks.
+    Hence 3G + 32 blocks of _CHUNK int64 cells (measured: 2.25G).  The
+    Jacobian of every start alone would take l G = 3G more."""
+    monkeypatch.setattr(arcs, "_CHUNK", 1 << 12)
+    q, r = 2, 14
+    polys = parse_system(["x%d + " % (i + 1) + " + ".join(
+        "x%d*x%d" % (j, j + 1 + i) for j in range(4, r - i)) for i in range(3)])
+    plan = CountPlan(PolySystem(polys), q, None, order_indices(3, 3, low=0))
+    tracemalloc.start()
+    try:
+        counts = plan.counts()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    grid = 8 * r * q ** r
+    assert peak <= 3 * grid + 32 * 8 * arcs._CHUNK
+    # q^(r-3) starts vanish on all three, each with q^(r-3) levels a_1 that
+    # end them at order 1 (q = 2), and levels 2 and 3 are free
+    assert counts[(1, 1, 1)][1] == q ** (r - 3) * q ** (r - 3) * q ** (2 * r)
 
 
 def test_residue_grid_limit_refuses_before_allocating():

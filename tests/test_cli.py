@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from arczeta.arcs import CountPlan
 from arczeta.cli import main
 from arczeta.fixtures import castling_fixture, resolution_fixture
 
@@ -64,6 +65,20 @@ class TestCount:
                            "--q", "3")
         assert code == 2
         assert "error" in err
+
+    def test_leading_one_on_a_system_is_refused_before_counting(self, capsys,
+                                                                monkeypatch):
+        def no_sweep(self, threads=1):
+            raise AssertionError("counted before the leading check")
+
+        monkeypatch.setattr(CountPlan, "counts", no_sweep)
+        polys = "x1*x2 - x3*x4; x1*x3 - x2*x4"
+        for argv in (("count", "--polys", polys, "--n", "3,3", "--q", "5"),
+                     ("zeta-count", "--polys", polys, "--order", "4", "--q", "5",
+                      "--leading", "one")):
+            code, _, err = run(capsys, *argv)
+            assert code == 2
+            assert "leading-coefficient-one" in err
 
 
 class TestResolutionCommands:
