@@ -10,7 +10,8 @@ requested index are dropped, and only the rest are enumerated; see
 CountPlan for the rules; smoothness is decided per start from gradient bits,
 with ranks only for the open sets a live start can carry.
 
-A plan is compiled once into integer data.  Its symbolic jets are written in
+A plan is compiled once into integer data.  Its symbolic jets are taken mod q
+(x(t)^q = sum a_k^q t^(qk) there, so they read few levels) and written in
 monomial form: the arc variable of level k and coordinate j has id k*r + j,
 which is also its column in the sweep's row arrays, and a monomial is the
 sorted tuple of the ids of its variables, a power repeating the id.  Splitting
@@ -20,8 +21,8 @@ degree > i, and the coefficients form a matrix.  One kernel, _eval_poly_mod,
 evaluates a table at a block of rows with one gather and one multiply per slot;
 it reduces mod `mod` only when its running bound on the products, (mod-1)^s
 after s slots and at most T max|coef| times that in the final sum, could pass
-2^62.  Whether a prefix can still reach a target is a table lookup by the code
-of its orders, decided once per (code, level) and reused by the final sum.
+2^62.  Each row carries the code of its orders; liveness and the open set are
+gathers from two tables indexed by code, built once per plan.
 
 Also here: p-adic solution counting by stationary-phase lifting (Hensel at
 smooth zeros), which realizes the local zeta series of a polynomial at a prime.
@@ -169,10 +170,11 @@ def _partial(terms, j):
     return out
 
 
-def _level_multisets(e, lo, maxdeg):
+def _level_multisets(e, lo, maxdeg, mod=None):
     """The terms of x(t)^e = (sum_{k>=lo} a_k t^k)^e up to t^maxdeg, each
     once: (degree, levels, multinomial coefficient) for every nondecreasing
-    e-tuple of levels >= lo with sum <= maxdeg."""
+    e-tuple of levels >= lo with sum <= maxdeg; with a modulus, a branch
+    whose coefficient is 0 mod `mod` is dropped with all its completions."""
     out = []
 
     def extend(levels, start, left, budget, coef):
@@ -183,42 +185,48 @@ def _level_multisets(e, lo, maxdeg):
             for m in range(1, left + 1):  # level k taken m times
                 if k * m > budget:
                     break
-                extend(levels + (k,) * m, k + 1, left - m, budget - k * m,
-                       coef * comb(left, m))
+                c = coef * comb(left, m)
+                if not mod or c % mod:
+                    extend(levels + (k,) * m, k + 1, left - m, budget - k * m, c)
 
     extend((), lo, e, maxdeg, 1)
     return out
 
 
-def arc_value_coefficients(poly, maxdeg, origin):
+def arc_value_coefficients(poly, maxdeg, origin, mod=None):
     """Coefficients of t^0..t^maxdeg of poly(a_0 + a_1 t + ...), each a
     polynomial in the arc variables in monomial form; origin=True
-    substitutes a_0 = 0.
+    substitutes a_0 = 0.  With a modulus every coefficient is reduced into
+    [0, mod) and the monomials that are 0 mod `mod` are dropped.
 
     x_j(t)^e is enumerated by the multisets of its levels, so each monomial
-    of a term of poly is produced once and sorted once."""
+    of a term of poly is produced once and sorted once; mod a prime q, most
+    multisets of x_j(t)^q have a multinomial coefficient divisible by q and
+    are never produced ((sum a_k t^k)^q = sum a_k^q t^(qk) mod q)."""
     r = poly.nvars
     lo = 1 if origin else 0
     powers = {}  # (j, e) -> the terms of x_j(t)^e
     out = [{} for _ in range(maxdeg + 1)]
     for mono, c in poly.terms.items():
-        parts = [((), 0, c)]  # (ids, degree, coefficient) of the term so far
+        parts = [((), 0, c)] if not mod or c % mod else []  # (ids, degree, coef)
         for j, e in enumerate(mono):
             if not e:
                 continue
             if (j, e) not in powers:
                 powers[j, e] = [(d, tuple(k * r + j for k in ks), m)
-                                for d, ks, m in _level_multisets(e, lo, maxdeg)]
+                                for d, ks, m in _level_multisets(e, lo, maxdeg, mod)]
             parts = [(ids + more, deg + d, coef * m)
                      for ids, deg, coef in parts
                      for d, more, m in powers[j, e] if deg + d <= maxdeg]
         for ids, deg, coef in parts:
             acc, m = out[deg], tuple(sorted(ids))
             s = acc.get(m, 0) + coef
+            if mod:
+                s %= mod
             if s:
                 acc[m] = s
             else:
-                del acc[m]
+                acc.pop(m, None)
     return out
 
 
@@ -370,13 +378,6 @@ def _level_split(terms, h, r):
     return parts
 
 
-def _settle(ords, one, v, k):
-    """Orders and leading-one flags after the t^k coefficients v: an open f_i
-    (order -1) with v_i != 0 gets order k."""
-    hit = (ords < 0) & (v != 0)
-    return np.where(hit, k, ords), one & ~(hit & (v != 1)).any(axis=-1)
-
-
 class CountPlan:
     """Exact arc counts for a set of order multi-indices from one level sweep.
 
@@ -390,6 +391,11 @@ class CountPlan:
     only where a live start can carry U (_start_bits).
     Prefixes that can no longer reach a target are dropped.  Counts come in
     pairs: every leading coefficient 1, and any nonzero leading coefficients.
+
+    The jets are reduced mod q, so no level read only through multiples of
+    q is carried.  A row is (levels, start index, code, leading-one flag),
+    code = sum_i (ord f_i + 1) (depth+2)^i, digit 0 for an open f_i; every
+    per-row question is a gather from the code tables (see _tables).
     """
 
     def __init__(self, sys, q, constraint=None, targets=()):
@@ -403,6 +409,27 @@ class CountPlan:
         self.origin = constraint.kind == "origin"
         self._base = (self.depth + 2) ** np.arange(sys.l)
         self._ends, self._fits, self._dist = {}, {}, None
+
+    def _tables(self):
+        """Per code: reach, the deepest level at which a prefix with the code
+        can still reach a target (-1: none; live at k is reach >= k, ending at
+        k is reach == k), one scatter over targets x open sets; and open, its
+        open-set bits.  Refused beyond _MAX_GRID_CELLS codes."""
+        l, b = self.sys.l, self.depth + 2
+        if b ** l > _MAX_GRID_CELLS:
+            raise ArcError("code table of %d^%d entries exceeds the limit of %d"
+                           % (b, l, _MAX_GRID_CELLS))
+        sets = (np.arange(1 << l)[:, None] >> np.arange(l) & 1).astype(bool)
+        n = np.array(self.targets)[:, None, :]
+        low = np.where(sets, n, b - 1).min(axis=2)  # least n_i over U, depth+1 if none
+        self.reach = np.full(b ** l, -1, dtype=np.min_scalar_type(-b))
+        np.maximum.at(self.reach, (np.where(sets, 0, n + 1) @ self._base).ravel(),
+                      low.ravel().astype(self.reach.dtype))
+        self.open = np.zeros((b,) * l, dtype=np.min_scalar_type((1 << l) - 1))
+        for i in range(l):  # digit i of a code is axis l-1-i; 0 means open
+            self.open[(slice(None),) * (l - 1 - i) + (0,)] |= 1 << i
+        self.open, self._adds = self.open.ravel(), sets @ self._base
+        self._ending = np.bincount(self.reach[self.reach >= 0], minlength=b) > 0
 
     def estimate(self):
         """Candidate rows charged to the sweep: q^(r E) for the E levels below
@@ -439,7 +466,7 @@ class CountPlan:
             start = start[_full_row_rank(
                 start.reshape(-1, m, r_mat).transpose(0, 2, 1), q)]
         self.start = start
-        jets = [arc_value_coefficients(f, self.depth, self.origin) for f in polys]
+        jets = [arc_value_coefficients(f, self.depth, self.origin, q) for f in polys]
         # per level k >= 1: the t^k coefficients (c); the levels 0..need[k]-1
         # they read besides a_k; without their a_k terms (g, all a flat prefix
         # needs); and, per f_i, split at the top level h of those into c0 and
@@ -461,15 +488,15 @@ class CountPlan:
         rec = Counter()
         if not self.targets:
             return rec
+        self._tables()
         v0 = self._prepare()
-        m0, l = v0.shape
-        ords, one = _settle(np.full((m0, l), -1), np.ones(m0, dtype=bool), v0, 0)
-        codes = (ords + 1) @ self._base
-        live = self._live_mask(codes, 1)
-        self._start_bits(codes, live)
-        keep = self._classify(ords, one, np.arange(m0), 1, 1, rec, live)
+        code, one = self._settle(np.zeros(len(v0), dtype=np.int64),
+                                 np.ones(len(v0), dtype=bool), v0, 0)
+        live = self.reach[code] >= 1
+        self._start_bits(code, live)
+        keep = self._classify(code, one, np.arange(len(v0)), 1, 1, rec, live)
         chunks = [(self.start[keep].astype(self.dtype), np.flatnonzero(keep),
-                   ords[keep], one[keep])]
+                   code[keep], one[keep])]
         k0, threads = 1, max(threads, 1)  # shard once there is a row per thread
         while 0 < sum(len(c[1]) for c in chunks) < threads and k0 <= self.depth:
             chunks = list(self._step(_batches(chunks), k0, rec))
@@ -519,7 +546,7 @@ class CountPlan:
     def _expand(self, rows, width):
         """The rows with the levels below `width` enumerated, in chunks of
         at most _CHUNK rows."""
-        X, a0, ords, one = rows
+        X, a0, code, one = rows
         M = len(self.digits)
         if X.shape[1] >= width * self.r:
             yield rows
@@ -529,7 +556,7 @@ class CountPlan:
             s = slice(lo, lo + per)
             yield from self._expand((
                 np.hstack([np.repeat(X[s], M, axis=0), np.tile(self.digits, (len(X[s]), 1))]),
-                np.repeat(a0[s], M), np.repeat(ords[s], M, axis=0),
+                np.repeat(a0[s], M), np.repeat(code[s], M),
                 np.repeat(one[s], M)), width)
 
     def _step(self, batches, k, rec):
@@ -544,72 +571,65 @@ class CountPlan:
         closed form."""
         q, r, need = self.q, self.r, self.need[k]
         h = max(need - 1, 1)
-        affine = np.array([sp is not None for sp in self.split[k]])
+        affine = [i for i, sp in enumerate(self.split[k]) if sp is not None]
         for rows in batches:
-            X, a0, ords, one = rows
-            width, act = X.shape[1] // r, ords < 0
-            flat = (self.nz[a0] & _bits(act)) == 0
-            ends = flat & (act.sum(axis=1) == 1) & (act & affine).any(axis=1)
-            if width <= h and ends.any():
-                ends &= ~self._live_mask((ords + 1) @ self._base, k + 1)
-            else:
-                ends[:] = False
-            for i in np.flatnonzero(affine if ends.any() else []):
+            X, a0, code, one = rows
+            u = self.open[code]
+            flat = (self.nz[a0] & u) == 0
+            ends = np.zeros(len(code), dtype=bool)
+            if self._ending[k] and X.shape[1] // r <= h:  # one open f_i, affine
+                ends = flat & (self.reach[code] == k) & np.isin(u, [1 << i for i in affine])
+            for i in affine if ends.any() else ():
                 c0_table, w_table = self.split[k][i]
-                sel = tuple(a[ends & act[:, i]] for a in rows)
-                for Xs, _a, o, o1 in self._expand(sel, h):
+                for Xs, _a, c, o1 in self._expand(tuple(a[ends & (u == 1 << i)]
+                                                        for a in rows), h):
                     c0 = _eval_poly_mod(c0_table, Xs, q)[:, 0]
                     wnz = _eval_poly_mod(w_table, Xs, q).any(axis=1)
-                    codes_i = (o + 1) @ self._base + (k + 1) * self._base[i]
+                    c = c + (k + 1) * self._base[i]
                     w = q ** (r * (k - h) + r - 1)
-                    _record(rec, k + 1, codes_i[wnz], o1[wnz], w, w * (q - 1))
+                    _record(rec, k + 1, c[wnz], o1[wnz], w, w * (q - 1))
                     hit = ~wnz & (c0 != 0)
-                    _record(rec, k + 1, codes_i[hit], (o1 & (c0 == 1))[hit],
-                            w * q, w * q)
+                    _record(rec, k + 1, c[hit], (o1 & (c0 == 1))[hit], w * q, w * q)
             # the rest read levels 0..need-1 (flat) or 0..k (any other), which
             # an expansion to that width enumerates where not yet carried
             for sel, w in ((~ends & flat, need), (~ends & ~flat, k + 1)):
                 if not sel.any():
                     continue
-                for X, a0, ords, one in self._expand(tuple(a[sel] for a in rows), w):
+                for X, a0, code, one in self._expand(tuple(a[sel] for a in rows), w):
                     width = X.shape[1] // r
                     v = _eval_poly_mod(self.g[k] if width <= k else self.c[k], X, q)
-                    o, o1 = _settle(ords, one, v, k)
-                    keep = self._classify(o, o1, a0, k + 1, q ** (r * (k + 1 - width)),
-                                          rec)
-                    yield X[keep], a0[keep], o[keep], o1[keep]
+                    code, one = self._settle(code, one, v, k)
+                    keep = self._classify(code, one, a0, k + 1,
+                                          q ** (r * (k + 1 - width)), rec)
+                    yield X[keep], a0[keep], code[keep], one[keep]
 
-    def _classify(self, ords, one, a0, level, weight, rec, live=None):
+    def _settle(self, code, one, v, k):
+        """Codes and leading-one flags after the t^k coefficients v: an open
+        f_i with v_i != 0 gets order k (digit k+1 of the code)."""
+        hit = self.open[code] & _bits(v != 0)
+        return code + (k + 1) * self._adds[hit], one & ((hit & _bits(v > 1)) == 0)
+
+    def _classify(self, code, one, a0, level, weight, rec, live=None):
         """Of the prefixes of length `level` that can still reach a target
-        (`live`), record those that are settled (no open f_i, or J_U(a_0) of
-        full rank) and return the mask of the others.  A live prefix with
-        |U| >= 2 always finds its rank test in full (see _start_bits)."""
-        codes = (ords + 1) @ self._base
+        (`live`, by default reach[code] >= level), record those that are
+        settled (no open f_i, or J_U(a_0) of full rank) and return the mask
+        of the others.  A live prefix with |U| >= 2 always finds its rank
+        test in full (see _start_bits)."""
         if live is None:
-            live = self._live_mask(codes, level)
-        u = _bits(ords < 0)
+            live = self.reach[code] >= level
+        u = self.open[code]
         done = (self.nz[a0] & u) == u
         for s, full in self.full.items():
             at = u == s
             done[at] = full[a0[at]]
         done &= live
-        _record(rec, level, codes[done], one[done], weight, weight)
+        _record(rec, level, code[done], one[done], weight, weight)
         return live & ~done
-
-    def _live_mask(self, codes, level):
-        """Which rows can still reach a target at this level: a table over
-        the codes present, indexed by code."""
-        present = np.bincount(codes)
-        table = np.zeros(len(present), dtype=bool)
-        for code in np.flatnonzero(present):
-            table[code] = bool(self._fitting(int(code), level))
-        return table[codes]
 
     def _fitting(self, code, level):
         """The targets n a prefix of length `level` with this code can end
         at (n_i = ord f_i where known, n_i >= level on the open set U), each
         with the exponent of q and |U| in its closed form (see _assemble)."""
-        # shared by the shards; a race only computes the same value twice
         key = (code, level)
         if key not in self._fits:
             b, r = self.depth + 2, self.r

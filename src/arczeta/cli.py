@@ -80,6 +80,11 @@ def _system(args):
     raise ArcError("need --poly or --polys")
 
 
+def _leading(args, sys_):
+    """--leading, by default 'one' for one polynomial and 'any' for a system."""
+    return args.leading or ("one" if sys_.l == 1 else "any")
+
+
 def _multi_index(text):
     return tuple(int(x) for x in text.split(","))
 
@@ -100,10 +105,11 @@ def _cmd_count(args, t0):
     n = _multi_index(args.n)
     constraint = ArcConstraint.parse(args.constraint)
     _check_budget(sys_, [n], args.q, constraint, args.budget)
-    if args.leading == "one" and sys_.l != 1:
+    leading = _leading(args, sys_)
+    if leading == "one" and sys_.l != 1:
         raise ArcError("leading-coefficient-one counts exist only for one polynomial")
     one, all_ = count_pair(sys_, n, args.q, constraint, args.threads)
-    chosen = one if args.leading == "one" else all_
+    chosen = one if leading == "one" else all_
     _emit({
         "q": args.q,
         "n": list(n),
@@ -119,12 +125,13 @@ def _cmd_zeta_count(args, t0):
     constraint = ArcConstraint.parse(args.constraint)
     _check_budget(sys_, order_indices(sys_.l, args.order), args.q, constraint,
                   args.budget)
+    leading = _leading(args, sys_)
     series = zeta_coeffs_from_counts(sys_, args.q, args.order, constraint,
-                                     args.leading, args.threads)
+                                     leading, args.threads)
     _emit({
         "q": args.q,
         "order": args.order,
-        "leading": args.leading,
+        "leading": leading,
         "coefficients": {",".join(map(str, n)): str(c)
                          for n, c in sorted(series.coeffs.items())},
     }, args, t0)
@@ -274,7 +281,9 @@ def build_parser():
     p.add_argument("--polys", help="semicolon-separated for several invariants")
     p.add_argument("--n", required=True, help="order multi-index, e.g. 3 or 1,2")
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--leading", choices=("one", "any"), default="one")
+    p.add_argument("--leading", choices=("one", "any"),
+                   help="leading coefficients 1, or any nonzero (default: one "
+                        "for one polynomial, any for a system)")
     p.add_argument("--constraint", default="none",
                    help="none | origin | full-rank:m,r")
     _add_counting(p)
@@ -286,7 +295,9 @@ def build_parser():
     p.add_argument("--polys")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--order", type=int, required=True)
-    p.add_argument("--leading", choices=("one", "any"), default="one")
+    p.add_argument("--leading", choices=("one", "any"),
+                   help="leading coefficients 1, or any nonzero (default: one "
+                        "for one polynomial, any for a system)")
     p.add_argument("--constraint", default="none")
     _add_counting(p)
     _add_common(p)

@@ -313,6 +313,68 @@ def test_plan_distribution_is_thread_independent(polys, q, constraint, order):
     assert plans[0].counts(threads=1) == plans[1].counts(threads=2)
 
 
+@pytest.mark.parametrize("text,q,top", [
+    ("x1^2 - x2^3", 2, 5), ("x1^4 - x2^2", 2, 5), ("x1^3 + x2^3", 3, 4),
+    ("2*x1 - 4*x2^3", 2, 5),
+])
+def test_reduced_jets_match_oracle_deep(text, q, top):
+    """Mod q the jets of x^q read only the levels of its Frobenius terms, so
+    flat prefixes carry fewer levels; every count still matches the oracle.
+    2*x1 - 4*x2^3 is 0 mod 2: its jets are empty and no arc ends."""
+    poly = parse_poly(text)
+    for kind, constraint in (("none", None), ("origin", ArcConstraint.origin()),
+                             ("full_rank", ArcConstraint.full_rank(2, 1))):
+        counts = CountPlan(PolySystem([poly]), q, constraint,
+                           order_indices(1, top, low=0)).counts()
+        for n, pair in counts.items():
+            assert pair == tuple(
+                brute_count(poly, n, q, leading, origin=kind == "origin",
+                            nonzero_start=kind == "full_rank")
+                for leading in ("one", "any")), (text, kind, n)
+    plan = CountPlan(PolySystem([parse_poly("x1^2 - x2^3")]), 2, None, [(3,)])
+    plan.counts()
+    # t^3 of x1^2 - x2^3 mod 2 is a_{0,1}^2 a_{3,1} + a_{1,1}^3: levels 0..1
+    assert plan.need[3] == 2
+
+
+def test_code_tables_match_fitting():
+    """reach[code] >= level exactly where the code fits a target at that
+    level, and open[code] holds the zero digits of the code."""
+    rng = random.Random(1009)
+    for _ in range(16):
+        l, low = rng.randint(1, 3), rng.choice([0, 1])
+        top = rng.randint(l, 5)
+        indices = order_indices(l, top, low)
+        targets = rng.sample(indices, rng.randint(1, len(indices)))
+        plan = CountPlan(PolySystem([parse_poly("x%d" % (i + 1), l) for i in range(l)]),
+                         2, None, targets)
+        plan._tables()
+        b = plan.depth + 2
+        assert len(plan.reach) == len(plan.open) == b ** l
+        assert plan.reach.dtype == np.int8 and plan.open.dtype == np.uint8
+        for code in range(b ** l):
+            assert plan.open[code] == sum(1 << i for i in range(l)
+                                          if code // b ** i % b == 0)
+            for level in range(b + 1):
+                assert (plan.reach[code] >= level) == bool(plan._fitting(code, level)), \
+                    (targets, code, level)
+
+
+def test_code_table_limit_refuses_before_prepare(monkeypatch):
+    """(depth + 2)^l codes beyond the cell limit: refused before the grid,
+    the jets or the tables are built."""
+    def no_prepare(self):
+        raise AssertionError("prepared before the code table check")
+
+    monkeypatch.setattr(CountPlan, "_prepare", no_prepare)
+    monkeypatch.setattr(arcs, "_MAX_GRID_CELLS", 1000)
+    plan = CountPlan(PolySystem(parse_system(["x1", "x2", "x3"])), 2, None,
+                     order_indices(3, 12))
+    with pytest.raises(ArcError, match="code table of 12\\^3"):
+        plan.counts()
+    assert not hasattr(plan, "reach")
+
+
 def test_start_point_setup_stays_within_grid_and_chunk(monkeypatch):
     """Smoothness at the starts costs the grid plus _CHUNK-cell blocks.
 
@@ -320,12 +382,13 @@ def test_start_point_setup_stays_within_grid_and_chunk(monkeypatch):
     for every U, so every count is settled at level 1 and the peak falls in
     the work at the start points.  That work holds the grid (G = 8 r q^r
     bytes) and its int8 copy (G/8); int64 columns per start (the l values,
-    the l orders, codes, open-set bits, gradient bits, row indices and
-    their temporaries), at most 2l + 12 = 18 of them, where r = 14 columns
-    make one G; and the Jacobian, evaluated _CHUNK cells at a time, with
-    its rank copies and the evaluator's temporaries, a few such blocks.
-    Hence 3G + 32 blocks of _CHUNK int64 cells (measured: 2.25G).  The
-    Jacobian of every start alone would take l G = 3G more."""
+    the code of the orders and its settled copy, open-set and gradient bits,
+    row indices and their temporaries; orders are one code column, not l),
+    at most 2l + 12 = 18 of them, where r = 14 columns make one G; and the
+    Jacobian, evaluated _CHUNK cells at a time, with its rank copies and
+    the evaluator's temporaries, a few such blocks.  Hence 3G + 32 blocks
+    of _CHUNK int64 cells (measured: 1.91G; 2.25G when the orders were l
+    columns).  The Jacobian of every start alone would take l G = 3G more."""
     monkeypatch.setattr(arcs, "_CHUNK", 1 << 12)
     q, r = 2, 14
     polys = parse_system(["x%d + " % (i + 1) + " + ".join(
@@ -657,3 +720,27 @@ def test_jets_match_arc_substitution_high_powers():
                         coef //= math.factorial(m)
                     want[levels] = coef
             assert jet == want, (e, lo, k)
+
+
+def test_reduced_jets_are_the_jets_mod_q():
+    """With a prime modulus q the jets are the integer jets reduced into
+    [0, q), zero entries dropped; exponents q, 2q and q^2 and coefficients
+    divisible by q exercise the pruning."""
+    rng = random.Random(3571)
+    for q in (2, 3, 5, 7):
+        exps = (0, 1, 2, q, 2 * q, q * q)
+        for _ in range(12):
+            r, maxdeg, origin = rng.randint(1, 2), rng.randint(0, q + 3), rng.random() < 0.5
+            f = Poly(r, {tuple(rng.choice(exps) for _ in range(r)):
+                         rng.choice((1, -1, 2, q, -q, 3 * q, q + 1))
+                         for _ in range(rng.randint(1, 4))})
+            if f.is_zero():
+                continue
+            want = [{m: c % q for m, c in jet.items() if c % q}
+                    for jet in arc_value_coefficients(f, maxdeg, origin)]
+            assert arc_value_coefficients(f, maxdeg, origin, q) == want, \
+                (str(f), q, maxdeg, origin)
+        # (sum a_k t^k)^q = sum a_k^q t^(qk) mod q
+        jets = arc_value_coefficients(Poly(1, {(q,): 1}), 2 * q + 1, False, q)
+        assert jets == [{(d // q,) * q: 1} if d % q == 0 else {}
+                        for d in range(2 * q + 2)]

@@ -73,12 +73,42 @@ class TestCount:
 
         monkeypatch.setattr(CountPlan, "counts", no_sweep)
         polys = "x1*x2 - x3*x4; x1*x3 - x2*x4"
-        for argv in (("count", "--polys", polys, "--n", "3,3", "--q", "5"),
+        for argv in (("count", "--polys", polys, "--n", "3,3", "--q", "5",
+                      "--leading", "one"),
                      ("zeta-count", "--polys", polys, "--order", "4", "--q", "5",
                       "--leading", "one")):
             code, _, err = run(capsys, *argv)
             assert code == 2
             assert "leading-coefficient-one" in err
+
+    def test_leading_defaults_to_any_on_a_system(self, capsys):
+        """ord x1 = ord x2 = 1 at q = 3: a_0 = 0, each a_1 coordinate one of
+        two units, a_2 free, so (2 * 3)^2 arcs of length 2."""
+        code, out, _ = run(capsys, "count", "--polys", "x1; x2", "--n", "1,1",
+                           "--q", "3", "--deterministic")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["count_leading_one"] is None
+        assert payload["count_all"] == 36
+        assert payload["coeff"] == "36/81"
+        code, out, _ = run(capsys, "zeta-count", "--polys", "x1; x2", "--order", "2",
+                           "--q", "3", "--deterministic")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["leading"] == "any"
+        assert payload["coefficients"] == {"1,1": "4/9"}
+
+    def test_leading_defaults_to_one_on_one_polynomial(self, capsys):
+        """ord x1 = n with leading coefficient 1: one arc of length n."""
+        code, out, _ = run(capsys, "zeta-count", "--poly", "x1", "--order", "2",
+                           "--q", "3", "--deterministic")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["leading"] == "one"
+        assert payload["coefficients"] == {"1": "1/3", "2": "1/9"}
+        code, out, _ = run(capsys, "count", "--poly", "x1", "--n", "1", "--q", "3",
+                           "--deterministic")
+        assert json.loads(out)["coeff"] == "1/3"
 
 
 class TestResolutionCommands:
