@@ -11,8 +11,8 @@ arithmetic; nothing here ever rounds.
 # series (with motive) first: compiling its source on top of numpy, which arcs
 # imports, raised the peak RSS of a fresh process by about 0.2 MB.
 from .series import (RationalSeries, SeriesError, TruncatedSeries, series_equal)
-from .arcs import (ArcConstraint, ArcError, CountPlan, PolySystem, count_arcs,
-                   count_pair, count_stratum, estimate_work, homogeneity_check,
+from .arcs import (ArcConstraint, ArcError, BudgetExceeded, CountPlan, PolySystem,
+                   count_arcs, count_stratum, estimate_work, homogeneity_check,
                    igusa_coeffs, padic_solution_counts, zeta_coeffs_from_counts)
 from .castling import (BFunction, CastlingDatum, CastlingError, castle_bfunction,
                        castle_igusa, castle_local_zeta, castle_milnor,

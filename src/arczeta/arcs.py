@@ -52,6 +52,14 @@ class ArcError(ValueError):
     pass
 
 
+class BudgetExceeded(Exception):
+    def __init__(self, estimate, budget):
+        super().__init__("estimated %d candidate rows exceeds budget %d"
+                         % (estimate, budget))
+        self.estimate = estimate
+        self.budget = budget
+
+
 def is_prime(q):
     if q < 2:
         return False
@@ -396,17 +404,32 @@ class CountPlan:
     q is carried.  A row is (levels, start index, code, leading-one flag),
     code = sum_i (ord f_i + 1) (depth+2)^i, digit 0 for an open f_i; every
     per-row question is a gather from the code tables (see _tables).
+
+    Construction checks q and every target (n_i >= min_order) once and, given
+    a budget, refuses a plan whose estimate() exceeds it (BudgetExceeded)
+    before any grid or jet is built; count and series check only leading.
     """
 
-    def __init__(self, sys, q, constraint=None, targets=()):
+    def __init__(self, sys, q, constraint=None, targets=(), min_order=0,
+                 budget=None):
         self.constraint = constraint = constraint or ArcConstraint.none()
         if constraint.kind == "full_rank" and sys.r != constraint.m * constraint.r_mat:
             raise ArcError("full rank needs ambient dimension m*r_mat = %d"
                            % (constraint.m * constraint.r_mat))
+        if not is_prime(q):
+            raise ArcError("q must be prime (prime-power fields are not implemented)")
         self.sys, self.q, self.r = sys, q, sys.r
-        self.targets = sorted({_validate(sys, n, q, "any", 0) for n in targets})
+        self.targets = sorted({_index(n) for n in targets})
+        for n in self.targets:
+            if len(n) != sys.l:
+                raise ArcError("order multi-index has length %d, system has %d "
+                               "polynomials" % (len(n), sys.l))
+            if min(n) < min_order:
+                raise ArcError("all n_i must be >= %d" % min_order)
         self.depth = max((max(n) for n in self.targets), default=0)
         self.origin = constraint.kind == "origin"
+        if budget is not None and (est := self.estimate()) > budget:
+            raise BudgetExceeded(est, budget)
         self._base = (self.depth + 2) ** np.arange(sys.l)
         self._ends, self._fits, self._dist = {}, {}, None
 
@@ -438,9 +461,11 @@ class CountPlan:
 
     def count(self, n, leading="any", threads=1):
         """The count at the target n, leading 'one' or 'any'."""
-        n = _validate(self.sys, n, self.q, leading, 0)
-        one, all_ = self.counts(threads)[n]
-        return one if leading == "one" else all_
+        side, n = self._side(leading), _index(n)
+        if n not in self.targets:
+            raise ArcError("order multi-index %s is not a target of this plan"
+                           % (n,))
+        return self.counts(threads)[n][side]
 
     def counts(self, threads=1):
         """{n: (leading-one count, any-leading count)} for every target."""
@@ -450,9 +475,18 @@ class CountPlan:
 
     def series(self, n_max, leading, threads=1):
         """Truncated zeta series: the T^n coefficient is count(n) q^(-|n| r)."""
-        coeffs = {n: Fraction(c, self.q ** (sum(n) * self.r)) for n in self.targets
-                  if (c := self.count(n, leading, threads))}
+        side = self._side(leading)
+        coeffs = {n: Fraction(c[side], self.q ** (sum(n) * self.r))
+                  for n, c in self.counts(threads).items() if c[side]}
         return TruncatedSeries(self.sys.l, n_max, coeffs)
+
+    def _side(self, leading):
+        """0 for leading 'one', 1 for 'any': the index into a count pair."""
+        if leading not in ("one", "any"):
+            raise ArcError("leading must be 'one' or 'any'")
+        if leading == "one" and self.sys.l != 1:
+            raise ArcError("leading-coefficient-one counts exist only for one polynomial")
+        return leading == "any"
 
     # -- the sweep --------------------------------------------------------
 
@@ -698,22 +732,9 @@ def _record(rec, level, codes, one, w_one, w_any):
                 rec[level, c, side] += w * int(cnt)
 
 
-def _validate(sys, n, q, leading, min_order=1):
-    if isinstance(n, int):
-        n = (n,)
-    n = tuple(int(x) for x in n)
-    if len(n) != sys.l:
-        raise ArcError("order multi-index has length %d, system has %d polynomials"
-                       % (len(n), sys.l))
-    if any(x < min_order for x in n):
-        raise ArcError("all n_i must be >= %d" % min_order)
-    if leading not in ("one", "any"):
-        raise ArcError("leading must be 'one' or 'any'")
-    if leading == "one" and sys.l != 1:
-        raise ArcError("leading-coefficient-one counts exist only for one polynomial")
-    if not is_prime(q):
-        raise ArcError("q must be prime (prime-power fields are not implemented)")
-    return n
+def _index(n):
+    """An order multi-index as a tuple of ints (an int n is (n,))."""
+    return (n,) if isinstance(n, int) else tuple(int(x) for x in n)
 
 
 def count_arcs(sys, n, q, constraint=None, leading="one", threads=1):
@@ -722,8 +743,7 @@ def count_arcs(sys, n, q, constraint=None, leading="one", threads=1):
     leading='one' additionally asks the t^n coefficient of f to be 1 (single
     polynomial only); the constraint restricts the arc's starting point.
     """
-    n = _validate(sys, n, q, leading)
-    return CountPlan(sys, q, constraint, [n]).count(n, leading, threads)
+    return CountPlan(sys, q, constraint, [n], min_order=1).count(n, leading, threads)
 
 
 def count_stratum(sys, n, q, constraint=None, leading="one", threads=1):
@@ -734,29 +754,22 @@ def count_stratum(sys, n, q, constraint=None, leading="one", threads=1):
     are exactly these boundary counts, so verification drivers need them even
     though the zeta coefficients themselves start at order one.
     """
-    n = _validate(sys, n, q, leading, min_order=0)
     return CountPlan(sys, q, constraint, [n]).count(n, leading, threads)
 
 
 def estimate_work(sys, n, q, constraint=None, leading="one"):
     """Upper bound on candidate rows the enumeration may materialize."""
-    n = _validate(sys, n, q, leading, min_order=0)
-    return CountPlan(sys, q, constraint, [n]).estimate()
-
-
-def count_pair(sys, n, q, constraint=None, threads=1):
-    """(leading-one count or None, any-leading count) at the multi-index n."""
-    n = _validate(sys, n, q, "any")
-    one, all_ = CountPlan(sys, q, constraint, [n]).counts(threads)[n]
-    return (one if sys.l == 1 else None), all_
+    plan = CountPlan(sys, q, constraint, [n])
+    plan._side(leading)
+    return plan.estimate()
 
 
 def zeta_coeffs_from_counts(sys, q, n_max, constraint=None, leading="one",
                             threads=1):
     """Truncated zeta series over exact rationals: the T^n coefficient is the
     arc count at n times q^(-|n| r)."""
-    plan = CountPlan(sys, q, constraint, order_indices(sys.l, n_max))
-    return plan.series(n_max, leading, threads)
+    return CountPlan(sys, q, constraint, order_indices(sys.l, n_max)).series(
+        n_max, leading, threads)
 
 
 def homogeneity_check(sys, q, n, threads=1):

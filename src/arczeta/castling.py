@@ -273,9 +273,11 @@ def counting_series(sys, q, order, leading, threads=1):
     return plan.series(order, leading, threads)
 
 
-def verify_castling(sys1, sys2, c, q, order, threads=1):
+def verify_castling(sys1, sys2, c, q, order, threads=1, budget=None):
     """Count both partners, transfer the first series, and compare
-    coefficientwise; returns a JSON-ready report."""
+    coefficientwise; returns a JSON-ready report.  Both counting plans are
+    built, and refused with BudgetExceeded if either estimate exceeds the
+    budget, before either sweeps."""
     if sys1.l != c.l or sys2.l != c.l:
         raise CastlingError("polynomial systems do not match the datum arity")
     if sys1.r != c.m * c.r1 or sys2.r != c.m * c.r2:
@@ -284,8 +286,9 @@ def verify_castling(sys1, sys2, c, q, order, threads=1):
         if sys1.degrees[i] != c.r1 * c.d[i] or sys2.degrees[i] != c.r2 * c.d[i]:
             raise CastlingError("invariant degrees must be r_j * d_i")
     leading = "one" if c.l == 1 else "any"
-    Z1 = counting_series(sys1, q, order, leading, threads)
-    Z2 = counting_series(sys2, q, order, leading, threads)
+    plans = [CountPlan(s, q, None, order_indices(c.l, order, low=0), budget=budget)
+             for s in (sys1, sys2)]
+    Z1, Z2 = (plan.series(order, leading, threads) for plan in plans)
     predicted = castle_zeta_numeric(Z1, q, c)
     rows = []
     worst = order

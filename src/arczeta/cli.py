@@ -14,8 +14,8 @@ import sys as _sys
 import time
 from fractions import Fraction
 
-from .arcs import (ArcConstraint, ArcError, CountPlan, PolySystem, count_pair,
-                   igusa_coeffs, order_indices, zeta_coeffs_from_counts)
+from .arcs import (ArcConstraint, ArcError, BudgetExceeded, CountPlan, PolySystem,
+                   igusa_coeffs, order_indices)
 from .castling import (BFunction, CastlingDatum, CastlingError, castle_bfunction,
                        castle_igusa, castle_local_zeta, castle_milnor,
                        castle_spectrum, castle_zeta, verify_castling)
@@ -32,21 +32,6 @@ _INPUT_ERRORS = (ArcError, CastlingError, LaurentError, PolyError,
                  KeyError, OSError, ValueError, json.JSONDecodeError)
 
 DEFAULT_BUDGET = 10 ** 9
-
-
-class BudgetExceeded(Exception):
-    def __init__(self, estimate, budget):
-        super().__init__("estimated %d candidate rows exceeds budget %d"
-                         % (estimate, budget))
-        self.estimate = estimate
-        self.budget = budget
-
-
-def _check_budget(sys_, indices, q, constraint, budget):
-    """Refuse before counting if the plan's estimate exceeds the budget."""
-    est = CountPlan(sys_, q, constraint, indices).estimate()
-    if est > budget:
-        raise BudgetExceeded(est, budget)
 
 
 def _emit(payload, args, t0):
@@ -103,17 +88,14 @@ def _series_input(args):
 def _cmd_count(args, t0):
     sys_ = _system(args)
     n = _multi_index(args.n)
-    constraint = ArcConstraint.parse(args.constraint)
-    _check_budget(sys_, [n], args.q, constraint, args.budget)
-    leading = _leading(args, sys_)
-    if leading == "one" and sys_.l != 1:
-        raise ArcError("leading-coefficient-one counts exist only for one polynomial")
-    one, all_ = count_pair(sys_, n, args.q, constraint, args.threads)
-    chosen = one if leading == "one" else all_
+    plan = CountPlan(sys_, args.q, ArcConstraint.parse(args.constraint), [n],
+                     min_order=1, budget=args.budget)
+    chosen = plan.count(n, _leading(args, sys_), args.threads)
+    one, all_ = plan.counts()[n]
     _emit({
         "q": args.q,
         "n": list(n),
-        "count_leading_one": one,
+        "count_leading_one": one if sys_.l == 1 else None,
         "count_all": all_,
         "coeff": "%d/%d" % (chosen, args.q ** (sum(n) * sys_.r)),
     }, args, t0)
@@ -122,12 +104,10 @@ def _cmd_count(args, t0):
 
 def _cmd_zeta_count(args, t0):
     sys_ = _system(args)
-    constraint = ArcConstraint.parse(args.constraint)
-    _check_budget(sys_, order_indices(sys_.l, args.order), args.q, constraint,
-                  args.budget)
+    plan = CountPlan(sys_, args.q, ArcConstraint.parse(args.constraint),
+                     order_indices(sys_.l, args.order), budget=args.budget)
     leading = _leading(args, sys_)
-    series = zeta_coeffs_from_counts(sys_, args.q, args.order, constraint,
-                                     leading, args.threads)
+    series = plan.series(args.order, leading, args.threads)
     _emit({
         "q": args.q,
         "order": args.order,
@@ -245,12 +225,8 @@ def _cmd_verify(args, t0):
                               c.m * c.r1)
         polys2 = parse_system([p.strip() for p in args.polys2.split(";")],
                               c.m * c.r2)
-    sys1 = PolySystem(polys1)
-    sys2 = PolySystem(polys2)
-    for s in (sys1, sys2):
-        _check_budget(s, order_indices(c.l, args.order, low=0), args.q, None,
-                      args.budget)
-    report = verify_castling(sys1, sys2, c, args.q, args.order, args.threads)
+    report = verify_castling(PolySystem(polys1), PolySystem(polys2), c, args.q,
+                             args.order, args.threads, args.budget)
     _emit(report, args, t0)
     return 0 if report["all_equal"] else 1
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from arczeta import (ArcConstraint, ArcError, CountPlan, Poly, PolySystem,
-                     count_arcs, count_pair, count_stratum, estimate_work,
+                     count_arcs, count_stratum, estimate_work,
                      homogeneity_check, igusa_coeffs, padic_solution_counts,
                      parse_poly, parse_system, zeta_coeffs_from_counts)
 from arczeta import arcs
@@ -132,6 +132,12 @@ class TestValidationAndHelpers:
         with pytest.raises(ArcError, match="leading-coefficient-one"):
             plan.series(2, "one")
 
+    def test_lookup_of_a_non_target_is_an_arc_error(self):
+        plan = CountPlan(PolySystem([parse_poly("x1")]), 3, None, [(1,)])
+        with pytest.raises(ArcError, match=r"\(2,\) is not a target"):
+            plan.count((2,))
+        assert plan.count(1) == 2
+
     def test_constraint_parsing(self):
         assert ArcConstraint.parse("none").kind == "none"
         assert ArcConstraint.parse("origin").kind == "origin"
@@ -145,7 +151,7 @@ class TestValidationAndHelpers:
         assert est >= count_arcs(self.sys, (2,), 3, leading="any")
 
     def test_count_pair_and_table(self):
-        one, all_ = count_pair(self.sys, (1,), 3)
+        one, all_ = CountPlan(self.sys, 3, None, [(1,)]).counts()[(1,)]
         assert one == count_arcs(self.sys, (1,), 3, leading="one")
         assert all_ == count_arcs(self.sys, (1,), 3, leading="any")
         assert (CountPlan(self.sys, 3, None, order_indices(1, 2)).counts()[(1,)]

@@ -6,15 +6,16 @@ from fractions import Fraction
 
 import pytest
 
-from arczeta import (BFunction, CastlingDatum, CastlingError, LaurentMotive,
-                     PolySystem, RationalMotive, ResolutionDatum, Spectrum,
-                     TruncatedSeries,
+from arczeta import (BFunction, BudgetExceeded, CastlingDatum, CastlingError,
+                     CountPlan, LaurentMotive, PolySystem, RationalMotive,
+                     ResolutionDatum, Spectrum, TruncatedSeries,
                      castle_bfunction, castle_igusa, castle_local_zeta,
                      castle_milnor, castle_spectrum, castle_zeta,
                      castle_zeta_numeric, counting_series, igusa_coeffs,
                      globalize_by_degree, localize_by_degree, parse_poly,
                      series_equal, sl_class, verify_castling,
                      zeta_from_resolution)
+from arczeta.arcs import order_indices
 from arczeta.fixtures import castling_fixture, resolution_fixture
 
 L = LaurentMotive.L()
@@ -230,6 +231,25 @@ class TestNumeric:
         assert report["all_equal"]
         assert report["leading"] == "any"
         assert report["max_verified_order"] == 3
+
+    def test_budget_refuses_both_partners_before_either_sweeps(self, monkeypatch):
+        """torus-m3 at q = 3, order 2: the partner on 3 variables is
+        estimated at 3^6 rows and the one on 6 at 3^12, so a budget between
+        them refuses the second plan after the first was built."""
+        def no_sweep(self, threads=1):
+            raise AssertionError("swept before the budget check")
+
+        monkeypatch.setattr(CountPlan, "counts", no_sweep)
+        s1, s2, c = castling_fixture("torus-m3")
+        sys1, sys2 = PolySystem(s1), PolySystem(s2)
+        with pytest.raises(BudgetExceeded) as exc:
+            verify_castling(sys1, sys2, c, 3, 2, budget=3 ** 12 - 1)
+        assert (exc.value.estimate, exc.value.budget) == (3 ** 12, 3 ** 12 - 1)
+        targets = order_indices(3, 2, low=0)
+        with pytest.raises(BudgetExceeded):
+            CountPlan(sys2, 3, None, targets, budget=3 ** 12 - 1)
+        assert CountPlan(sys2, 3, None, targets, budget=3 ** 12).estimate() == 3 ** 12
+        assert CountPlan(sys1, 3, None, targets, budget=3 ** 6).estimate() == 3 ** 6
 
     def test_verify_rejects_mismatched_dimensions(self):
         sys1 = PolySystem([parse_poly("x1^2 + x2^2 + x3^2")])

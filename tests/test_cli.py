@@ -1,12 +1,18 @@
 """Command-line interface: output contracts and exit codes, run in-process."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+from arczeta import arcs
 from arczeta.arcs import CountPlan
 from arczeta.cli import main
 from arczeta.fixtures import castling_fixture, resolution_fixture
+
+TORUS_M3 = str(Path(__file__).resolve().parents[1] / "perfbench" / "data"
+               / "torus-m3.json")
+TORUS_SYS2 = "x1*x4 - x2*x3; x1*x6 - x2*x5; x3*x6 - x4*x5"
 
 
 @pytest.fixture
@@ -59,6 +65,12 @@ class TestCount:
                            "--n", "6", "--q", "7", "--budget", "1000")
         assert code == 3
         assert "refused" in err
+
+    def test_order_zero_is_an_input_error_under_any_budget(self, capsys):
+        code, _, err = run(capsys, "count", "--poly", "x1^2+x2^2", "--n", "0",
+                           "--q", "3", "--budget", "1")
+        assert code == 2
+        assert "all n_i must be >= 1" in err
 
     def test_input_error(self, capsys):
         code, _, err = run(capsys, "count", "--poly", "x1 +", "--n", "1",
@@ -188,7 +200,42 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["all_equal"] is True
 
+    def test_datum_arity_is_checked_before_the_budget(self, capsys):
+        code, _, err = run(capsys, "verify", "--castling", TORUS_M3,
+                           "--polys1", "x1;x2", "--polys2", TORUS_SYS2,
+                           "--q", "3", "--order", "2", "--budget", "1")
+        assert code == 2
+        assert "do not match the datum arity" in err
+
     def test_missing_arguments(self, capsys):
         code, _, err = run(capsys, "verify", "--q", "2", "--order", "1")
         assert code == 2
         assert "error" in err
+
+
+@pytest.mark.parametrize("argv,plans", [
+    (("verify", "--castling", TORUS_M3, "--polys1", "x1;x2;x3",
+      "--polys2", TORUS_SYS2, "--q", "3", "--order", "2"), 2),
+    (("zeta-count", "--poly", "x1^2 - x2^3", "--q", "2", "--order", "10"), 1),
+])
+def test_one_plan_per_system_and_one_normalisation_per_target(
+        capsys, monkeypatch, argv, plans):
+    """A verify request builds one plan per partner and a zeta-count request
+    one plan, and each plan normalises each of its targets once."""
+    built, indexed = [], []
+    init, index = CountPlan.__init__, arcs._index
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    def counting_index(n):
+        indexed.append(n)
+        return index(n)
+
+    monkeypatch.setattr(CountPlan, "__init__", counting_init)
+    monkeypatch.setattr(arcs, "_index", counting_index)
+    code, _, _ = run(capsys, *argv, "--threads", "1", "--deterministic")
+    assert code == 0
+    assert len(built) == plans
+    assert len(indexed) == sum(len(plan.targets) for plan in built)
