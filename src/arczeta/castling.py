@@ -14,13 +14,14 @@ The symbolic transfers reduce each output value once.  The Milnor transfer
 multiplies numerator and denominator of its counting channel by the
 binomials (1 - L^j) in the Laurent ring and builds one RationalMotive; it does
 not cancel the factors the two sides share, because its denominator is
-printed as it stands and quotients are never factored.  The spectrum values
-of Z[t^(1/Z)] have a canonical form, so the spectrum channel and
-castle_spectrum cancel the shared factors j <= min(r1, r2) first: one product
-when r2 >= r1 and one exact division otherwise.  Z[t^(1/Z)] is an integral
-domain, so the cancelled division is inexact exactly when the uncancelled one
-is, and its error reports the lowest remainder term, which the shared factors
-(constant term 1) leave unchanged.
+printed as it stands and quotients are never factored.  A spectrum is an
+element of Z[t^(1/Z)], not a quotient, and one value has one stored form
+(a Laurent polynomial in t^(1/den), see spectrum.py), so the spectrum channel
+and castle_spectrum cancel the shared factors j <= min(r1, r2) first: one
+product when r2 >= r1 and one exact division otherwise.  Z[t^(1/Z)] is an
+integral domain, so the cancelled division is inexact exactly when the
+uncancelled one is, and its error reports the lowest remainder term, which
+the shared factors (constant term 1) leave unchanged.
 """
 
 from __future__ import annotations
@@ -203,7 +204,10 @@ class BFunction:
 
     @classmethod
     def from_roots(cls, roots):
-        count = Counter(Fraction(r) for r in roots)
+        try:
+            count = Counter(Fraction(r) for r in roots)
+        except ZeroDivisionError:
+            raise CastlingError("b-function root with zero denominator") from None
         if any(r <= 0 for r in count):
             raise CastlingError("b-function roots must be positive rationals")
         return cls(tuple(sorted(count.items())))

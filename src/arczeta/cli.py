@@ -12,7 +12,6 @@ import argparse
 import json
 import sys as _sys
 import time
-from fractions import Fraction
 
 from .arcs import (ArcConstraint, ArcError, BudgetExceeded, CountPlan, PolySystem,
                    igusa_coeffs, order_indices)
@@ -167,9 +166,8 @@ def _cmd_castle_series(args, t0):
 def _cmd_castle_milnor(args, t0):
     c = CastlingDatum.load(args.castling)
     value = RationalMotive(parse_laurent(args.value))
-    spec = parse_spectrum(args.spectrum) if args.spectrum else None
-    if spec is not None:
-        counting, out_spec = castle_milnor((value, spec), c)
+    if args.spectrum:
+        counting, out_spec = castle_milnor((value, parse_spectrum(args.spectrum)), c)
     else:
         counting, out_spec = castle_milnor(value, c), None
     _emit({
@@ -188,8 +186,7 @@ def _cmd_castle_spectrum(args, t0):
 
 def _cmd_castle_bfun(args, t0):
     c = CastlingDatum.load(args.castling)
-    roots = [Fraction(r.strip()) for r in args.roots.split(",")]
-    out = castle_bfunction(BFunction.from_roots(roots), c)
+    out = castle_bfunction(BFunction.from_roots(args.roots.split(",")), c)
     _emit(out.to_json(), args, t0)
     return 0
 

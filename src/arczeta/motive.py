@@ -33,12 +33,20 @@ class LaurentMotive:
         clean = {}
         if terms:
             for e, c in dict(terms).items():
+                c = _integer(c, LaurentError)
                 if c:
-                    clean[int(e)] = int(c)
+                    clean[_integer(e, LaurentError)] = c
         object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentMotive is immutable")
+
+    @classmethod
+    def _of(cls, terms):
+        """A value from int exponents and int coefficients; zeros dropped."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "terms", {e: c for e, c in terms.items() if c})
+        return self
 
     # -- constructors ------------------------------------------------------
 
@@ -65,12 +73,12 @@ class LaurentMotive:
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = out.get(e, 0) + c
-        return LaurentMotive(out)
+        return LaurentMotive._of(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentMotive({e: -c for e, c in self.terms.items()})
+        return LaurentMotive._of({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-_coerce(other))
@@ -85,7 +93,7 @@ class LaurentMotive:
             for e2, c2 in other.terms.items():
                 e = e1 + e2
                 out[e] = out.get(e, 0) + c1 * c2
-        return LaurentMotive(out)
+        return LaurentMotive._of(out)
 
     __rmul__ = __mul__
 
@@ -135,29 +143,13 @@ class LaurentMotive:
 
     def shift(self, k):
         """Multiply by L^k."""
-        return LaurentMotive({e + k: c for e, c in self.terms.items()})
+        return LaurentMotive._of({e + k: c for e, c in self.terms.items()})
 
     # -- text form ---------------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for e in sorted(self.terms, reverse=True):
-            c = self.terms[e]
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            if e == 0:
-                body = str(mag)
-            else:
-                sym = "L" if e == 1 else "L^%d" % e
-                body = sym if mag == 1 else "%d*%s" % (mag, sym)
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            out += " %s %s" % (sign, body)
-        return out
+        return _signed_text(sorted(self.terms.items(), reverse=True),
+                            lambda e: "" if e == 0 else "L" if e == 1 else "L^%d" % e)
 
     def __repr__(self):
         return "LaurentMotive(%r)" % (self.terms,)
@@ -167,49 +159,80 @@ def _coerce(x):
     if isinstance(x, LaurentMotive):
         return x
     if isinstance(x, int):
-        return LaurentMotive({0: x})
+        return LaurentMotive._of({0: x})
     raise TypeError("cannot coerce %r to LaurentMotive" % (x,))
 
 
-_TERM_RE = re.compile(
-    r"""\s*(?P<sign>[+-])?\s*
-        (?:
-            (?P<coeff>\d+)\s*(?:\*\s*(?P<lsym1>L)(?:\^(?P<exp1>-?\d+))?)?
-          | (?P<lsym2>L)(?:\^(?P<exp2>-?\d+))?
-        )\s*""",
-    re.VERBOSE,
-)
+def _integer(x, error):
+    """x as an int; error if x has no integer value (0.5, Fraction(1, 2))."""
+    i = int(x)
+    if i != x:
+        raise error("%r is not an integer" % (x,))
+    return i
+
+
+def _signed_text(items, power):
+    """The text ``c1*X1 - c2*X2 + ...`` of (key, nonzero int coefficient)
+    pairs in print order; power(key) is the key's monomial text, empty for
+    the constant term.  A unit coefficient is left out before a monomial."""
+    parts = []
+    for key, c in items:
+        sym, mag = power(key), abs(c)
+        if not sym:
+            body = str(mag)
+        elif mag == 1:
+            body = sym
+        else:
+            body = "%d*%s" % (mag, sym)
+        parts.append(("- " if c < 0 else "+ ") + body)
+    if not parts:
+        return "0"
+    text = " ".join(parts)
+    return text[2:] if text[0] == "+" else "-" + text[2:]
+
+
+def _monomial_text(exps, symbol):
+    """``X1^a1*X2^a2*...`` in the symbol X, factors with exponent 0 left out."""
+    return "*".join("%s%d" % (symbol, i + 1) if e == 1
+                    else "%s%d^%d" % (symbol, i + 1, e)
+                    for i, e in enumerate(exps) if e)
+
+
+def _parse_terms(text, symbol, exponent, convert, noun, error):
+    """{exponent: coefficient} of a signed sum of terms ``c``, ``c*X^e`` and
+    ``X^e`` in the symbol X.  ``exponent`` is the regex of the text of e and
+    convert(text) its value; a bare X has exponent 1, a constant exponent 0.
+    Malformed text raises error, with noun naming the kind of expression."""
+    text = text.strip()
+    if not text:
+        raise error("empty %s expression" % noun)
+    power = r"%s(?:\^(%s))?" % (symbol, exponent)
+    term = re.compile(r"\s*([+-])?\s*(?:(\d+)\s*(?:\*\s*(%s))?|(%s))\s*"
+                      % (power, power))
+    terms = {}
+    pos = 0
+    while pos < len(text):
+        m = term.match(text, pos)
+        if not m:
+            raise error("bad %s syntax at %r" % (noun, text[pos:]))
+        sign, coeff, scaled, scaled_exp, bare, bare_exp = m.groups()
+        if sign is None and pos:
+            raise error("missing sign before %r" % text[pos:])
+        exp = scaled_exp or bare_exp
+        try:
+            e = convert(exp) if exp else 1 if scaled or bare else 0
+        except ZeroDivisionError:
+            raise error("zero denominator at %r" % text[pos:]) from None
+        c = 1 if coeff is None else int(coeff)
+        terms[e] = terms.get(e, 0) + (-c if sign == "-" else c)
+        pos = m.end()
+    return terms
 
 
 def parse_laurent(text):
     """Parse the Laurent text grammar: e.g. ``L^3 - L``, ``1 + L^-2``, ``-5*L^2``."""
-    text = text.strip()
-    if not text:
-        raise LaurentError("empty Laurent expression")
-    pos = 0
-    terms = {}
-    first = True
-    while pos < len(text):
-        m = _TERM_RE.match(text, pos)
-        if not m or m.end() == pos:
-            raise LaurentError("bad Laurent syntax at %r" % text[pos:])
-        sign = m.group("sign")
-        if sign is None and not first:
-            raise LaurentError("missing sign before %r" % text[pos:])
-        s = -1 if sign == "-" else 1
-        if m.group("coeff") is not None:
-            c = int(m.group("coeff"))
-            if m.group("lsym1"):
-                e = int(m.group("exp1")) if m.group("exp1") is not None else 1
-            else:
-                e = 0
-        else:
-            c = 1
-            e = int(m.group("exp2")) if m.group("exp2") is not None else 1
-        terms[e] = terms.get(e, 0) + s * c
-        pos = m.end()
-        first = False
-    return LaurentMotive(terms)
+    return LaurentMotive._of(_parse_terms(text, "L", r"-?\d+", int,
+                                          "Laurent", LaurentError))
 
 
 class RationalMotive:
@@ -360,8 +383,8 @@ def _reduce_pair(num, den):
         den = den.shift(-shift)
     g = gcd(*num.terms.values(), *den.terms.values())
     if g > 1:
-        num = LaurentMotive({e: c // g for e, c in num.terms.items()})
-        den = LaurentMotive({e: c // g for e, c in den.terms.items()})
+        num = LaurentMotive._of({e: c // g for e, c in num.terms.items()})
+        den = LaurentMotive._of({e: c // g for e, c in den.terms.items()})
     # fix sign of the denominator's leading coefficient
     if den.terms[max(den.terms)] < 0:
         num, den = -num, -den

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import re
 
+from .motive import _integer, _monomial_text, _signed_text
+
 
 class PolyError(ValueError):
     pass
@@ -26,15 +28,14 @@ class Poly:
         clean = {}
         if terms:
             for mono, c in dict(terms).items():
-                mono = tuple(int(e) for e in mono)
+                mono = tuple(_integer(e, PolyError) for e in mono)
                 if len(mono) != nvars:
                     raise PolyError("monomial %r has wrong arity" % (mono,))
                 if any(e < 0 for e in mono):
                     raise PolyError("negative exponent in %r" % (mono,))
-                c = int(c)
+                c = _integer(c, PolyError)
                 if c:
-                    clean[mono] = clean.get(mono, 0) + c
-        clean = {m: c for m, c in clean.items() if c}
+                    clean[mono] = c
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
 
@@ -131,30 +132,9 @@ class Poly:
         return total
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for mono in sorted(self.terms, key=lambda m: (-sum(m), m)):
-            c = self.terms[mono]
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            syms = []
-            for i, e in enumerate(mono):
-                if e == 0:
-                    continue
-                syms.append("x%d" % (i + 1) if e == 1 else "x%d^%d" % (i + 1, e))
-            if not syms:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(syms)
-            else:
-                body = "%d*%s" % (mag, "*".join(syms))
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            out += " %s %s" % (sign, body)
-        return out
+        return _signed_text(sorted(self.terms.items(),
+                                   key=lambda mc: (-sum(mc[0]), mc[0])),
+                            lambda mono: _monomial_text(mono, "x"))
 
     def __repr__(self):
         return "Poly(%d, %r)" % (self.nvars, self.terms)

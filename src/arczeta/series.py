@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import add
 
-from .motive import LaurentMotive, RationalMotive, parse_laurent
+from .motive import LaurentMotive, RationalMotive, _monomial_text, parse_laurent
 
 
 class SeriesError(ValueError):
@@ -340,30 +340,20 @@ def _geometric_product(factors, order, nvars):
                   key=lambda item: item[0])
 
 
-def _monomial_str(shift):
-    parts = []
-    for i, a in enumerate(shift):
-        if a == 0:
-            continue
-        sym = "T%d" % (i + 1)
-        parts.append(sym if a == 1 else "%s^%d" % (sym, a))
-    return "*".join(parts)
-
-
 def _term_str(t):
     head = "(%s)" % t.coeff
-    mono = _monomial_str(t.shift)
+    mono = _monomial_text(t.shift, "T")
     if mono:
         head += " * " + mono
     if not t.factors:
         return head
     dens = []
     for f in t.factors:
-        dens.append("(1 - L^-%d * %s)" % (f.nu, _monomial_str(f.N) or "1"))
+        dens.append("(1 - L^-%d * %s)" % (f.nu, _monomial_text(f.N, "T") or "1"))
     return head + " / (" + "".join(dens) + ")"
 
 
-def _parse_monomial(text, nvars_hint=None):
+def _parse_monomial(text):
     """Parse T1^a1*...*Tl^al; returns a dict var->exp."""
     out = {}
     for piece in filter(None, (p.strip() for p in text.split("*"))):
@@ -371,11 +361,10 @@ def _parse_monomial(text, nvars_hint=None):
             continue
         if not piece.startswith("T"):
             raise SeriesError("bad T-monomial %r" % text)
-        if "^" in piece:
-            var, exp = piece[1:].split("^")
-            out[int(var)] = int(exp)
-        else:
-            out[int(piece[1:])] = 1
+        var, hat, exp = piece[1:].partition("^")
+        if int(var) < 1:
+            raise SeriesError("T-variable index below 1 in %r" % text)
+        out[int(var)] = int(exp) if hat else 1
     return out
 
 

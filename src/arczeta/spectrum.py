@@ -1,15 +1,20 @@
 """Integer combinations of rational powers of t (the value ring of hsp).
 
-Elements live in Z[t^(1/Z)]: finitely many terms c * t^(a/b).  Division is
-only defined when exact; an inexact division is always an input error at the
-call sites (a value that is not the spectrum of a genuine partner).
+Elements live in Z[t^(1/Z)]: finitely many terms c * t^(a/b).  A value is
+stored as (den, poly): poly is a LaurentMotive in u = t^(1/den), and den is
+the least common denominator of the exponents, so equal values are stored
+alike.  Arithmetic brings both operands to the lcm of their den and is done
+in the Laurent ring.  Division is only defined when exact; an inexact
+division is always an input error at the call sites (a value that is not
+the spectrum of a genuine partner).
 """
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+
+from .motive import LaurentMotive, _parse_terms, _signed_text
 
 
 class SpectrumError(ValueError):
@@ -19,25 +24,26 @@ class SpectrumError(ValueError):
 class Spectrum:
     """Finite sum of integer multiples of t^e with e rational, canonical form."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("den", "poly")
 
-    def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for e, c in dict(terms).items():
-                c = int(c)
-                if c:
-                    clean[Fraction(e)] = c
-        object.__setattr__(self, "terms", clean)
+    def __new__(cls, terms=None):
+        terms = {Fraction(e): c for e, c in dict(terms or {}).items()}
+        den = lcm(*(e.denominator for e in terms))
+        return cls._of(den, LaurentMotive({e * den: c for e, c in terms.items()}))
 
     def __setattr__(self, name, value):
         raise AttributeError("Spectrum is immutable")
 
     @classmethod
-    def _of(cls, terms):
-        """A value from exponents that are already Fractions; zeros dropped."""
+    def _of(cls, den, poly):
+        """The value poly(t^(1/den)), den and the exponents divided by their gcd."""
+        g = gcd(den, *poly.terms)
+        if g > 1:
+            den //= g
+            poly = LaurentMotive._of({k // g: c for k, c in poly.terms.items()})
         self = object.__new__(cls)
-        object.__setattr__(self, "terms", {e: c for e, c in terms.items() if c})
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "poly", poly)
         return self
 
     @classmethod
@@ -50,19 +56,23 @@ class Spectrum:
 
     @classmethod
     def t(cls, exponent=1):
-        return cls({Fraction(exponent): 1})
+        return cls({exponent: 1})
+
+    def _aligned(self, other):
+        """(den, a, b): self and other as Laurent polynomials in t^(1/den)."""
+        other = _coerce(other)
+        den = lcm(self.den, other.den)
+        return (den, _stretch(self.poly, den // self.den),
+                _stretch(other.poly, den // other.den))
 
     def __add__(self, other):
-        other = _coerce(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-        return Spectrum._of(out)
+        den, a, b = self._aligned(other)
+        return Spectrum._of(den, a + b)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Spectrum({e: -c for e, c in self.terms.items()})
+        return Spectrum._of(self.den, -self.poly)
 
     def __sub__(self, other):
         return self + (-_coerce(other))
@@ -71,39 +81,31 @@ class Spectrum:
         return _coerce(other) + (-self)
 
     def __mul__(self, other):
-        other = _coerce(other)
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = e1 + e2
-                out[e] = out.get(e, 0) + c1 * c2
-        return Spectrum._of(out)
+        den, a, b = self._aligned(other)
+        return Spectrum._of(den, a * b)
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
         if n < 0:
             raise SpectrumError("negative powers not supported")
-        out = Spectrum.one()
-        for _ in range(n):
-            out = out * self
-        return out
+        return Spectrum._of(self.den, self.poly ** n)
 
     def __eq__(self, other):
         try:
             other = _coerce(other)
         except TypeError:
             return NotImplemented
-        return self.terms == other.terms
+        return self.den == other.den and self.poly == other.poly
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((self.den, self.poly))
 
     def __bool__(self):
-        return bool(self.terms)
+        return not self.poly.is_zero()
 
     def is_zero(self):
-        return not self.terms
+        return self.poly.is_zero()
 
     def exact_div(self, other):
         """Exact quotient self / other in Z[t^(1/Z)]; SpectrumError if inexact."""
@@ -112,58 +114,47 @@ class Spectrum:
             raise SpectrumError("division by zero spectrum")
         if self.is_zero():
             return Spectrum.zero()
-        denom = 1
-        for e in list(self.terms) + list(other.terms):
-            denom = lcm(denom, e.denominator)
-        a = {int(e * denom): c for e, c in self.terms.items()}
-        b = {int(e * denom): c for e, c in other.terms.items()}
+        den, a, b = self._aligned(other)
         # shift both to nonnegative integer exponents
-        sa, sb = min(a), min(b)
-        a = {e - sa: c for e, c in a.items()}
-        b = {e - sb: c for e, c in b.items()}
+        sa, sb = a.min_exp(), b.min_exp()
         try:
-            q = _poly_div_exact(a, b)
+            q = _poly_div_exact(a.shift(-sa).terms, b.shift(-sb).terms)
         except _Remainder as exc:
             # the lowest term of the remainder: unchanged when both sides
             # are multiplied by a factor with constant term 1
             e, c = exc.args
             raise SpectrumError("inexact spectrum division (remainder starts "
-                                "with %s)" % Spectrum({Fraction(e + sa, denom): c})
+                                "with %s)" % Spectrum._of(den, LaurentMotive({e + sa: c}))
                                 ) from None
-        return Spectrum({Fraction(e + sa - sb, denom): c for e, c in q.items()})
+        return Spectrum._of(den, LaurentMotive(q).shift(sa - sb))
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for e in sorted(self.terms):
-            c = self.terms[e]
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            if e == 0:
-                body = str(mag)
-            else:
-                if e.denominator == 1:
-                    sym = "t" if e == 1 else "t^%d" % e
-                else:
-                    sym = "t^(%d/%d)" % (e.numerator, e.denominator)
-                body = sym if mag == 1 else "%d*%s" % (mag, sym)
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            out += " %s %s" % (sign, body)
-        return out
+        return _signed_text(((Fraction(k, self.den), c)
+                             for k, c in sorted(self.poly.terms.items())), _t_power)
 
     def __repr__(self):
-        return "Spectrum(%r)" % (self.terms,)
+        return "Spectrum(%r)" % ({Fraction(k, self.den): c
+                                  for k, c in self.poly.terms.items()},)
+
+
+def _stretch(poly, k):
+    """poly(u^k)."""
+    if k == 1:
+        return poly
+    return LaurentMotive._of({e * k: c for e, c in poly.terms.items()})
+
+
+def _t_power(e):
+    if e.denominator > 1:
+        return "t^(%s)" % e
+    return "" if e == 0 else "t" if e == 1 else "t^%s" % e
 
 
 def _coerce(x):
     if isinstance(x, Spectrum):
         return x
     if isinstance(x, int):
-        return Spectrum({0: x})
+        return Spectrum._of(1, LaurentMotive({0: x}))
     raise TypeError("cannot coerce %r to Spectrum" % (x,))
 
 
@@ -200,53 +191,9 @@ def _poly_div_exact(a, b):
     return quot
 
 
-_TERM_RE = re.compile(
-    r"""\s*(?P<sign>[+-])?\s*
-        (?:
-            (?P<coeff>\d+)\s*(?:\*\s*t(?P<pow1>\^(?:\(\s*-?\d+\s*/\s*\d+\s*\)|-?\d+))?)?
-          | t(?P<pow2>\^(?:\(\s*-?\d+\s*/\s*\d+\s*\)|-?\d+))?
-        )\s*""",
-    re.VERBOSE,
-)
-
-
-def _parse_pow(text):
-    if text is None:
-        return Fraction(1)
-    text = text[1:].strip()
-    if text.startswith("("):
-        num, den = text[1:-1].split("/")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
-
-
 def parse_spectrum(text):
     """Parse e.g. ``1 + t^(1/2)``, ``-2*t^(3/2) + t``, ``t^2 - 1``."""
-    text = text.strip()
-    if not text:
-        raise SpectrumError("empty spectrum expression")
-    if text == "0":
-        return Spectrum.zero()
-    pos = 0
-    terms = {}
-    first = True
-    while pos < len(text):
-        m = _TERM_RE.match(text, pos)
-        if not m or m.end() == pos:
-            raise SpectrumError("bad spectrum syntax at %r" % text[pos:])
-        if m.group("sign") is None and not first:
-            raise SpectrumError("missing sign before %r" % text[pos:])
-        s = -1 if m.group("sign") == "-" else 1
-        if m.group("coeff") is not None:
-            c = int(m.group("coeff"))
-            if "t" in m.group(0):
-                e = _parse_pow(m.group("pow1"))
-            else:
-                e = Fraction(0)
-        else:
-            c = 1
-            e = _parse_pow(m.group("pow2"))
-        terms[e] = terms.get(e, 0) + s * c
-        pos = m.end()
-        first = False
-    return Spectrum(terms)
+    return Spectrum(_parse_terms(
+        text, "t", r"\(\s*-?\d+\s*/\s*\d+\s*\)|-?\d+",
+        lambda exp: Fraction(exp.strip("()").replace(" ", "")),
+        "spectrum", SpectrumError))

@@ -168,6 +168,27 @@ class TestCastlingCommands:
         assert roots == [{"root": "1", "multiplicity": 2},
                          {"root": "3/2", "multiplicity": 2}]
 
+    @pytest.mark.parametrize("argv", [
+        ("castle-spectrum", "--spectrum", "t^(1/0)"),
+        ("castle-milnor", "--value", "L", "--spectrum", "t^(1/0)"),
+        ("castle-bfun", "--roots", "1/0"),
+        ("castle-zeta", "--series", "(1) * T0*T1 / ((1 - L^-1 * T1^2))"),
+    ])
+    def test_malformed_value_is_an_input_error(self, capsys, castling_file, argv):
+        code, _, err = run(capsys, argv[0], "--castling", castling_file,
+                           *argv[1:], "--deterministic")
+        assert code == 2
+        assert err.startswith("error: ")
+
+    def test_zero_denominator_in_a_datum_spectrum(self, capsys, tmp_path):
+        datum = resolution_fixture("quadric3-local").to_json()
+        datum["strata"][0]["spectrum"] = "1 + t^(3/0)"
+        path = tmp_path / "datum.json"
+        path.write_text(json.dumps(datum))
+        code, _, err = run(capsys, "milnor", "--datum", str(path))
+        assert code == 2
+        assert "zero denominator" in err
+
     def test_castle_igusa_fixed_point(self, capsys, tmp_path):
         _s1, _s2, c = castling_fixture("sym-m2")
         path = tmp_path / "sym.json"

@@ -45,6 +45,15 @@ class TestLaurentMotive:
             m.terms = {}
         assert hash(L + 1) == hash(LaurentMotive({1: 1, 0: 1}))
 
+    @pytest.mark.parametrize("terms", [{0: 0.5}, {0.5: 1}, {Fraction(3, 2): 2},
+                                       {1: Fraction(1, 3)}])
+    def test_non_integers_refused(self, terms):
+        with pytest.raises(LaurentError, match="not an integer"):
+            LaurentMotive(terms)
+
+    def test_integral_values_of_other_types_accepted(self):
+        assert LaurentMotive({2.0: Fraction(4, 2)}) == 2 * L ** 2
+
     def test_min_exp_and_shift(self):
         m = LaurentMotive({-2: 1, 3: 4})
         assert m.min_exp() == -2
@@ -68,6 +77,17 @@ class TestLaurentMotive:
             parse_laurent("L +")
         with pytest.raises(LaurentError):
             parse_laurent("q^2")
+
+    @pytest.mark.parametrize("text, message", [
+        ("  ", "empty Laurent expression"),
+        ("L + q", "bad Laurent syntax at '+ q'"),
+        ("2*L 3", "missing sign before '3'"),
+        ("2L", "missing sign before 'L'"),
+    ])
+    def test_parse_error_texts(self, text, message):
+        with pytest.raises(LaurentError) as exc:
+            parse_laurent(text)
+        assert str(exc.value) == message
 
 
 class TestRationalMotive:

@@ -1,5 +1,7 @@
 """Integer polynomial arithmetic and the x1..xr expression grammar."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -32,6 +34,12 @@ class TestPoly:
         L = LaurentMotive.L()
         p = x(1) * x(2) + 1
         assert p.evaluate([L, L - 1], one=LaurentMotive.one()) == L * (L - 1) + 1
+
+    @pytest.mark.parametrize("terms", [{(1,): 2.7}, {(1.5,): 1},
+                                       {(Fraction(1, 2),): 1}])
+    def test_non_integers_refused(self, terms):
+        with pytest.raises(PolyError, match="not an integer"):
+            Poly(1, terms)
 
     def test_mixed_arity_rejected(self):
         with pytest.raises(PolyError):

@@ -88,6 +88,12 @@ class TestRationalSeries:
         back = RationalSeries.parse(str(s))
         assert series_equal(back, s, 8)
 
+    def test_variable_index_below_one_rejected(self):
+        with pytest.raises(SeriesError, match="below 1"):
+            RationalSeries.parse("(1) * T0*T1 / ((1 - L^-1 * T1^2))")
+        with pytest.raises(SeriesError, match="below 1"):
+            RationalSeries.parse("(1) * T1 / ((1 - L^-1 * T0))")
+
     def test_json_round_trip(self):
         s = geometric(2, 1) + RationalSeries.term(L + 1, (0,))
         back = RationalSeries.from_json(s.to_json())

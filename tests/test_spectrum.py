@@ -1,19 +1,20 @@
 """Spectra in Z[t^(1/Z)]: arithmetic, exact division, text grammar."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, strategies as st
 
-from arczeta import Spectrum, SpectrumError, parse_spectrum
+from arczeta import LaurentError, Spectrum, SpectrumError, parse_spectrum
 
 t = Spectrum.t
 half = Fraction(1, 2)
 
 exponents = st.fractions(min_value=-2, max_value=3,
                          max_denominator=4)
-spectra = st.dictionaries(exponents, st.integers(-5, 5),
-                          max_size=4).map(Spectrum)
+spectrum_terms = st.dictionaries(exponents, st.integers(-5, 5), max_size=4)
+spectra = spectrum_terms.map(Spectrum)
 nonzero_spectra = spectra.filter(lambda s: not s.is_zero())
 
 
@@ -30,6 +31,32 @@ class TestArithmetic:
     def test_pow_and_sign(self):
         assert (-1) * t(half) == Spectrum({half: -1})
         assert (1 - t(1)) ** 0 == Spectrum.one()
+
+
+class TestStoredForm:
+    """A value is stored as a Laurent polynomial in t^(1/den), den the least
+    common denominator of its exponents, however it was built."""
+
+    @given(terms=spectrum_terms)
+    def test_one_stored_form_per_value(self, terms):
+        direct = Spectrum(terms)
+        summed = sum((c * t(e) for e, c in terms.items()), Spectrum.zero())
+        padded = Spectrum({Fraction(1, 12): 0, Fraction(-5, 6): 0, **terms})
+        for other in (summed, padded):
+            assert other == direct
+            assert hash(other) == hash(direct)
+            assert str(other) == str(direct)
+            assert other.den == direct.den
+        assert direct.den == lcm(*(e.denominator for e, c in terms.items() if c))
+
+    def test_cancelled_terms_leave_the_denominator(self):
+        s = (1 + t(Fraction(1, 6))) - t(Fraction(1, 6))
+        assert s == Spectrum.one() and s.den == 1
+        assert (t(half) * t(half)).den == 1
+
+    def test_non_integer_coefficient_refused(self):
+        with pytest.raises(LaurentError, match="not an integer"):
+            Spectrum({half: 1.5})
 
 
 class TestExactDiv:
@@ -64,6 +91,17 @@ class TestGrammar:
             parse_spectrum("")
         with pytest.raises(SpectrumError):
             parse_spectrum("t^(1/2")
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty spectrum expression"),
+        ("1 + t^(1/0)", "zero denominator at '+ t^(1/0)'"),
+        ("t^(1/2", "bad spectrum syntax at '^(1/2'"),
+        ("t t", "missing sign before 't'"),
+    ])
+    def test_error_texts(self, text, message):
+        with pytest.raises(SpectrumError) as exc:
+            parse_spectrum(text)
+        assert str(exc.value) == message
 
     @given(s=nonzero_spectra)
     def test_round_trip(self, s):
