@@ -108,6 +108,9 @@ class PolySystem:
     def __setattr__(self, name, value):
         raise AttributeError("PolySystem is immutable")
 
+    def __reduce__(self):
+        return PolySystem, (self.polys,)
+
     @property
     def l(self):
         return len(self.polys)

@@ -121,15 +121,14 @@ def _cmd_zeta_resolution(args, t0):
     datum = ResolutionDatum.load(args.datum)
     series = zeta_from_resolution(datum)
     payload = {"series": str(series), "valid_q": datum.valid_q}
-    order = args.expand if args.expand is not None else args.order
-    if order is not None:
-        expansion = series.expand(order)
+    if args.expand is not None:
+        expansion = series.expand(args.expand)
         if args.q is not None:
             expansion = expansion.specialize(args.q)
         payload["expansion"] = {
             ",".join(map(str, n)): str(c)
             for n, c in sorted(expansion.coeffs.items())}
-        payload["expansion_order"] = order
+        payload["expansion_order"] = args.expand
     _emit(payload, args, t0)
     return 0
 
@@ -279,7 +278,6 @@ def build_parser():
     p = sub.add_parser("zeta-resolution", help="zeta series from resolution data")
     p.add_argument("--datum", required=True)
     p.add_argument("--expand", type=int)
-    p.add_argument("--order", type=int)
     p.add_argument("--q", type=int)
     _add_common(p)
     p.set_defaults(func=_cmd_zeta_resolution)
@@ -300,7 +298,8 @@ def build_parser():
                            ("castle-local", castle_local_zeta)):
         p = sub.add_parser(name, help="transfer a zeta series to the partner")
         p.add_argument("--castling", required=True)
-        p.add_argument("--series", help="series text form")
+        p.add_argument("--series",
+                       help="series in the text form these commands print")
         p.add_argument("--datum", help="resolution datum to build the series")
         _add_common(p)
         p.set_defaults(func=_cmd_castle_series, transfer=transfer)

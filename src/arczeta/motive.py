@@ -41,6 +41,9 @@ class LaurentMotive:
     def __setattr__(self, name, value):
         raise AttributeError("LaurentMotive is immutable")
 
+    def __reduce__(self):
+        return LaurentMotive._of, (self.terms,)
+
     @classmethod
     def _of(cls, terms):
         """A value from int exponents and int coefficients; zeros dropped."""
@@ -260,6 +263,9 @@ class RationalMotive:
     def __setattr__(self, name, value):
         raise AttributeError("RationalMotive is immutable")
 
+    def __reduce__(self):
+        return RationalMotive, (self.num, self.den)
+
     @classmethod
     def zero(cls):
         return cls(LaurentMotive.zero())
@@ -419,6 +425,9 @@ class Permutation:
 
     def __setattr__(self, name, value):
         raise AttributeError("Permutation is immutable")
+
+    def __reduce__(self):
+        return Permutation, (self.images,)
 
     def __len__(self):
         return len(self.images)

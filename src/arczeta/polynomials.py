@@ -42,6 +42,9 @@ class Poly:
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
+    def __reduce__(self):
+        return Poly, (self.nvars, self.terms)
+
     @classmethod
     def const(cls, nvars, c):
         return cls(nvars, {(0,) * nvars: c})

@@ -15,10 +15,16 @@ classes of an index are added in order of first appearance.  Content and
 lowest L-exponent are multiplicative (Gauss's lemma), so RationalMotive's
 reduction is one canonical form within a class, and a single-class sum (every
 transfer of the package) prints exactly as the reduced term-by-term sum.
+
+The text form is one grammar, read and written here: str() prints terms
+``(coeff) * T1^a1*T2^a2 / ((1 - L^-nu * T-monomial)...)`` joined by "  +  ",
+and RationalSeries.parse reads back every text str() prints.  A series has as
+many variables as the largest T index in its text.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -255,51 +261,32 @@ class RationalSeries:
             out = out + t.coeff * RationalMotive(LaurentMotive({lsum: sign}))
         return out
 
-    # -- text / JSON forms -------------------------------------------------
+    # -- text form ---------------------------------------------------------
 
     def __str__(self):
         if not self.terms:
             return "0"
         return "  +  ".join(_term_str(t) for t in self.terms)
 
-    def to_json(self):
-        return {
-            "nvars": self.nvars,
-            "terms": [
-                {
-                    "coeff_num": str(t.coeff.num),
-                    "coeff_den": str(t.coeff.den),
-                    "shift": list(t.shift),
-                    "factors": [{"nu": f.nu, "N": list(f.N)} for f in t.factors],
-                }
-                for t in self.terms
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, data):
-        terms = []
-        for t in data["terms"]:
-            coeff = RationalMotive(parse_laurent(t["coeff_num"]),
-                                   parse_laurent(t.get("coeff_den", "1")))
-            terms.append(SeriesTerm(coeff, tuple(t["shift"]),
-                                    tuple(SeriesFactor(f["nu"], tuple(f["N"]))
-                                          for f in t["factors"])))
-        return cls(data["nvars"], terms)
-
     @classmethod
     def parse(cls, text):
-        """Parse the term-list text form produced by __str__."""
+        """Read the text form that __str__ prints (see _TERM): terms joined by
+        "  +  ", in as many variables as the largest T index in the text."""
         text = text.strip()
         if text == "0":
             return cls(1)
+        nvars = max(map(int, re.findall(r"T(\d+)", text)), default=1)
         terms = []
-        nvars = None
         for chunk in text.split("  +  "):
-            term = _parse_term(chunk)
-            if nvars is None:
-                nvars = term.nvars
-            terms.append(term)
+            m = _TERM.fullmatch(chunk)
+            if not m:
+                raise SeriesError("bad series term %r" % chunk)
+            laurent, num, den, shift, factors = m.group(1, 2, 3, 4, 5)
+            coeff = (RationalMotive(parse_laurent(laurent)) if den is None else
+                     RationalMotive(parse_laurent(num), parse_laurent(den)))
+            terms.append(SeriesTerm(coeff, _parse_monomial(shift, nvars), tuple(
+                SeriesFactor(int(nu), _parse_monomial(mono, nvars))
+                for nu, mono in re.findall(_FACTOR, factors or ""))))
         return cls(nvars, terms)
 
 
@@ -349,77 +336,29 @@ def _term_str(t):
         return head
     dens = []
     for f in t.factors:
-        dens.append("(1 - L^-%d * %s)" % (f.nu, _monomial_text(f.N, "T") or "1"))
+        dens.append("(1 - L^-%d * %s)" % (f.nu, _monomial_text(f.N, "T")))
     return head + " / (" + "".join(dens) + ")"
 
 
-def _parse_monomial(text):
-    """Parse T1^a1*...*Tl^al; returns a dict var->exp."""
-    out = {}
-    for piece in filter(None, (p.strip() for p in text.split("*"))):
-        if piece == "1":
-            continue
-        if not piece.startswith("T"):
-            raise SeriesError("bad T-monomial %r" % text)
-        var, hat, exp = piece[1:].partition("^")
+# The grammar of one printed term: "(coeff)", then optionally " * " and a
+# T-monomial, then optionally " / (", one or more factors
+# "(1 - L^-nu * T-monomial)" and ")".  coeff is Laurent text or
+# "(num) / (den)"; Laurent text has no parentheses, and parse_laurent reads it.
+_MONOMIAL = r"T\d+(?:\^\d+)?(?:\*T\d+(?:\^\d+)?)*"
+_FACTOR = r"\(1 - L\^-(\d+) \* (%s)\)" % _MONOMIAL
+_TERM = re.compile(r"\((?:([^()]*)|\(([^()]*)\) / \(([^()]*)\))\)"
+                   r"(?: \* (%s))?(?: / \(((?:%s)+)\))?" % (_MONOMIAL, _FACTOR))
+
+
+def _parse_monomial(text, nvars):
+    """The exponents in T_1..T_nvars of a T-monomial matching _MONOMIAL (None
+    for 1); a repeated variable adds its exponents."""
+    exps = [0] * nvars
+    for var, exp in re.findall(r"T(\d+)(?:\^(\d+))?", text or ""):
         if int(var) < 1:
             raise SeriesError("T-variable index below 1 in %r" % text)
-        out[int(var)] = int(exp) if hat else 1
-    return out
-
-
-def _parse_term(chunk):
-    chunk = chunk.strip()
-    if not chunk.startswith("("):
-        raise SeriesError("term must start with a parenthesized coefficient: %r" % chunk)
-    depth = 0
-    for i, ch in enumerate(chunk):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth == 0:
-                break
-    coeff_text = chunk[1:i]
-    rest = chunk[i + 1:].strip()
-    if "/" in coeff_text:
-        ntext, _, dtext = coeff_text.partition("/")
-        coeff = RationalMotive(parse_laurent(ntext.strip().strip("()")),
-                               parse_laurent(dtext.strip().strip("()")))
-    else:
-        coeff = RationalMotive(parse_laurent(coeff_text))
-    if "/" in rest:
-        mono_text, _, den = rest.partition("/")
-        den = den.strip()
-        if not (den.startswith("(") and den.endswith(")")):
-            raise SeriesError("bad denominator %r" % den)
-        den = den[1:-1]
-        factor_texts = [p for p in den.replace(")(", ")|(").split("|") if p]
-    else:
-        mono_text, factor_texts = rest, []
-    mono_text = mono_text.strip()
-    if mono_text.startswith("*"):
-        mono_text = mono_text[1:].strip()
-    shift_map = _parse_monomial(mono_text) if mono_text else {}
-    factors = []
-    nvars = max(shift_map, default=1)
-    parsed_factors = []
-    for ft in factor_texts:
-        ft = ft.strip()
-        if not (ft.startswith("(") and ft.endswith(")")):
-            raise SeriesError("bad factor %r" % ft)
-        body = ft[1:-1].strip()
-        if not body.startswith("1 - L^-"):
-            raise SeriesError("bad factor body %r" % body)
-        body = body[len("1 - L^-"):]
-        nu_text, _, mono = body.partition("*")
-        mono_map = _parse_monomial(mono)
-        parsed_factors.append((int(nu_text), mono_map))
-        nvars = max(nvars, max(mono_map, default=1))
-    shift = tuple(shift_map.get(i + 1, 0) for i in range(nvars))
-    for nu, mono_map in parsed_factors:
-        factors.append(SeriesFactor(nu, tuple(mono_map.get(i + 1, 0) for i in range(nvars))))
-    return SeriesTerm(coeff, shift, tuple(factors))
+        exps[int(var) - 1] += int(exp or 1)
+    return tuple(exps)
 
 
 class TruncatedSeries:
@@ -521,26 +460,13 @@ class TruncatedSeries:
         return TruncatedSeries(self.nvars, self.order, out, Fraction(0))
 
     def __eq__(self, other):
+        """Equal coefficients up to the common order; only nonzero
+        coefficients are stored."""
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        if self.nvars != other.nvars:
-            return False
         order = min(self.order, other.order)
-        keys = set(self.coeffs) | set(other.coeffs)
-        for n in keys:
-            if mi_total(n) > order:
-                continue
-            a = self.coeffs.get(n)
-            b = other.coeffs.get(n)
-            if a is None:
-                if b:
-                    return False
-            elif b is None:
-                if a:
-                    return False
-            elif a != b:
-                return False
-        return True
+        return (self.nvars == other.nvars
+                and _cut(self.coeffs, order) == _cut(other.coeffs, order))
 
     def __repr__(self):
         return "TruncatedSeries(%d, %d, %r)" % (self.nvars, self.order, self.coeffs)
@@ -548,6 +474,10 @@ class TruncatedSeries:
     def _check(self, other):
         if not isinstance(other, TruncatedSeries) or self.nvars != other.nvars:
             raise SeriesError("incompatible truncated series")
+
+
+def _cut(coeffs, order):
+    return {n: c for n, c in coeffs.items() if mi_total(n) <= order}
 
 
 def _zero_like(c):

@@ -34,6 +34,9 @@ class Spectrum:
     def __setattr__(self, name, value):
         raise AttributeError("Spectrum is immutable")
 
+    def __reduce__(self):
+        return Spectrum._of, (self.den, self.poly)
+
     @classmethod
     def _of(cls, den, poly):
         """The value poly(t^(1/den)), den and the exponents divided by their gcd."""

@@ -173,12 +173,21 @@ class TestCastlingCommands:
         ("castle-milnor", "--value", "L", "--spectrum", "t^(1/0)"),
         ("castle-bfun", "--roots", "1/0"),
         ("castle-zeta", "--series", "(1) * T0*T1 / ((1 - L^-1 * T1^2))"),
+        ("castle-zeta", "--series", "(1) * T1^2*T1^-1 / ((1 - L^-1 * T1^2))"),
     ])
     def test_malformed_value_is_an_input_error(self, capsys, castling_file, argv):
         code, _, err = run(capsys, argv[0], "--castling", castling_file,
                            *argv[1:], "--deterministic")
         assert code == 2
         assert err.startswith("error: ")
+
+    def test_repeated_series_variable_adds_exponents(self, capsys, castling_file):
+        outs = [run(capsys, "castle-zeta", "--castling", castling_file,
+                    "--series", text, "--deterministic")
+                for text in ("(1) * T1*T1 / ((1 - L^-1 * T1^2))",
+                             "(1) * T1^2 / ((1 - L^-1 * T1^2))")]
+        assert outs[0] == outs[1]
+        assert outs[0][0] == 0
 
     def test_zero_denominator_in_a_datum_spectrum(self, capsys, tmp_path):
         datum = resolution_fixture("quadric3-local").to_json()

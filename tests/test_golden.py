@@ -30,6 +30,10 @@ QUADRIC = "x1^2 + x2^2 + x3^2"
 # The castling partner of QUADRIC under (3, 1, 2): a sum of squares, so it is
 # singular everywhere mod 2.
 PARTNER = "(x1*x4 - x2*x3)^2 + (x1*x6 - x2*x5)^2 + (x3*x6 - x4*x5)^2"
+# The printed zeta series of the quadric3-local datum; --series with this
+# text must print the bytes of --datum.
+QUADRIC_SERIES = ("(L^-1 + L^-2) * T1^2 / ((1 - L^-3 * T1^2))  +  "
+                  "(L^-2 - L^-4) * T1^3 / ((1 - L^-3 * T1^2)(1 - L^-1 * T1))")
 # (p, order, with the partner) of the castle-igusa cases.
 IGUSA = ((2, 3, True), (3, 2, True), (2, 4, True), (5, 4, False))
 
@@ -65,6 +69,8 @@ def cases(tmp):
             out["%s quadric3-local %s" % (cmd, tag)] = [
                 cmd, "--castling", str(path),
                 "--datum", _data("quadric3-local")]
+            out["%s --series quadric3-local %s" % (cmd, tag)] = [
+                cmd, "--castling", str(path), "--series", QUADRIC_SERIES]
         out["castle-milnor 'L^2 + L' %s" % tag] = [
             "castle-milnor", "--castling", str(path), "--value", "L^2 + L"]
         out["castle-milnor 'L + 1' '1 + t' %s" % tag] = [
@@ -79,6 +85,16 @@ def cases(tmp):
         if partner:
             out[case] += ["--partner", PARTNER]
     return out
+
+
+def test_series_text_prints_the_datum_bytes():
+    golden = json.loads(GOLDEN.read_text())
+    pairs = [(case, case.replace(" --series", "")) for case in golden
+             if " --series " in case]
+    assert len(pairs) == 2 * len(CASTLINGS)
+    for series_case, datum_case in pairs:
+        assert golden[series_case] == golden[datum_case]
+        assert json.loads(golden[datum_case]["stdout"])["input"] == QUADRIC_SERIES
 
 
 def run_case(argv):

@@ -1,14 +1,17 @@
 """Laurent and rational classes in L: arithmetic, parsing, named classes."""
 
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from arczeta import (LaurentError, LaurentMotive, Permutation, RationalMotive,
-                     fibration_factor, parse_laurent, partition_weight_sum,
-                     sl_class, z_w_class)
+from arczeta import (LaurentError, LaurentMotive, Permutation, PolySystem,
+                     RationalMotive, Spectrum, fibration_factor, parse_laurent,
+                     parse_poly, parse_system, partition_weight_sum, sl_class,
+                     z_w_class)
 from arczeta.motive import _shift_between, compositions
 
 L = LaurentMotive.L()
@@ -200,3 +203,32 @@ class TestNamedClasses:
         assert fibration_factor(3, 2, 2, 0) == LaurentMotive({6: 1})
         with pytest.raises(LaurentError):
             fibration_factor(2, 3, 0, 0)
+
+
+IMMUTABLE_VALUES = [
+    LaurentMotive({2: 1, -1: -3}),
+    RationalMotive(L + 1, L ** 2 - 2),
+    Spectrum({Fraction(3, 2): 1, 0: -2}),
+    parse_poly("x1^2 - 3*x2^3"),
+    PolySystem(parse_system(["x1*x2", "x1 + x2"])),
+    Permutation((2, 3, 1)),
+]
+
+
+@pytest.mark.parametrize("value", IMMUTABLE_VALUES,
+                         ids=lambda v: type(v).__name__)
+@pytest.mark.parametrize("round_trip", [
+    copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))],
+    ids=["copy", "deepcopy", "pickle"])
+def test_immutable_values_copy_and_pickle(value, round_trip):
+    """Copies are rebuilt through the constructor, and stay immutable."""
+    got = round_trip(value)
+    assert type(got) is type(value)
+    if isinstance(value, PolySystem):
+        assert (got.r, got.polys, got.degrees) == (value.r, value.polys,
+                                                   value.degrees)
+    else:
+        assert got == value
+    with pytest.raises(AttributeError, match="immutable"):
+        setattr(got, type(got).__slots__[0], None)
+

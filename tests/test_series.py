@@ -1,13 +1,15 @@
 """Factored rational series and truncated expansions."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arczeta import (LaurentMotive, RationalMotive, RationalSeries,
-                     SeriesError, TruncatedSeries, series_equal)
+from arczeta import (LaurentError, LaurentMotive, RationalMotive,
+                     RationalSeries, SeriesError, TruncatedSeries, series_equal)
 
 L = LaurentMotive.L()
 ONE = LaurentMotive.one()
@@ -20,6 +22,26 @@ def geometric(nu=1, N=1):
 
 def rm(exp, coeff=1):
     return RationalMotive(LaurentMotive({exp: coeff}))
+
+
+laurents = st.dictionaries(st.integers(-3, 3), st.integers(-4, 4), min_size=1,
+                           max_size=3).map(LaurentMotive)
+coefficients = st.one_of(
+    laurents.map(RationalMotive),
+    st.tuples(laurents, laurents.filter(bool)).map(lambda nd: RationalMotive(*nd)))
+
+
+@st.composite
+def printed_series(draw):
+    """Series in 1-3 variables: Laurent and quotient coefficients, zero
+    shifts and terms without factors included."""
+    nvars = draw(st.integers(1, 3))
+    exps = st.lists(st.integers(0, 2), min_size=nvars, max_size=nvars).map(tuple)
+    factors = st.lists(st.tuples(st.integers(1, 4), exps.filter(any)), max_size=3)
+    terms = draw(st.lists(st.tuples(coefficients, exps, factors),
+                          min_size=1, max_size=4))
+    return sum((RationalSeries.term(c, shift, fs) for c, shift, fs in terms),
+               RationalSeries.zero(nvars))
 
 
 small_terms = st.tuples(st.integers(-2, 2), st.integers(-1, 1),
@@ -94,10 +116,39 @@ class TestRationalSeries:
         with pytest.raises(SeriesError, match="below 1"):
             RationalSeries.parse("(1) * T1 / ((1 - L^-1 * T0))")
 
-    def test_json_round_trip(self):
-        s = geometric(2, 1) + RationalSeries.term(L + 1, (0,))
-        back = RationalSeries.from_json(s.to_json())
-        assert series_equal(back, s, 6)
+    @settings(max_examples=200, deadline=None)
+    @given(s=printed_series())
+    def test_printed_text_reads_back(self, s):
+        """Whatever str() prints, parse reads back to the same text; the
+        number of variables is the largest T index the text mentions."""
+        text = str(s)
+        back = RationalSeries.parse(text)
+        assert str(back) == text
+        if "T%d" % s.nvars in text:
+            assert back.nvars == s.nvars
+
+    def test_repeated_variable_adds_exponents(self):
+        twice = RationalSeries.parse("(1) * T1*T1 / ((1 - L^-1 * T1^2))")
+        assert str(twice) == "(1) * T1^2 / ((1 - L^-1 * T1^2))"
+        with pytest.raises(SeriesError):
+            RationalSeries.parse("(1) * T1^2*T1^-1 / ((1 - L^-1 * T1^2))")
+
+    @pytest.mark.parametrize("text", [
+        "(1) * T", "(1) * T1^2 junk", "(1 - L^-x * T1)", "(1) *", "1 * T1",
+        "(1) * T1 / (1 - L^-1 * T1)", "(1) * T1 / ((1 - L^-0 * T1))",
+        "((1) / (0)) * T1", "(1) * T1  +  ", "(1) * T1^-1",
+        "(1) / ((1 - L^-x * T1))",
+    ])
+    def test_malformed_text_is_refused(self, text):
+        with pytest.raises((SeriesError, LaurentError)):
+            RationalSeries.parse(text)
+
+    def test_copy_and_pickle(self):
+        s = RationalSeries.parse(
+            "((L + 1) / (L^2 - 2)) * T1 / ((1 - L^-1 * T2))  +  (L^-1)")
+        for back in (copy.copy(s), copy.deepcopy(s),
+                     pickle.loads(pickle.dumps(s))):
+            assert str(back) == str(s) and back.nvars == 2
 
     def test_empty_expansion_has_motive_zero(self):
         got = RationalSeries.zero(1).expand(3)
