@@ -10,6 +10,11 @@ binomials (1 - L^-j T^d) traded for r2 geometric factors.  castle_zeta and
 castle_local_zeta run it on RationalSeries; castle_zeta_numeric and
 castle_igusa are its specialization at L = q, on truncated Fraction series.
 
+Every relation is a ratio of products prod_{j<=r}(1 - X^j), all built by
+motive._binomials: X = L^-1 in the SL_r classes and the local unit, L in the
+Milnor class, t in the spectrum.  The scalar transfers differ from _transfer
+in ring, sign convention and exact division, so they do not run it.
+
 The symbolic transfers reduce each output value once.  The Milnor transfer
 multiplies numerator and denominator of its counting channel by the
 binomials (1 - L^j) in the Laurent ring and builds one RationalMotive; it does
@@ -32,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arcs import CountPlan, order_indices
-from .motive import LaurentMotive, RationalMotive, sl_class
+from .motive import LaurentMotive, RationalMotive, _binomials, sl_class
 from .series import mi_scale
 from .spectrum import Spectrum, SpectrumError
 
@@ -122,9 +127,7 @@ def _sl_ratio(c):
 
 def _local_unit(c):
     """U = prod_{j<=r2}(1 - L^-j) / prod_{j<=r1}(1 - L^-j)."""
-    return RationalMotive(
-        LaurentMotive({-e: v for e, v in _binomials(0, c.r2).items()}),
-        LaurentMotive({-e: v for e, v in _binomials(0, c.r1).items()}))
+    return RationalMotive(_binomials(0, c.r2, -1), _binomials(0, c.r1, -1))
 
 
 def localize_by_degree(Z, c, side):
@@ -153,8 +156,8 @@ def castle_milnor(S1, c):
     counting, spectrum = S1 if isinstance(S1, tuple) else (S1, None)
     if not isinstance(counting, RationalMotive):
         counting = RationalMotive(counting)
-    counting = RationalMotive(counting.num * LaurentMotive(_binomials(0, c.r2)),
-                              counting.den * LaurentMotive(_binomials(0, c.r1)))
+    counting = RationalMotive(counting.num * _binomials(0, c.r2),
+                              counting.den * _binomials(0, c.r1))
     if spectrum is None:
         return counting
     try:
@@ -176,24 +179,13 @@ def castle_spectrum(h1, c):
     return s2 * (quotient - Spectrum.one())
 
 
-def _binomials(lo, hi):
-    """prod_{lo<j<=hi}(1 - X^j) as a dict exponent -> integer coefficient."""
-    out = {0: 1}
-    for j in range(lo + 1, hi + 1):
-        nxt = dict(out)
-        for e, v in out.items():
-            nxt[e + j] = nxt.get(e + j, 0) - v
-        out = nxt
-    return out
-
-
 def _spectrum_ratio(x, r1, r2):
     """x * prod_{j<=r2}(1 - t^j) / prod_{j<=r1}(1 - t^j) with the shared
     factors j <= min(r1, r2) cancelled: one product, or one exact division
     (SpectrumError if inexact)."""
     if r2 >= r1:
-        return x * Spectrum(_binomials(r1, r2))
-    return x.exact_div(Spectrum(_binomials(r2, r1)))
+        return x * Spectrum._of(1, _binomials(r1, r2))
+    return x.exact_div(Spectrum._of(1, _binomials(r2, r1)))
 
 
 @dataclass(frozen=True)

@@ -73,9 +73,9 @@ def _multi_index(text):
     return tuple(int(x) for x in text.split(","))
 
 
-def _series_input(args):
+def _series_input(args, nvars):
     if getattr(args, "series", None):
-        return RationalSeries.parse(args.series)
+        return RationalSeries.parse(args.series, nvars)
     if getattr(args, "datum", None):
         return zeta_from_resolution(ResolutionDatum.load(args.datum))
     raise ArcError("need --series or --datum")
@@ -156,7 +156,7 @@ def _cmd_hsp(args, t0):
 
 def _cmd_castle_series(args, t0):
     c = CastlingDatum.load(args.castling)
-    Z = _series_input(args)
+    Z = _series_input(args, c.l)
     out = args.transfer(Z, c)
     _emit({"input": str(Z), "output": str(out)}, args, t0)
     return 0

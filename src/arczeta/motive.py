@@ -402,14 +402,20 @@ def _reduce_pair(num, den):
 # ---------------------------------------------------------------------------
 
 
+def _binomials(lo, hi, sign=1):
+    """prod_{lo<j<=hi}(1 - L^(sign*j)): the one product behind the SL_r
+    classes and every castling transfer."""
+    out = LaurentMotive.one()
+    for j in range(lo + 1, hi + 1):
+        out = out * LaurentMotive._of({0: 1, sign * j: -1})
+    return out
+
+
 def sl_class(r):
     """Point-count class of SL_r: L^(r^2-1) * prod_{2<=i<=r} (1 - L^-i)."""
     if r < 1:
         raise LaurentError("r must be >= 1")
-    out = LaurentMotive({r * r - 1: 1})
-    for i in range(2, r + 1):
-        out = out * LaurentMotive({0: 1, -i: -1})
-    return out
+    return _binomials(1, r, -1).shift(r * r - 1)
 
 
 class Permutation:

@@ -113,18 +113,18 @@ def zeta_from_resolution(R):
     lminus1 = LaurentMotive({1: 1, 0: -1})
     for s in R.strata:
         comps = [R.component(cid) for cid in sorted(s.I)]
-        coeff = RationalMotive(lminus1 ** (len(comps) - 1) * s.cls)
-        coeff = coeff * RationalMotive(
-            LaurentMotive({-sum(c.nu for c in comps): 1}))
+        coeff = RationalMotive((lminus1 ** (len(comps) - 1) * s.cls)
+                               .shift(-sum(c.nu for c in comps)))
         shift = (sum(c.N for c in comps),)
         factors = [(c.nu, (c.N,)) for c in comps]
         out = out + RationalSeries.term(coeff, shift, factors)
     return out
 
 
-def milnor_fiber(R, want_spectrum="auto"):
+def milnor_fiber(R):
     """(counting class, spectrum or None) of the virtual Milnor fiber
-    sum over strata of (1-L)^(|I|-1) [cover class].
+    sum over strata of (1-L)^(|I|-1) [cover class]; the spectrum is None
+    when some stratum lacks one.
 
     The counting value is cross-checked against minus the limit at infinity
     of the zeta series before being returned.
@@ -137,9 +137,7 @@ def milnor_fiber(R, want_spectrum="auto"):
         raise ResolutionError(
             "zeta limit disagrees with the stratum sum; inconsistent datum")
     spectrum = None
-    if want_spectrum is True and not R.has_spectra():
-        raise ResolutionError("spectrum requested but some stratum lacks it")
-    if want_spectrum in (True, "auto") and R.has_spectra():
+    if R.has_spectra():
         one_minus_t = Spectrum({0: 1, 1: -1})
         spectrum = Spectrum.zero()
         for s in R.strata:
@@ -147,10 +145,11 @@ def milnor_fiber(R, want_spectrum="auto"):
     return counting, spectrum
 
 
-def hsp_of_f(R, dimX, sign_dimension=None):
-    """Hodge spectrum at the chosen point: (-1)^(d-1) (spectrum of the Milnor
-    fiber minus 1), where the sign dimension d defaults to dimX."""
-    d = dimX if sign_dimension is None else sign_dimension
-    _, spec = milnor_fiber(R, want_spectrum=True)
-    sign = -1 if (d - 1) % 2 else 1
+def hsp_of_f(R, dim):
+    """Hodge spectrum at the chosen point: (-1)^(dim-1) (spectrum of the
+    Milnor fiber minus 1); the ambient dimension dim only fixes the sign."""
+    _, spec = milnor_fiber(R)
+    if spec is None:
+        raise ResolutionError("spectrum requested but some stratum lacks it")
+    sign = -1 if (dim - 1) % 2 else 1
     return sign * (spec - Spectrum.one())

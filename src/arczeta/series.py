@@ -16,10 +16,13 @@ lowest L-exponent are multiplicative (Gauss's lemma), so RationalMotive's
 reduction is one canonical form within a class, and a single-class sum (every
 transfer of the package) prints exactly as the reduced term-by-term sum.
 
+Every exponent of T is >= 0.  A binomial (1 - L^-nu T^N) is taken by its
+closed form: each term gains a copy, its numerator shifted by L^-nu and negated.
+
 The text form is one grammar, read and written here: str() prints terms
 ``(coeff) * T1^a1*T2^a2 / ((1 - L^-nu * T-monomial)...)`` joined by "  +  ",
-and RationalSeries.parse reads back every text str() prints.  A series has as
-many variables as the largest T index in its text.
+and RationalSeries.parse(text, nvars) reads back every text str() prints; a
+T index above the caller's nvars is refused before any term is built.
 """
 
 from __future__ import annotations
@@ -64,8 +67,8 @@ class SeriesFactor:
     def __post_init__(self):
         if self.nu < 1:
             raise SeriesError("factor needs nu >= 1")
-        if all(x == 0 for x in self.N):
-            raise SeriesError("factor needs N != 0")
+        if min(self.N) < 0 or not any(self.N):
+            raise SeriesError("factor needs N >= 0 and N != 0, got %r" % (self.N,))
 
 
 @dataclass(frozen=True)
@@ -91,6 +94,8 @@ class RationalSeries:
             if t.nvars != self.nvars:
                 raise SeriesError("term has %d variables, series has %d"
                                   % (t.nvars, self.nvars))
+            if min(t.shift) < 0:
+                raise SeriesError("term shift %r leaves the series ring" % (t.shift,))
             for f in t.factors:
                 if len(f.N) != self.nvars:
                     raise SeriesError("factor multi-index length mismatch")
@@ -139,25 +144,20 @@ class RationalSeries:
 
     def shifted(self, delta):
         """Multiply by T^delta; delta entries may be negative if every term
-        stays inside the series ring."""
+        stays inside the series ring (the constructor refuses it otherwise)."""
         delta = _index(delta, self.nvars)
-        out = []
-        for t in self.terms:
-            s = tuple(x + d for x, d in zip(t.shift, delta))
-            if any(x < 0 for x in s):
-                raise SeriesError("monomial shift by %r leaves the series ring "
-                                  "on term with shift %r" % (delta, t.shift))
-            out.append(SeriesTerm(t.coeff, s, t.factors))
-        return RationalSeries(self.nvars, out)
+        return RationalSeries(self.nvars, [
+            SeriesTerm(t.coeff, mi_add(t.shift, delta), t.factors) for t in self.terms])
 
     def times_binomial(self, nu, N):
-        """Multiply by the polynomial (1 - L^-nu T^N)."""
+        """Multiply by the polynomial (1 - L^-nu T^N): each term gains a copy
+        at T^(shift + N) with its numerator times -L^-nu."""
         N = _index(N, self.nvars)
-        mono = RationalMotive(LaurentMotive({-nu: -1}))
         out = []
         for t in self.terms:
             out.append(t)
-            out.append(SeriesTerm(t.coeff * mono, mi_add(t.shift, N), t.factors))
+            out.append(SeriesTerm(RationalMotive(-t.coeff.num.shift(-nu), t.coeff.den),
+                                  mi_add(t.shift, N), t.factors))
         return RationalSeries(self.nvars, out)
 
     def over_binomial(self, nu, N):
@@ -220,45 +220,22 @@ class RationalSeries:
     def limit_at_infinity(self):
         """Constant term of the T^-1 expansion (the genuine T -> infinity limit).
 
-        Every term must satisfy shift <= sum of factor exponents componentwise.
-        In several variables the reduction T_i -> S^alpha_i is applied for two
-        distinct positive alpha and the results compared.
-        """
+        Every term needs shift <= tot, the sum of its factor exponents; so
+        along T_i = S^a_i (all a_i > 0) a term tends to 0 unless shift = tot,
+        in every direction alike, and then to coeff * (-1)^k L^(sum of nu)."""
+        out = RationalMotive.zero()
         for t in self.terms:
-            tot = tuple(0 for _ in range(self.nvars))
+            tot = (0,) * self.nvars
             for f in t.factors:
                 tot = mi_add(tot, f.N)
             if any(a > b for a, b in zip(t.shift, tot)):
                 raise SeriesError(
                     "limit undefined: term with shift %r exceeds factor total %r"
                     % (t.shift, tot))
-        if self.nvars == 1:
-            return self._limit_1d()
-        alphas = [tuple(1 for _ in range(self.nvars)),
-                  tuple(range(1, self.nvars + 1))]
-        vals = [self._substitute_alpha(a)._limit_1d() for a in alphas]
-        if vals[0] != vals[1]:
-            raise SeriesError("limit depends on the substitution direction")
-        return vals[0]
-
-    def _substitute_alpha(self, alpha):
-        out = []
-        for t in self.terms:
-            shift = (sum(a * x for a, x in zip(alpha, t.shift)),)
-            fs = tuple(SeriesFactor(f.nu, (sum(a * x for a, x in zip(alpha, f.N)),))
-                       for f in t.factors)
-            out.append(SeriesTerm(t.coeff, shift, fs))
-        return RationalSeries(1, out)
-
-    def _limit_1d(self):
-        out = RationalMotive.zero()
-        for t in self.terms:
-            tot = sum(f.N[0] for f in t.factors)
-            if t.shift[0] < tot:
-                continue
-            sign = -1 if len(t.factors) % 2 else 1
-            lsum = sum(f.nu for f in t.factors)
-            out = out + t.coeff * RationalMotive(LaurentMotive({lsum: sign}))
+            if t.shift == tot:
+                lim = t.coeff.num.shift(sum(f.nu for f in t.factors))
+                out = out + RationalMotive(-lim if len(t.factors) % 2 else lim,
+                                           t.coeff.den)
         return out
 
     # -- text form ---------------------------------------------------------
@@ -269,13 +246,16 @@ class RationalSeries:
         return "  +  ".join(_term_str(t) for t in self.terms)
 
     @classmethod
-    def parse(cls, text):
+    def parse(cls, text, nvars):
         """Read the text form that __str__ prints (see _TERM): terms joined by
-        "  +  ", in as many variables as the largest T index in the text."""
+        "  +  ", in T_1..T_nvars; a larger T index is refused before any term
+        is built."""
         text = text.strip()
+        top = max(map(int, re.findall(r"T(\d+)", text)), default=0)
+        if top > nvars:
+            raise SeriesError("T%d in a series of %d variables" % (top, nvars))
         if text == "0":
-            return cls(1)
-        nvars = max(map(int, re.findall(r"T(\d+)", text)), default=1)
+            return cls(nvars)
         terms = []
         for chunk in text.split("  +  "):
             m = _TERM.fullmatch(chunk)
@@ -440,18 +420,22 @@ class TruncatedSeries:
         return TruncatedSeries(self.nvars, self.order, out, self.zero)
 
     def over_binomial(self, c, d):
-        """Multiply by the geometric expansion of (1 - c*T^d)^-1."""
+        """Multiply by the geometric expansion of (1 - c*T^d)^-1: the
+        coefficient v at n adds v c^k at n + k d while |n + k d| <= order."""
         d = _index(d, self.nvars)
-        if all(x == 0 for x in d):
-            raise SeriesError("geometric factor needs T-degree > 0")
-        geom = {}
-        power = _one_like(c)
-        k = 0
-        while k * mi_total(d) <= self.order:
-            geom[mi_scale(k, d)] = power
-            power = power * c
-            k += 1
-        return self * TruncatedSeries(self.nvars, self.order, geom, self.zero)
+        if min(d) < 0 or not any(d):
+            raise SeriesError("geometric factor needs d >= 0 and T-degree > 0")
+        step = mi_total(d)
+        out = {}
+        for n, v in self.coeffs.items():
+            total = mi_total(n)
+            while True:
+                out[n] = out[n] + v if n in out else v
+                total += step
+                if total > self.order:
+                    break
+                n, v = mi_add(n, d), v * c
+        return TruncatedSeries(self.nvars, self.order, out, self.zero)
 
     def specialize(self, q):
         out = {}
@@ -486,12 +470,6 @@ def _zero_like(c):
     if isinstance(c, (Fraction, int)):
         return Fraction(0)
     return c * 0
-
-
-def _one_like(c):
-    if isinstance(c, RationalMotive):
-        return RationalMotive.one()
-    return Fraction(1)
 
 
 def series_equal(a, b, order):

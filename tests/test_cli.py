@@ -181,6 +181,20 @@ class TestCastlingCommands:
         assert code == 2
         assert err.startswith("error: ")
 
+    def test_series_takes_the_datum_variable_count(self, capsys):
+        """A --series text has the datum's l variables, also when it never
+        mentions T_l; a larger T index is an input error."""
+        code, out, _ = run(capsys, "castle-zeta", "--castling", TORUS_M3,
+                           "--series", "(1) * T1 / ((1 - L^-1 * T1))",
+                           "--deterministic")
+        assert code == 0
+        assert json.loads(out)["input"] == "(1) * T1 / ((1 - L^-1 * T1))"
+        code, _, err = run(capsys, "castle-zeta", "--castling", TORUS_M3,
+                           "--series", "(1) * T4 / ((1 - L^-1 * T1))",
+                           "--deterministic")
+        assert code == 2
+        assert "T4 in a series of 3 variables" in err
+
     def test_repeated_series_variable_adds_exponents(self, capsys, castling_file):
         outs = [run(capsys, "castle-zeta", "--castling", castling_file,
                     "--series", text, "--deterministic")

@@ -34,6 +34,9 @@ PARTNER = "(x1*x4 - x2*x3)^2 + (x1*x6 - x2*x5)^2 + (x3*x6 - x4*x5)^2"
 # text must print the bytes of --datum.
 QUADRIC_SERIES = ("(L^-1 + L^-2) * T1^2 / ((1 - L^-3 * T1^2))  +  "
                   "(L^-2 - L^-4) * T1^3 / ((1 - L^-3 * T1^2)(1 - L^-1 * T1))")
+# The (3, 1, 2) transfer of t^(3/2): castle-spectrum under (3, 2, 1) takes it
+# back to t^(3/2), while t^(3/2) itself is no (3, 2, 1) input.
+PARTNER_SPECTRUM = "-t^(3/2) + t^2 + t^(7/2)"
 # (p, order, with the partner) of the castle-igusa cases.
 IGUSA = ((2, 3, True), (3, 2, True), (2, 4, True), (5, 4, False))
 
@@ -62,6 +65,9 @@ def cases(tmp):
         out["zeta-resolution %s --expand 4 --q 5" % name] = [
             "zeta-resolution", "--datum", datum, "--expand", "4", "--q", "5"]
         out["milnor %s" % name] = ["milnor", "--datum", datum]
+        for dim in (2, 3):
+            out["hsp %s --dim %d" % (name, dim)] = [
+                "hsp", "--datum", datum, "--dim", str(dim)]
     for m, r1, r2 in CASTLINGS:
         path = castling_path(tmp, m, r1, r2)
         tag = "{m:%d,r1:%d,r2:%d,d:[2]}" % (m, r1, r2)
@@ -76,6 +82,11 @@ def cases(tmp):
         out["castle-milnor 'L + 1' '1 + t' %s" % tag] = [
             "castle-milnor", "--castling", str(path), "--value", "L + 1",
             "--spectrum", "1 + t"]
+        out["castle-spectrum 't^(3/2)' %s" % tag] = [
+            "castle-spectrum", "--castling", str(path), "--spectrum", "t^(3/2)"]
+    out["castle-spectrum '%s' {m:3,r1:2,r2:1,d:[2]}" % PARTNER_SPECTRUM] = [
+        "castle-spectrum", "--castling", str(castling_path(tmp, 3, 2, 1)),
+        "--spectrum", PARTNER_SPECTRUM]
     path = castling_path(tmp, 3, 1, 2)
     for p, order, partner in IGUSA:
         case = "castle-igusa %r --p %d --order %d%s {m:3,r1:1,r2:2,d:[2]}" % (

@@ -12,7 +12,7 @@ from arczeta import (LaurentError, LaurentMotive, Permutation, PolySystem,
                      RationalMotive, Spectrum, fibration_factor, parse_laurent,
                      parse_poly, parse_system, partition_weight_sum, sl_class,
                      z_w_class)
-from arczeta.motive import _shift_between, compositions
+from arczeta.motive import _binomials, _shift_between, compositions
 
 L = LaurentMotive.L()
 ONE = LaurentMotive.one()
@@ -175,6 +175,25 @@ class TestNamedClasses:
             assert sl_class(3).specialize(q) == (q ** 8
                                                  * (1 - Fraction(1, q ** 2))
                                                  * (1 - Fraction(1, q ** 3)))
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_binomials_are_the_explicit_product(self, sign):
+        for lo in range(4):
+            for hi in range(lo, 7):
+                want = ONE
+                for j in range(lo + 1, hi + 1):
+                    want = want * LaurentMotive({0: 1, sign * j: -1})
+                assert _binomials(lo, hi, sign) == want
+
+    def test_sl_class_unchanged(self):
+        """sl_class as one shifted binomial product equals the former loop
+        of r - 1 Laurent products."""
+        for r in range(1, 7):
+            want = LaurentMotive({r * r - 1: 1})
+            for i in range(2, r + 1):
+                want = want * LaurentMotive({0: 1, -i: -1})
+            assert sl_class(r) == want
+            assert str(sl_class(r)) == str(want)
 
     def test_permutation_validation(self):
         with pytest.raises(LaurentError):

@@ -91,9 +91,9 @@ class TestMilnorValues:
         assert hsp_of_f(R, 3) == t(Fraction(3, 2))
 
     def test_spectrum_requested_but_missing(self):
-        with pytest.raises(ResolutionError):
-            milnor_fiber(resolution_fixture("xy-global"), want_spectrum=True)
+        with pytest.raises(ResolutionError, match="some stratum lacks it"):
+            hsp_of_f(resolution_fixture("xy-global"), 2)
 
     def test_sign_dimension_override(self):
         R = resolution_fixture("x2")
-        assert hsp_of_f(R, 1, sign_dimension=2) == -t(half)
+        assert hsp_of_f(R, 2) == -t(half)

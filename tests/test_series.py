@@ -3,6 +3,7 @@
 import copy
 import pickle
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -50,6 +51,39 @@ small_series = st.lists(small_terms, max_size=3).map(
     lambda ts: RationalSeries(1, ()) + sum(
         (RationalSeries.term(LaurentMotive({e: c}), (s,), [(nu, (N,))])
          for e, c, s, nu, N in ts), RationalSeries.zero(1)))
+
+
+def _limit_along(s, alpha):
+    """The limit of s along T_i = S^alpha_i, by substituting into one
+    variable and keeping the balanced terms: an independent oracle for
+    RationalSeries.limit_at_infinity."""
+    out = RationalMotive.zero()
+    for t in s.terms:
+        shift = sum(a * x for a, x in zip(alpha, t.shift))
+        tot = sum(sum(a * x for a, x in zip(alpha, f.N)) for f in t.factors)
+        assert shift <= tot
+        if shift == tot:
+            sign = -1 if len(t.factors) % 2 else 1
+            lsum = sum(f.nu for f in t.factors)
+            out = out + t.coeff * RationalMotive(LaurentMotive({lsum: sign}))
+    return out
+
+
+@st.composite
+def bounded_series(draw):
+    """Series in 1-3 variables whose every term has shift <= the sum of its
+    factor exponents, some of them balanced (shift equal to the sum)."""
+    nvars = draw(st.integers(1, 3))
+    exps = st.lists(st.integers(0, 2), min_size=nvars, max_size=nvars).map(tuple)
+    out = RationalSeries.zero(nvars)
+    for _ in range(draw(st.integers(1, 4))):
+        factors = draw(st.lists(st.tuples(st.integers(1, 4), exps.filter(any)),
+                                max_size=3))
+        tot = [sum(N[i] for _nu, N in factors) for i in range(nvars)]
+        shift = tuple(x if draw(st.booleans()) else draw(st.integers(0, x))
+                      for x in tot)
+        out = out + RationalSeries.term(draw(coefficients), shift, factors)
+    return out
 
 
 class TestRationalSeries:
@@ -104,34 +138,88 @@ class TestRationalSeries:
                                 [(1, (1, 0)), (2, (0, 1))])
         assert s.limit_at_infinity() == RationalMotive(LaurentMotive({3: 1}))
 
+    @settings(max_examples=150, deadline=None)
+    @given(s=bounded_series())
+    def test_limit_is_the_limit_along_every_direction(self, s):
+        """The one-rule limit equals the one-variable limit along several
+        positive directions T_i = S^alpha_i."""
+        got = s.limit_at_infinity()
+        for alpha in [(1, 1, 1), (1, 2, 3), (3, 1, 2), (5, 2, 7)]:
+            assert got == _limit_along(s, alpha[:s.nvars])
+
+    @settings(max_examples=60, deadline=None)
+    @given(s=bounded_series(), extra=st.integers(1, 2), data=st.data())
+    def test_limit_refuses_a_shift_above_the_factor_total(self, s, extra, data):
+        if not s.terms:
+            return
+        t = s.terms[0]
+        i = data.draw(st.integers(0, s.nvars - 1))
+        tot = [sum(f.N[k] for f in t.factors) for k in range(s.nvars)]
+        shift = tuple(tot[k] + extra if k == i else t.shift[k]
+                      for k in range(s.nvars))
+        bad = s + RationalSeries.term(t.coeff, shift,
+                                      [(f.nu, f.N) for f in t.factors])
+        with pytest.raises(SeriesError, match="exceeds factor total"):
+            bad.limit_at_infinity()
+
+    def test_negative_factor_exponent_refused(self):
+        """A factor with a negative T-exponent is refused: its expansion
+        would never end (the step |N| can be <= 0)."""
+        with pytest.raises(SeriesError, match="N >= 0"):
+            RationalSeries.term(1, (0,), [(1, (-1,))])
+        with pytest.raises(SeriesError, match="N >= 0"):
+            RationalSeries.term(1, (1, 0), [(1, (1, -1)), (1, (0, 2))])
+
+    def test_negative_shift_refused(self):
+        with pytest.raises(SeriesError, match="leaves the series ring"):
+            RationalSeries.term(1, (-1,), [(1, (2,))])
+        with pytest.raises(SeriesError, match="leaves the series ring"):
+            RationalSeries.term(1, (2, -1))
+
     def test_text_round_trip(self):
         s = (geometric() + RationalSeries.term(L - 1, (2,), [(1, (1,)), (3, (2,))])
              * RationalMotive(L, L - 1))
-        back = RationalSeries.parse(str(s))
+        back = RationalSeries.parse(str(s), 1)
         assert series_equal(back, s, 8)
 
     def test_variable_index_below_one_rejected(self):
         with pytest.raises(SeriesError, match="below 1"):
-            RationalSeries.parse("(1) * T0*T1 / ((1 - L^-1 * T1^2))")
+            RationalSeries.parse("(1) * T0*T1 / ((1 - L^-1 * T1^2))", 1)
         with pytest.raises(SeriesError, match="below 1"):
-            RationalSeries.parse("(1) * T1 / ((1 - L^-1 * T0))")
+            RationalSeries.parse("(1) * T1 / ((1 - L^-1 * T0))", 1)
 
     @settings(max_examples=200, deadline=None)
     @given(s=printed_series())
     def test_printed_text_reads_back(self, s):
-        """Whatever str() prints, parse reads back to the same text; the
-        number of variables is the largest T index the text mentions."""
+        """Whatever str() prints, parse reads back to the same text in the
+        same number of variables."""
         text = str(s)
-        back = RationalSeries.parse(text)
+        back = RationalSeries.parse(text, s.nvars)
         assert str(back) == text
-        if "T%d" % s.nvars in text:
-            assert back.nvars == s.nvars
+        assert back.nvars == s.nvars
+
+    def test_index_above_the_variable_count_refused(self):
+        with pytest.raises(SeriesError, match="T2 in a series of 1 variables"):
+            RationalSeries.parse("(1) * T2 / ((1 - L^-1 * T1))", 1)
+        assert RationalSeries.parse("(1) * T1", 3).nvars == 3
+        assert RationalSeries.parse("0", 2).nvars == 2
+
+    def test_large_index_refused_before_allocating(self):
+        text = "(1) * T1000000000 / ((1 - L^-1 * T1000000000))"
+        tracemalloc.start()
+        try:
+            with pytest.raises(SeriesError, match="T1000000000"):
+                RationalSeries.parse(text, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
     def test_repeated_variable_adds_exponents(self):
-        twice = RationalSeries.parse("(1) * T1*T1 / ((1 - L^-1 * T1^2))")
+        twice = RationalSeries.parse("(1) * T1*T1 / ((1 - L^-1 * T1^2))", 1)
         assert str(twice) == "(1) * T1^2 / ((1 - L^-1 * T1^2))"
         with pytest.raises(SeriesError):
-            RationalSeries.parse("(1) * T1^2*T1^-1 / ((1 - L^-1 * T1^2))")
+            RationalSeries.parse("(1) * T1^2*T1^-1 / ((1 - L^-1 * T1^2))", 1)
 
     @pytest.mark.parametrize("text", [
         "(1) * T", "(1) * T1^2 junk", "(1 - L^-x * T1)", "(1) *", "1 * T1",
@@ -141,11 +229,11 @@ class TestRationalSeries:
     ])
     def test_malformed_text_is_refused(self, text):
         with pytest.raises((SeriesError, LaurentError)):
-            RationalSeries.parse(text)
+            RationalSeries.parse(text, 1)
 
     def test_copy_and_pickle(self):
         s = RationalSeries.parse(
-            "((L + 1) / (L^2 - 2)) * T1 / ((1 - L^-1 * T2))  +  (L^-1)")
+            "((L + 1) / (L^2 - 2)) * T1 / ((1 - L^-1 * T2))  +  (L^-1)", 2)
         for back in (copy.copy(s), copy.deepcopy(s),
                      pickle.loads(pickle.dumps(s))):
             assert str(back) == str(s) and back.nvars == 2
@@ -207,6 +295,45 @@ class TestTruncatedSeries:
             s.times_binomial(Fraction(1, 3), (2, 5))
         with pytest.raises(SeriesError):
             s.over_binomial(Fraction(1, 3), (2, 5))
+
+    def test_geometric_factor_is_the_product_with_its_expansion(self):
+        """Seeded: over_binomial equals the product with the explicit
+        geometric series sum_k c^k T^(k d), to the printed bytes."""
+        rng = random.Random(15)
+        motives = [rm(-1), rm(-2, 3), RationalMotive(L - 1, L + 1),
+                   RationalMotive(2, L ** 2 - 3)]
+        for _case in range(80):
+            nvars, order = rng.randint(1, 2), rng.randint(0, 7)
+            if rng.random() < 0.5:
+                ring = [Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                        for _ in range(4)]
+                zero, power = Fraction(0), Fraction(1)
+            else:
+                ring, zero, power = motives, RationalMotive.zero(), RationalMotive.one()
+            d = [rng.randint(0, 2) for _ in range(nvars)]
+            d[rng.randrange(nvars)] = rng.randint(1, 2)  # entries may be 0
+            d, c = tuple(d), rng.choice(ring)
+            coeffs = {}
+            for _ in range(rng.randint(0, 5)):
+                n = tuple(rng.randint(0, 3) for _ in range(nvars))
+                if sum(n) <= order:
+                    coeffs[n] = rng.choice(ring)
+            s = TruncatedSeries(nvars, order, coeffs, zero)
+            geom = {}
+            for k in range(order // sum(d) + 1):
+                geom[tuple(k * x for x in d)] = power
+                power = power * c
+            want = s * TruncatedSeries(nvars, order, geom, zero)
+            got = s.over_binomial(c, d)
+            assert got == want
+            assert ({n: str(v) for n, v in got.coeffs.items()}
+                    == {n: str(v) for n, v in want.coeffs.items()})
+
+    def test_geometric_factor_needs_nonnegative_degree(self):
+        s = TruncatedSeries(2, 3, {(0, 0): Fraction(1)})
+        for d in [(0, 0), (1, -1), (-1, 2)]:
+            with pytest.raises(SeriesError, match="geometric factor"):
+                s.over_binomial(Fraction(1, 2), d)
 
     def test_coefficient_guard(self):
         s = TruncatedSeries(1, 2, {(1,): Fraction(5)})
