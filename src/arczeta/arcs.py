@@ -7,8 +7,9 @@ arcs with ord_t f_i = n_i, with leading coefficients 1 and with any nonzero
 leading coefficients.  Prefixes that start at a smooth point of the open
 f_i are settled in closed form (Hensel), prefixes that cannot reach any
 requested index are dropped, and only the rest are enumerated; see
-CountPlan for the rules; smoothness is decided per start from gradient bits,
-with ranks only for the open sets a live start can carry.
+CountPlan for the rules.  Smoothness is decided per start from gradient bits,
+with one rank elimination per open-set size for the open sets a live start
+can carry; level tables are built only if a prefix survives level 1.
 
 A plan is compiled once into integer data.  Its symbolic jets are taken mod q
 (x(t)^q = sum a_k^q t^(qk) there, so they read few levels) and written in
@@ -22,7 +23,8 @@ evaluates a table at a block of rows with one gather and one multiply per slot;
 it reduces mod `mod` only when its running bound on the products, (mod-1)^s
 after s slots and at most T max|coef| times that in the final sum, could pass
 2^62.  Each row carries the code of its orders; liveness and the open set are
-gathers from two tables indexed by code, built once per plan.
+gathers from two tables indexed by code, and the targets a code can end at
+come from one pass over the targets' paths of codes (CountPlan._paths).
 
 Also here: p-adic solution counting by stationary-phase lifting (Hensel at
 smooth zeros), which realizes the local zeta series of a polynomial at a prime.
@@ -78,9 +80,9 @@ def _check_grid(q, r):
                        "limit of %d" % (q, r, r, q ** r * r, _MAX_GRID_CELLS))
 
 
-def _residue_grid(q, r):
+def _residue_grid(q, r, dtype=int):
     """The rows [0, q)^r in itertools.product order, as a transposed view."""
-    return np.indices((q,) * r).reshape(r, q ** r).T
+    return np.indices((q,) * r, dtype=dtype).reshape(r, q ** r).T
 
 
 class PolySystem:
@@ -399,7 +401,9 @@ class CountPlan:
     J_U(a_0) = 0, never reads a_k, so its t^k coefficients are evaluated
     before level k is enumerated; any other prefix gets a_k enumerated.
     Both tests come from per-start gradient bits, and ranks for |U| >= 2
-    only where a live start can carry U (_start_bits).
+    only where a live start can carry U, one elimination per size |U|
+    (_start_bits); the level tables (_levels) are built only if a prefix
+    survives level 1.
     Prefixes that can no longer reach a target are dropped.  Counts come in
     pairs: every leading coefficient 1, and any nonzero leading coefficients.
 
@@ -434,7 +438,7 @@ class CountPlan:
         if budget is not None and (est := self.estimate()) > budget:
             raise BudgetExceeded(est, budget)
         self._base = (self.depth + 2) ** np.arange(sys.l)
-        self._ends, self._fits, self._dist = {}, {}, None
+        self._dist = None
 
     def _tables(self):
         """Per code: reach, the deepest level at which a prefix with the code
@@ -494,20 +498,27 @@ class CountPlan:
     # -- the sweep --------------------------------------------------------
 
     def _prepare(self):
-        q, r, polys = self.q, self.r, self.sys.polys
+        """The starts, the level digits and the level-0 values."""
+        q, r = self.q, self.r
         _check_grid(q, r)
-        self.grid = _residue_grid(q, r)
-        start = np.zeros((1, r), dtype=np.int64) if self.origin else self.grid
+        self.dtype = np.int8 if q <= 127 else np.int64
+        self.digits = _residue_grid(q, r, self.dtype)
+        start = np.zeros((1, r), dtype=self.dtype) if self.origin else self.digits
         if self.constraint.kind == "full_rank":
             m, r_mat = self.constraint.m, self.constraint.r_mat
             start = start[_full_row_rank(
                 start.reshape(-1, m, r_mat).transpose(0, 2, 1), q)]
         self.start = start
-        jets = [arc_value_coefficients(f, self.depth, self.origin, q) for f in polys]
-        # per level k >= 1: the t^k coefficients (c); the levels 0..need[k]-1
-        # they read besides a_k; without their a_k terms (g, all a flat prefix
-        # needs); and, per f_i, split at the top level h of those into c0 and
-        # the w_j (None where not affine in it).  Tables compile on first use.
+        return _eval_poly_mod(_SlotTable([arc_value_coefficients(f, 0, self.origin, q)[0]
+                                          for f in self.sys.polys]), start, q)
+
+    def _levels(self):
+        """Per level k >= 1: the t^k coefficients (c); the levels 0..need[k]-1
+        they read besides a_k; without their a_k terms (g, all a flat prefix
+        needs); and, per f_i, split at the top level h of those into c0 and
+        the w_j (None where not affine in it).  Tables compile on first use."""
+        q, r = self.q, self.r
+        jets = [arc_value_coefficients(f, self.depth, self.origin, q) for f in self.sys.polys]
         self.c, self.need, self.g, self.split = [None], [None], [None], [None]
         for k in range(1, self.depth + 1):
             self.c.append(_SlotTable([jet[k] for jet in jets]))
@@ -517,23 +528,23 @@ class CountPlan:
             parts = [_level_split(jet[k], max(self.need[k] - 1, 1), r) for jet in jets]
             self.split.append([p and (_SlotTable(p[:1]), _SlotTable(p[1:]))
                                for p in parts])
-        self.dtype = np.int8 if q <= 127 else np.int64
-        self.digits = self.grid.astype(self.dtype)
-        return _eval_poly_mod(_SlotTable([jet[0] for jet in jets]), start, q)
 
     def _sweep(self, threads):
         rec = Counter()
         if not self.targets:
             return rec
         self._tables()
+        self._paths()
         v0 = self._prepare()
         code, one = self._settle(np.zeros(len(v0), dtype=np.int64),
                                  np.ones(len(v0), dtype=bool), v0, 0)
         live = self.reach[code] >= 1
         self._start_bits(code, live)
         keep = self._classify(code, one, np.arange(len(v0)), 1, 1, rec, live)
-        chunks = [(self.start[keep].astype(self.dtype), np.flatnonzero(keep),
-                   code[keep], one[keep])]
+        if not keep.any():
+            return rec
+        self._levels()  # before any shard starts: threads only read the plan
+        chunks = [(self.start[keep], np.flatnonzero(keep), code[keep], one[keep])]
         k0, threads = 1, max(threads, 1)  # shard once there is a row per thread
         while 0 < sum(len(c[1]) for c in chunks) < threads and k0 <= self.depth:
             chunks = list(self._step(_batches(chunks), k0, rec))
@@ -554,31 +565,57 @@ class CountPlan:
                 rec.update(part)
         return rec
 
+    def _paths(self):
+        """One pass over the targets.  A prefix of length k with code c can end
+        at the target n exactly when c has digit n_i + 1 for n_i < k and 0 for
+        n_i >= k: n's path passes one code per k in {0} u {n_i + 1}, the open
+        set U losing the f_i in increasing n_i.  through[c] lists (n, least n_i
+        over U or depth+1 for U empty, sum of n_i over U, |U|) per target whose
+        path passes c; ranked[U] the level-0 codes on the paths that pass an
+        open set U of two or more f_i at a level k >= 1."""
+        l = self.sys.l
+        digits = list(zip(self._base.tolist(), [1 << i for i in range(l)]))
+        self.through, self.ranked = {}, {}
+        for n in self.targets:
+            code, u, total, size, first, last = 0, (1 << l) - 1, sum(n), l, 0, None
+            for low, (b, bit) in sorted(zip(n, digits)) + [(self.depth + 1, (0, 0))]:
+                if low != last:
+                    self.through.setdefault(code, []).append((n, low, total, size))
+                    if low and size >= 2:
+                        self.ranked.setdefault(u, set()).add(first)
+                    last = low
+                code, u, total, size = code + (low + 1) * b, u ^ bit, total - low, size - 1
+                if not low:
+                    first = code
+
     def _start_bits(self, codes, live):
-        """Bit i of nz[a_0] says grad f_i(a_0) != 0 mod q; full[U][a_0] is
-        the rank test of J_U(a_0) for each open set U = {i : n_i >= k} of
-        two or more f_i on the way to a target n of the start's level-0 code,
-        proper subsets of U(a_0) only where J_U(a_0) is rank deficient.  The
+        """Bit i of nz[a_0] says grad f_i(a_0) != 0 mod q; full[U][a_0] says
+        J_U(a_0) has rank |U| mod q, for each open set U of two or more f_i
+        on the way to a target from the start's level-0 code (ranked).  The
         Jacobian is evaluated at live starts with U(a_0) nonempty only,
-        _CHUNK cells at a time."""
+        _CHUNK cells at a time, and the J_U of one size |U| go through one
+        elimination."""
         q, r, l = self.q, self.r, self.sys.l
         jac = _SlotTable([_partial(f, j) for f in map(_monomials, self.sys.polys)
                           for j in range(r)])
-        self.nz, self.full = np.zeros(len(codes), dtype=np.int64), {}
+        us, sizes = list(self.ranked), {}  # |U| -> [(index of U, the f_i in U)]
+        needs = np.zeros((len(us), len(self.reach)), dtype=bool)
+        for i, u in enumerate(us):
+            needs[i, list(self.ranked[u])] = True
+            sizes.setdefault(u.bit_count(), []).append((i, [j for j in range(l)
+                                                            if u >> j & 1]))
+        self.nz, full = np.zeros(len(codes), np.int64), np.zeros((len(us), len(codes)), bool)
+        self.full = dict(zip(us, full))  # rows of one array
         cand = np.flatnonzero(live & (codes != self._base.sum()))
         per = max(1, _CHUNK // (l * r))
         for a0 in (cand[lo:lo + per] for lo in range(0, len(cand), per)):
             J = _eval_poly_mod(jac, self.start[a0], q).reshape(len(a0), l, r)
             self.nz[a0] = _bits(J.any(axis=2))
-            for code in np.flatnonzero(np.bincount(codes[a0])):
-                at = np.flatnonzero(codes[a0] == code)
-                sets = {sum(1 << i for i, ni in enumerate(n) if ni >= k)
-                        for n, _, _ in self._fitting(int(code), 1) for k in n if k}
-                for i, u in enumerate(sorted((u for u in sets if u & (u - 1)),
-                                             key=int.bit_count, reverse=True)):
-                    ok = _full_row_rank(J[at][:, [j for j in range(l) if u >> j & 1]], q)
-                    self.full.setdefault(u, np.zeros(len(codes), dtype=bool))[a0[at]] = ok
-                    at = at if i else at[~ok]  # U(a_0), the largest, comes first
+            hit = needs[:, codes[a0]]
+            for group in sizes.values():
+                ids, fs = map(np.array, zip(*group))
+                which, at = np.nonzero(hit[ids])
+                full[ids[which], a0[at]] = _full_row_rank(J[at[:, None], fs[which]], q)
 
     def _expand(self, rows, width):
         """The rows with the levels below `width` enumerated, in chunks of
@@ -663,42 +700,20 @@ class CountPlan:
         _record(rec, level, code[done], one[done], weight, weight)
         return live & ~done
 
-    def _fitting(self, code, level):
-        """The targets n a prefix of length `level` with this code can end
-        at (n_i = ord f_i where known, n_i >= level on the open set U), each
-        with the exponent of q and |U| in its closed form (see _assemble)."""
-        key = (code, level)
-        if key not in self._fits:
-            b, r = self.depth + 2, self.r
-            ords = [code // b ** i % b - 1 for i in range(self.sys.l)]
-            U = [i for i, o in enumerate(ords) if o < 0]
-            if code not in self._ends:
-                # the targets with these known orders, with their least n_i
-                # over U (past every level for U empty), largest first
-                self._ends[code] = sorted(
-                    ((min([n[i] for i in U], default=self.depth + 1), n)
-                     for n in self.targets
-                     if all(ni == o for ni, o in zip(n, ords) if o >= 0)),
-                    reverse=True)
-            ends = self._ends[code]
-            self._fits[key] = [
-                (n, r * (sum(n) - max(n) + max(max(n) - level + 1, 0))
-                 - sum(n[i] - level + 1 for i in U), len(U))
-                for low, n in itertools.takewhile(lambda e: e[0] >= level, ends)]
-        return self._fits[key]
-
     def _assemble(self, rec):
         """Closed form per record: a prefix of length k with open set U has
         prod_{j=k..m} q^(r-|U_j|) (q-1)^(s_j) completions with ord f_i = n_i
         (i in U), m = max n, U_j = {n_i >= j}, s_j = #{n_i = j}; 1 for q-1
         when every leading coefficient must be 1.  Levels past m are free:
         q^(r(|n|-m)).  As every n_i (i in U) lies in [k, m], the product is
-        q^(r(m-k+1) - sum_U (n_i-k+1)) (q-1)^|U|."""
-        q = self.q
+        q^(r(m-k+1) - sum_U (n_i-k+1)) (q-1)^|U|, for the n of through[code]."""
+        q, r = self.q, self.r
         dist = {n: [0, 0] for n in self.targets}
         for (k, code, side), mult in rec.items():
-            for n, e, u in self._fitting(code, k):
-                dist[n][side] += mult * q ** e * (q - 1) ** (u * side)
+            for n, low, total, u in self.through.get(code, ()):
+                if low >= k:
+                    e = r * (sum(n) - max(n) + max(max(n) - k + 1, 0)) - total + u * (k - 1)
+                    dist[n][side] += mult * q ** e * (q - 1) ** (u * side)
         return {n: tuple(v) for n, v in dist.items()}
 
 

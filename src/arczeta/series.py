@@ -251,9 +251,11 @@ class RationalSeries:
         "  +  ", in T_1..T_nvars; a larger T index is refused before any term
         is built."""
         text = text.strip()
-        top = max(map(int, re.findall(r"T(\d+)", text)), default=0)
-        if top > nvars:
-            raise SeriesError("T%d in a series of %d variables" % (top, nvars))
+        for var in re.findall(r"T(\d+)", text):
+            var = var.lstrip("0")
+            if len(var) > len(str(nvars)) or var and int(var) > nvars:
+                raise SeriesError("T%s in a series of %d variables"
+                                  % (var if len(var) <= 20 else var[:20] + "...", nvars))
         if text == "0":
             return cls(nvars)
         terms = []
@@ -265,7 +267,7 @@ class RationalSeries:
             coeff = (RationalMotive(parse_laurent(laurent)) if den is None else
                      RationalMotive(parse_laurent(num), parse_laurent(den)))
             terms.append(SeriesTerm(coeff, _parse_monomial(shift, nvars), tuple(
-                SeriesFactor(int(nu), _parse_monomial(mono, nvars))
+                SeriesFactor(_int(nu), _parse_monomial(mono, nvars))
                 for nu, mono in re.findall(_FACTOR, factors or ""))))
         return cls(nvars, terms)
 
@@ -337,8 +339,20 @@ def _parse_monomial(text, nvars):
     for var, exp in re.findall(r"T(\d+)(?:\^(\d+))?", text or ""):
         if int(var) < 1:
             raise SeriesError("T-variable index below 1 in %r" % text)
-        exps[int(var) - 1] += int(exp or 1)
+        exps[int(var) - 1] += _int(exp or "1")
     return tuple(exps)
+
+
+# Python refuses str-to-int conversions beyond 4300 digits by default; the
+# reader refuses a longer exponent first, with its own message.
+_MAX_DIGITS = 4300
+
+
+def _int(digits):
+    """The value of an exponent's digits, SeriesError beyond _MAX_DIGITS."""
+    if len(digits) > _MAX_DIGITS:
+        raise SeriesError("exponent of %d digits (at most %d)" % (len(digits), _MAX_DIGITS))
+    return int(digits)
 
 
 class TruncatedSeries:
@@ -356,11 +370,13 @@ class TruncatedSeries:
         self.coeffs = {}
         if coeffs:
             for n, c in coeffs.items():
-                n = tuple(int(x) for x in n)
+                n = tuple(map(int, n))
                 if len(n) != self.nvars:
                     raise SeriesError("multi-index length mismatch")
                 if mi_total(n) > self.order:
                     raise SeriesError("index %r beyond order %d" % (n, self.order))
+                if min(n, default=0) < 0:
+                    raise SeriesError("negative index %r" % (n,))
                 if c:
                     self.coeffs[n] = c
         if zero is None:
@@ -368,9 +384,11 @@ class TruncatedSeries:
         self.zero = zero
 
     def coefficient(self, n):
-        n = tuple(int(x) for x in n)
+        n = tuple(map(int, n))
         if mi_total(n) > self.order:
             raise SeriesError("coefficient %r beyond truncation order %d" % (n, self.order))
+        if min(n, default=0) < 0:
+            raise SeriesError("negative index %r" % (n,))
         return self.coeffs.get(n, self.zero)
 
     def __add__(self, other):
@@ -410,6 +428,8 @@ class TruncatedSeries:
     def times_binomial(self, c, d):
         """Multiply by (1 - c*T^d)."""
         d = _index(d, self.nvars)
+        if min(d, default=0) < 0:
+            raise SeriesError("binomial factor needs d >= 0")
         out = dict(self.coeffs)
         for n, v in self.coeffs.items():
             k = mi_add(n, d)

@@ -6,6 +6,7 @@ import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,10 @@ from arczeta import arcs
 from arczeta.arcs import (_SlotTable, _eval_poly_mod, _residue_grid,
                           arc_value_coefficients, is_prime,
                           order_indices)
+from arczeta.cli import main
+from arczeta.fixtures import castling_fixture
+
+VERIFY_OUTPUT = Path(__file__).resolve().parents[1] / "perfbench" / "expected" / "verify.txt"
 
 
 def brute_count(polys, n, q, leading="one", origin=False, nonzero_start=False):
@@ -306,6 +311,84 @@ def test_rank_deficient_start_settles_on_a_full_rank_subset():
     assert counts[(3, 3, 2)][1] > 0
 
 
+def test_plans_settled_at_level_one_build_no_level_tables(monkeypatch, capsys):
+    """On the torus-m3 pair at q = 3, order 2, every start settles at
+    level 1: both plans take their jets to t^0 only and print the stored
+    verify output under 1 and 2 threads.  The same pair at q = 2 matches
+    the oracle.  x1^2 - x2^3 at target (3,) keeps rows past level 1, so
+    its levels are built, to its depth."""
+    degrees, jets = [], arcs.arc_value_coefficients
+
+    def spy(poly, maxdeg, origin, mod=None):
+        degrees.append(maxdeg)
+        return jets(poly, maxdeg, origin, mod)
+
+    monkeypatch.setattr(arcs, "arc_value_coefficients", spy)
+    for threads in ("1", "2"):
+        assert main(["verify", "--fixture", "torus-m3", "--q", "3", "--order", "2",
+                     "--threads", threads, "--deterministic"]) == 0
+        assert capsys.readouterr().out == VERIFY_OUTPUT.read_text()
+    assert degrees and set(degrees) == {0}
+    for polys in castling_fixture("torus-m3")[:2]:
+        counts = CountPlan(PolySystem(polys), 2, None, order_indices(3, 2, low=0)).counts()
+        for n, (_one, any_) in counts.items():
+            assert any_ == brute_count(polys, n, 2, "any"), (polys, n)
+    degrees.clear()
+    plan = CountPlan(PolySystem([parse_poly("x1^2 - x2^3")]), 2, None, [(3,)])
+    plan.counts()
+    assert degrees == [0, 3] and plan.need[3] == 2
+
+
+def _rank_mod(rows, q):
+    """The rank of integer rows over F_q, by elimination in Python."""
+    rows, rank = [list(row) for row in rows], 0
+    for col in range(len(rows[0])):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col] % q), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][col], -1, q)
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] * inv
+            rows[i] = [(a - f * b) % q for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _gradient(f, x):
+    """grad f at the integer point x."""
+    return [sum(c * e[j] * math.prod(v ** (k - (t == j))
+                                     for t, (v, k) in enumerate(zip(x, e)))
+                for e, c in f.terms.items() if e[j]) for j in range(len(x))]
+
+
+def test_start_ranks_match_a_rank_per_start():
+    """full[U][a_0] is the rank test of J_U(a_0) over F_q at every start
+    whose level-0 orders lead to a target that carries the open set U
+    (|U| >= 2) at some level k >= 1, under 1 and 2 threads."""
+    rng = random.Random(20263)
+    seen = Counter()
+    for i in range(24):
+        q, l, r = (2, 3, 5)[i % 3], rng.randint(2, 3), rng.randint(1, 3)
+        polys = [_random_poly(rng, r, rng.random() < 0.3) for _ in range(l)]
+        targets = order_indices(l, rng.randint(2, 4), low=0)
+        for threads in (1, 2):
+            plan = CountPlan(PolySystem(polys), q, None, targets)
+            plan.counts(threads)
+            for a0, x in enumerate(plan.start.tolist()):
+                level0 = tuple(f.evaluate(x) % q != 0 for f in polys)
+                needed = {sum(1 << j for j in range(l) if n[j] >= k)
+                          for n in targets if tuple(ni == 0 for ni in n) == level0
+                          for k in range(1, max(n) + 1)}
+                J = [_gradient(f, x) for f in polys]
+                for u in (u for u in needed if u.bit_count() >= 2):
+                    rows = [J[j] for j in range(l) if u >> j & 1]
+                    want = _rank_mod(rows, q) == len(rows)
+                    assert plan.full[u][a0] == want, (polys, q, x, u, threads)
+                    seen[want] += 1
+    assert seen[True] and seen[False]
+
+
 @pytest.mark.parametrize("polys,q,constraint,order", [
     (("x1*x4 - x2*x3", "x1*x6 - x2*x5", "x3*x6 - x4*x5"), 3, None, 2),
     (("x1*x4 - x2*x3",), 3, ArcConstraint.origin(), 4),
@@ -343,17 +426,35 @@ def test_reduced_jets_match_oracle_deep(text, q, top):
     assert plan.need[3] == 2
 
 
-def test_code_tables_match_fitting():
-    """reach[code] >= level exactly where the code fits a target at that
-    level, and open[code] holds the zero digits of the code."""
+def fitting(plan, code, level):
+    """The targets a prefix of length `level` with this code can end at, by
+    their definition: n_i = ord f_i where the code knows it and n_i >= level
+    on the open set U (for U empty, level <= depth + 1); each as (n, sum of
+    n_i over U, |U|)."""
+    b = plan.depth + 2
+    ords = [code // b ** i % b - 1 for i in range(plan.sys.l)]
+    U = [i for i, o in enumerate(ords) if o < 0]
+    return sorted((n, sum(n[i] for i in U), len(U)) for n in plan.targets
+                  if all(ni == o for ni, o in zip(n, ords) if o >= 0)
+                  and min([n[i] for i in U], default=plan.depth + 1) >= level)
+
+
+def _seeded_target_plans():
     rng = random.Random(1009)
     for _ in range(16):
         l, low = rng.randint(1, 3), rng.choice([0, 1])
         top = rng.randint(l, 5)
         indices = order_indices(l, top, low)
         targets = rng.sample(indices, rng.randint(1, len(indices)))
-        plan = CountPlan(PolySystem([parse_poly("x%d" % (i + 1), l) for i in range(l)]),
-                         2, None, targets)
+        yield CountPlan(PolySystem([parse_poly("x%d" % (i + 1), l) for i in range(l)]),
+                        2, None, targets)
+
+
+def test_code_tables_match_fitting():
+    """reach[code] >= level exactly where the code fits a target at that
+    level, and open[code] holds the zero digits of the code."""
+    for plan in _seeded_target_plans():
+        l, targets = plan.sys.l, plan.targets
         plan._tables()
         b = plan.depth + 2
         assert len(plan.reach) == len(plan.open) == b ** l
@@ -362,8 +463,25 @@ def test_code_tables_match_fitting():
             assert plan.open[code] == sum(1 << i for i in range(l)
                                           if code // b ** i % b == 0)
             for level in range(b + 1):
-                assert (plan.reach[code] >= level) == bool(plan._fitting(code, level)), \
+                assert (plan.reach[code] >= level) == bool(fitting(plan, code, level)), \
                     (targets, code, level)
+
+
+def test_target_paths_match_fitting_where_a_sweep_asks():
+    """A sweep asks about a code at a level only once every order the code
+    knows is below that level; there the targets whose path passes the code
+    with least open n_i >= level are exactly the fitting ones.  (Elsewhere
+    the two differ, and no sweep asks.)"""
+    for plan in _seeded_target_plans():
+        plan._tables()
+        plan._paths()
+        b = plan.depth + 2
+        for code in range(b ** plan.sys.l):
+            known = [code // b ** i % b - 1 for i in range(plan.sys.l)]
+            for level in range(max(known) + 1, b + 1):
+                got = sorted((n, total, u) for n, low, total, u
+                             in plan.through.get(code, ()) if low >= level)
+                assert got == fitting(plan, code, level), (plan.targets, code, level)
 
 
 def test_code_table_limit_refuses_before_prepare(monkeypatch):

@@ -195,6 +195,14 @@ class TestCastlingCommands:
         assert code == 2
         assert "T4 in a series of 3 variables" in err
 
+    def test_series_index_beyond_the_int_conversion_limit(self, capsys):
+        """A T index of 5000 digits is the reader's input error, not
+        Python's int-conversion limit."""
+        code, _, err = run(capsys, "castle-zeta", "--castling", TORUS_M3,
+                           "--series", "(1) * T" + "9" * 5000, "--deterministic")
+        assert code == 2
+        assert "in a series of 3 variables" in err and "limit" not in err
+
     def test_repeated_series_variable_adds_exponents(self, capsys, castling_file):
         outs = [run(capsys, "castle-zeta", "--castling", castling_file,
                     "--series", text, "--deterministic")

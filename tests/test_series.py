@@ -215,6 +215,16 @@ class TestRationalSeries:
             tracemalloc.stop()
         assert peak < 100_000
 
+    def test_numbers_beyond_the_int_conversion_limit_refused(self):
+        """An index or exponent too long for int() is refused by the reader,
+        not by Python's str-to-int limit."""
+        with pytest.raises(SeriesError, match="in a series of 1 variables"):
+            RationalSeries.parse("(1) * T" + "9" * 5000, 1)
+        for text in ("(1) * T1^" + "9" * 5000,
+                     "(1) * T1 / ((1 - L^-" + "9" * 5000 + " * T1))"):
+            with pytest.raises(SeriesError, match="exponent of 5000 digits"):
+                RationalSeries.parse(text, 1)
+
     def test_repeated_variable_adds_exponents(self):
         twice = RationalSeries.parse("(1) * T1*T1 / ((1 - L^-1 * T1^2))", 1)
         assert str(twice) == "(1) * T1^2 / ((1 - L^-1 * T1^2))"
@@ -369,3 +379,16 @@ class TestTruncatedSeries:
     def test_index_beyond_order_rejected(self):
         with pytest.raises(SeriesError):
             TruncatedSeries(1, 2, {(3,): Fraction(1)})
+
+    def test_negative_index_rejected(self):
+        """A power series has no T^n with some n_i < 0: not as a stored
+        coefficient, not as a lookup, not as a binomial's degree."""
+        with pytest.raises(SeriesError, match="negative index"):
+            TruncatedSeries(1, 2, {(-3,): Fraction(1)})
+        with pytest.raises(SeriesError, match="negative index"):
+            TruncatedSeries(2, 2, {(2, -1): Fraction(1)})
+        s = TruncatedSeries(1, 2, {(0,): Fraction(1)})
+        with pytest.raises(SeriesError, match="negative index"):
+            s.coefficient((-40,))
+        with pytest.raises(SeriesError, match="binomial factor"):
+            s.times_binomial(Fraction(1), (-1,))
