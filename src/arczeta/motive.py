@@ -201,14 +201,22 @@ def _monomial_text(exps, symbol):
                     for i, e in enumerate(exps) if e)
 
 
+_MAX_DIGITS = 4300  # Python's default str-to-int limit; the readers refuse more
+
+
 def _parse_terms(text, symbol, exponent, convert, noun, error):
     """{exponent: coefficient} of a signed sum of terms ``c``, ``c*X^e`` and
     ``X^e`` in the symbol X.  ``exponent`` is the regex of the text of e and
     convert(text) its value; a bare X has exponent 1, a constant exponent 0.
-    Malformed text raises error, with noun naming the kind of expression."""
+    Malformed text, or a number of more than _MAX_DIGITS digits, raises
+    error, with noun naming the kind of expression."""
     text = text.strip()
     if not text:
         raise error("empty %s expression" % noun)
+    longest = max(map(len, re.findall(r"\d+", text)), default=0)
+    if longest > _MAX_DIGITS:
+        raise error("number of %d digits in %s text (at most %d)"
+                    % (longest, noun, _MAX_DIGITS))
     power = r"%s(?:\^(%s))?" % (symbol, exponent)
     term = re.compile(r"\s*([+-])?\s*(?:(\d+)\s*(?:\*\s*(%s))?|(%s))\s*"
                       % (power, power))

@@ -5,16 +5,16 @@ no common denominator is ever formed.  Identities are certified by expanding
 both sides to a caller-chosen order, which is recorded by the CLI whenever it
 reports one.
 
-Expansion works in the Laurent ring: the geometric factors of a term have
-monomial coefficients L^(-nu k), so their product is expanded with integer
-arithmetic, once per factor tuple.  The coefficients are summed as integer
-dicts: a term's denominator is c * L^k * d0 with d0 primitive, and each index
-keeps one integer numerator per class d0 over C * d0, C the lcm of the
-class's c.  Only then is one RationalMotive built per (index, class); the
-classes of an index are added in order of first appearance.  Content and
-lowest L-exponent are multiplicative (Gauss's lemma), so RationalMotive's
-reduction is one canonical form within a class, and a single-class sum (every
-transfer of the package) prints exactly as the reduced term-by-term sum.
+Expansion works in the Laurent ring, on integer dicts.  A term's denominator
+is c * L^k * d0 with d0 primitive; the terms that share a factor tuple and a
+class d0 sum their numerators over C * d0 (C the lcm of the class's c) into
+rows at their shifts, and each factor (1 - L^-nu T^N) divides the rows by one
+recurrence, row[n + N] += L^-nu row[n] in ascending |n|.  Only then is one
+RationalMotive built per (index, class), the classes of an index added in the
+order of the earliest term that reaches it.  Content and lowest L-exponent are
+multiplicative (Gauss's lemma), so RationalMotive's reduction is one canonical
+form within a class, and a single-class sum (every transfer of the package)
+prints exactly as the reduced term-by-term sum.
 
 Every exponent of T is >= 0.  A binomial (1 - L^-nu T^N) is taken by its
 closed form: each term gains a copy, its numerator shifted by L^-nu and negated.
@@ -30,10 +30,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
 from operator import add
 
-from .motive import LaurentMotive, RationalMotive, _monomial_text, parse_laurent
+from .motive import (_MAX_DIGITS, LaurentMotive, RationalMotive, _monomial_text,
+                     parse_laurent)
 
 
 class SeriesError(ValueError):
@@ -170,51 +172,39 @@ class RationalSeries:
     def expand(self, order):
         """Exact truncated expansion: coefficients of all T^n with |n| <= order.
 
-        Each term contributes coeff * P_n at T^(shift + n), where P_n is the
-        Laurent polynomial of its geometric factors' product at T^n.  The
-        numerators are summed as integer dicts, one per index and class of
-        denominators (see _denominator_class), and each sum is reduced once."""
+        One table of rows n -> [position, {exponent of L: integer over C * d0}]
+        per factor tuple and denominator class (see _denominator_class), each
+        divided by its factors (_divide); the position is that of the earliest
+        term reaching the row, and orders the classes added at an index."""
         if order < 0:
             raise SeriesError("order must be >= 0")
         live, classes = [], {}
-        for t in self.terms:
+        for pos, t in enumerate(self.terms):
             if mi_total(t.shift) <= order:
                 key, c, k = _denominator_class(t.coeff.den)
                 classes[key] = lcm(classes.get(key, 1), c)
-                live.append((t, key, c, k))
-        # numerators over C * d0 (C the lcm of the class's contents), summed
-        # over the terms that share their factors, shift and class
-        groups = {}
-        for t, key, c, k in live:
-            num = groups.setdefault((t.factors, t.shift, key), {})
-            scale = classes[key] // c
+                live.append((pos, t, key, c, k))
+        tables = {}  # (factors, class key) -> {n: [position, numerator]}
+        for pos, t, key, c, k in live:
+            row = tables.setdefault((t.factors, key), {}).setdefault(t.shift, [pos, {}])
+            num, scale = row[1], classes[key] // c
             for e, v in t.coeff.num.terms.items():
                 num[e - k] = num.get(e - k, 0) + v * scale
-        rooms = {}
-        for factors, shift, _key in groups:
-            rooms[factors] = max(order - mi_total(shift), rooms.get(factors, 0))
-        # one product per factor tuple, cut at each term's room
-        products = {fs: _geometric_product(fs, room, self.nvars)
-                    for fs, room in rooms.items()}
-        sums = {}  # n -> {class key: numerator over C * d0}
-        for (factors, shift, key), num in groups.items():
-            room = order - mi_total(shift)
-            num = list(num.items())
-            for total, n, poly in products[factors]:
-                if total > room:
-                    break
-                acc = sums.setdefault(mi_add(shift, n), {}).setdefault(key, {})
-                for e1, c1 in num:
-                    for e2, c2 in poly.items():
-                        acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
+        sums = {}  # n -> {class key: [position, numerator]}
+        for (factors, key), rows in tables.items():
+            for f in factors:
+                _divide(rows, f, order)
+            for n, (pos, num) in rows.items():
+                row = sums.setdefault(n, {}).setdefault(key, [pos, {}])
+                row[0] = min(row[0], pos)
+                _add_shifted(row[1], num, 0)
+        dens = {key: LaurentMotive._of({e: C * v for e, v in key})
+                for key, C in classes.items()}
         coeffs = {}
         for n, by_class in sums.items():
-            total = None
-            for key, acc in by_class.items():
-                den = LaurentMotive({e: classes[key] * v for e, v in key})
-                part = RationalMotive(LaurentMotive(acc), den)
-                total = part if total is None else total + part
-            coeffs[n] = total
+            parts = sorted(by_class.items(), key=lambda item: item[1][0])
+            coeffs[n] = reduce(add, (RationalMotive(LaurentMotive._of(acc), dens[key])
+                                     for key, (_pos, acc) in parts))
         return TruncatedSeries(self.nvars, order, coeffs, zero=RationalMotive.zero())
 
     def limit_at_infinity(self):
@@ -288,25 +278,32 @@ def _denominator_class(den):
     return tuple(sorted((e - k, v // c) for e, v in terms.items())), c, k
 
 
-def _geometric_product(factors, order, nvars):
-    """prod_j (1 - L^-nu_j T^N_j)^-1 up to |n| <= order, as a list of
-    (|n|, n, {exponent of L: multiplicity}) sorted by |n|."""
-    prod = {(0,) * nvars: {0: 1}}
-    for f in factors:
-        out = {}
-        step = mi_total(f.N)
-        for n, poly in prod.items():
-            total, drop = mi_total(n), 0
-            while total <= order:
-                dst = out.setdefault(n, {})
-                for e, c in poly.items():
-                    dst[e - drop] = dst.get(e - drop, 0) + c
-                n = mi_add(n, f.N)
-                total += step
-                drop += f.nu
-        prod = out
-    return sorted(((mi_total(n), n, poly) for n, poly in prod.items()),
-                  key=lambda item: item[0])
+def _divide(rows, f, order):
+    """Divide rows n -> [position, {exponent of L: int}] by (1 - L^-nu T^N)
+    in place, up to |n| <= order: in ascending |n|, each row adds its
+    numerator times L^-nu to the row at n + N and passes on its position
+    if that is earlier."""
+    step = mi_total(f.N)
+    levels = [[] for _ in range(order + 1)]
+    for n in rows:
+        levels[mi_total(n)].append(n)
+    for total in range(order + 1 - step):
+        for n in levels[total]:
+            pos, num = rows[n]
+            m = mi_add(n, f.N)
+            row = rows.get(m)
+            if row is None:
+                row = rows[m] = [pos, {}]
+                levels[total + step].append(m)
+            row[0] = min(row[0], pos)
+            _add_shifted(row[1], num, -f.nu)
+
+
+def _add_shifted(acc, num, s):
+    """acc += num * L^s, on {exponent of L: int} dicts."""
+    for e, v in num.items():
+        e += s
+        acc[e] = acc.get(e, 0) + v
 
 
 def _term_str(t):
@@ -341,11 +338,6 @@ def _parse_monomial(text, nvars):
             raise SeriesError("T-variable index below 1 in %r" % text)
         exps[int(var) - 1] += _int(exp or "1")
     return tuple(exps)
-
-
-# Python refuses str-to-int conversions beyond 4300 digits by default; the
-# reader refuses a longer exponent first, with its own message.
-_MAX_DIGITS = 4300
 
 
 def _int(digits):

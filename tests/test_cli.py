@@ -203,6 +203,15 @@ class TestCastlingCommands:
         assert code == 2
         assert "in a series of 3 variables" in err and "limit" not in err
 
+    @pytest.mark.parametrize("coeff", ["9" * 5000, "L^" + "9" * 5000])
+    def test_series_coefficient_beyond_the_int_conversion_limit(self, capsys, coeff):
+        """A term's coefficient or L exponent of 5000 digits is the Laurent
+        reader's input error, not Python's int-conversion limit."""
+        code, _, err = run(capsys, "castle-zeta", "--castling", TORUS_M3,
+                           "--series", "(%s) * T1" % coeff, "--deterministic")
+        assert code == 2
+        assert err == "error: number of 5000 digits in Laurent text (at most 4300)\n"
+
     def test_repeated_series_variable_adds_exponents(self, capsys, castling_file):
         outs = [run(capsys, "castle-zeta", "--castling", castling_file,
                     "--series", text, "--deterministic")

@@ -60,10 +60,13 @@ def cases(tmp):
     out = {}
     for name in RESOLUTION_FIXTURES:
         datum = _data(name)
-        out["zeta-resolution %s --expand 4" % name] = [
-            "zeta-resolution", "--datum", datum, "--expand", "4"]
-        out["zeta-resolution %s --expand 4 --q 5" % name] = [
-            "zeta-resolution", "--datum", datum, "--expand", "4", "--q", "5"]
+        # order 12 runs every factor's recurrence well past its first step
+        for order in ("4", "12"):
+            out["zeta-resolution %s --expand %s" % (name, order)] = [
+                "zeta-resolution", "--datum", datum, "--expand", order]
+            out["zeta-resolution %s --expand %s --q 5" % (name, order)] = [
+                "zeta-resolution", "--datum", datum, "--expand", order,
+                "--q", "5"]
         out["milnor %s" % name] = ["milnor", "--datum", datum]
         for dim in (2, 3):
             out["hsp %s --dim %d" % (name, dim)] = [

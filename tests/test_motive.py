@@ -93,6 +93,18 @@ class TestLaurentMotive:
         assert str(exc.value) == message
 
 
+    @pytest.mark.parametrize("text", [
+        "9" * 5000, "L^" + "9" * 5000, "1 - 3*L^-" + "9" * 5000,
+        "L - " + "0" * 4301 + "1"])
+    def test_numbers_beyond_the_int_conversion_limit_refused(self, text):
+        """A coefficient or exponent too long for int() is the grammar's own
+        error, not Python's str-to-int limit; 4300 digits are read."""
+        with pytest.raises(LaurentError, match=r"^number of \d+ digits in Laurent text \(at most 4300\)$"):
+            parse_laurent(text)
+        assert parse_laurent("9" * 4300 + "*L^-" + "1" * 4300) == LaurentMotive(
+            {-int("1" * 4300): int("9" * 4300)})
+
+
 class TestRationalMotive:
     def test_cross_multiplication_equality(self):
         assert RationalMotive(L ** 2 - 1, L - 1) == RationalMotive(L + 1)

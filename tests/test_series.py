@@ -5,6 +5,7 @@ import pickle
 import random
 import tracemalloc
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -84,6 +85,108 @@ def bounded_series(draw):
                       for x in tot)
         out = out + RationalSeries.term(draw(coefficients), shift, factors)
     return out
+
+
+def _product_expand(series, order):
+    """The expansion as it was computed before the row recurrence: the
+    product of each factor tuple's geometric series, convolved with every
+    numerator that shares those factors, shift and denominator class, the
+    classes of an index added in the order their groups first reach it.
+    Returns {n: RationalMotive}, zeros dropped."""
+    def den_class(den):
+        k = min(den.terms)
+        c = gcd(*den.terms.values())
+        return tuple(sorted((e - k, v // c) for e, v in den.terms.items())), c, k
+
+    def product(factors, room, nvars):
+        prod = {(0,) * nvars: {0: 1}}
+        for f in factors:
+            out = {}
+            for n, poly in prod.items():
+                total, drop = sum(n), 0
+                while total <= room:
+                    dst = out.setdefault(n, {})
+                    for e, c in poly.items():
+                        dst[e - drop] = dst.get(e - drop, 0) + c
+                    n = tuple(a + b for a, b in zip(n, f.N))
+                    total += sum(f.N)
+                    drop += f.nu
+            prod = out
+        return sorted(((sum(n), n, poly) for n, poly in prod.items()),
+                      key=lambda item: item[0])
+
+    live, classes = [], {}
+    for t in series.terms:
+        if sum(t.shift) <= order:
+            key, c, k = den_class(t.coeff.den)
+            classes[key] = lcm(classes.get(key, 1), c)
+            live.append((t, key, c, k))
+    groups = {}
+    for t, key, c, k in live:
+        num = groups.setdefault((t.factors, t.shift, key), {})
+        for e, v in t.coeff.num.terms.items():
+            num[e - k] = num.get(e - k, 0) + v * (classes[key] // c)
+    sums = {}
+    for (factors, shift, key), num in groups.items():
+        for total, n, poly in product(factors, order - sum(shift), series.nvars):
+            acc = sums.setdefault(tuple(a + b for a, b in zip(shift, n)),
+                                  {}).setdefault(key, {})
+            for e1, c1 in num.items():
+                for e2, c2 in poly.items():
+                    acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
+    out = {}
+    for n, by_class in sums.items():
+        total = None
+        for key, acc in by_class.items():
+            part = RationalMotive(LaurentMotive(acc),
+                                  LaurentMotive({e: classes[key] * v for e, v in key}))
+            total = part if total is None else total + part
+        if total:
+            out[n] = total
+    return out
+
+
+def _random_expansion_case(rng):
+    """(series, order, the per-term route) in 1-3 variables.  Denominators
+    come from six classes at random contents and powers of L, and every case
+    has L - 1, L + 1 and their product L^2 - 1, so a partial sum over L^2 - 1
+    may share its denominator with the next class and the order of addition
+    shows in the bytes.  Some terms have a twin that cancels them, some a
+    shift beyond the order, and some cases order 0.  The per-term route takes
+    each live term as a TruncatedSeries at its shift through over_binomial
+    for every factor, and sums them."""
+    dens = [ONE, L - 1, L + 1, L ** 2 - 1, 2 * L + 3, L ** 3 - L + 1,
+            LaurentMotive({0: 1, -2: -1})]
+    dens = dens[1:4] + rng.sample(dens, rng.randint(0, 2))
+    nvars, order = rng.randint(1, 3), rng.choice([0, rng.randint(0, 8)])
+    exps = lambda top: tuple(rng.randint(0, top) for _ in range(nvars))
+    pool = [[] for _ in range(rng.randint(1, 3))]  # factor tuples the terms share
+    for fs in pool:
+        for _ in range(rng.randint(0, 3)):
+            N = list(exps(2))
+            N[rng.randrange(nvars)] = rng.randint(1, 2)
+            fs.append((rng.randint(1, 3), tuple(N)))
+    terms = []
+    for _ in range(rng.randint(1, 10)):
+        num = LaurentMotive({rng.randint(-3, 3): rng.randint(-4, 4)
+                             for _ in range(rng.randint(1, 3))})
+        den = rng.choice(dens) * LaurentMotive({rng.randint(-2, 2): rng.choice([1, 2, 3])})
+        coeff = RationalMotive(num if num else L, den)
+        shift = exps(order + 2) if rng.random() < 0.2 else exps(2)
+        factors = rng.choice(pool)
+        terms.append((coeff, shift, factors))
+        if rng.random() < 0.3:
+            terms.insert(rng.randint(0, len(terms)), (-coeff, shift, factors))
+    series, route = RationalSeries.zero(nvars), TruncatedSeries(
+        nvars, order, zero=RationalMotive.zero())
+    for coeff, shift, factors in terms:
+        series = series + RationalSeries.term(coeff, shift, factors)
+        if sum(shift) <= order:
+            ref = TruncatedSeries(nvars, order, {shift: coeff}, zero=RationalMotive.zero())
+            for nu, N in factors:
+                ref = ref.over_binomial(rm(-nu), N)
+            route = route + ref
+    return series, order, route
 
 
 class TestRationalSeries:
@@ -284,6 +387,42 @@ class TestRationalSeries:
             got = series.expand(order)
             assert got == want
             assert set(got.coeffs) == set(want.coeffs)
+
+    def test_expand_prints_as_the_product_expansion(self):
+        """Seeded: every coefficient of the row recurrence prints as the
+        product convolution prints it (the order in which an index's
+        denominator classes are added decides the bytes), and equals the
+        per-term route's value."""
+        rng = random.Random(17)
+        for _case in range(400):
+            series, order, route = _random_expansion_case(rng)
+            got = series.expand(order)
+            want = _product_expand(series, order)
+            assert {n: str(c) for n, c in got.coeffs.items()} == \
+                {n: str(c) for n, c in want.items()}
+            assert got == route and set(got.coeffs) == set(route.coeffs)
+
+    @pytest.mark.parametrize("terms", [
+        # the class L^2 - 1 reaches T^0 first through its second term
+        [(L ** 2 - 1, 3, 1), (L - 1, 0, 1), (L + 1, 0, 1), (L ** 2 - 1, 0, 1)],
+        # its row at T^1 is reached earlier through T^0 than by its own term
+        [(L ** 2 - 1, 0, 1), (L - 1, 0, 1), (L + 1, 0, 1), (L ** 2 - 1, 1, 1)],
+        # its earliest term at T^0 has other factors than its first one there
+        [(L ** 2 - 1, 3, 1), (L ** 2 - 1, 0, 2), (L - 1, 0, 1), (L + 1, 0, 1),
+         (L ** 2 - 1, 0, 1)],
+    ])
+    def test_expand_adds_classes_in_term_order(self, terms):
+        """(L - 1) + (L + 1) is over L^2 - 1, so a sum that adds the class
+        L^2 - 1 after both prints other bytes than one that adds it first;
+        each series here (terms of 1 / den at T^shift over 1 - L^-nu T)
+        puts a class's earliest term at an index elsewhere than its first
+        row or its first table."""
+        series = sum((RationalSeries.term(RationalMotive(ONE, den), (shift,), [(nu, (1,))])
+                      for den, shift, nu in terms), RationalSeries.zero(1))
+        got = series.expand(4)
+        want = _product_expand(series, 4)
+        assert {n: str(c) for n, c in got.coeffs.items()} == \
+            {n: str(c) for n, c in want.items()}
 
     @settings(max_examples=40, deadline=None)
     @given(a=small_series, b=small_series)

@@ -103,6 +103,16 @@ class TestGrammar:
             parse_spectrum(text)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("text", [
+        "9" * 5000 + "*t", "t^" + "9" * 5000, "1 + t^(1/" + "9" * 5000 + ")",
+        "t^(" + "9" * 5000 + "/2)"])
+    def test_numbers_beyond_the_int_conversion_limit_refused(self, text):
+        """A coefficient or exponent too long for int() is the grammar's own
+        error, not Python's str-to-int limit."""
+        with pytest.raises(SpectrumError, match=r"^number of 5000 digits in spectrum text \(at most 4300\)$"):
+            parse_spectrum(text)
+        assert parse_spectrum("t^(" + "9" * 4300 + "/9)") == t(Fraction(int("1" * 4300)))
+
     @given(s=nonzero_spectra)
     def test_round_trip(self, s):
         assert parse_spectrum(str(s)) == s
