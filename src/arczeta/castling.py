@@ -6,9 +6,10 @@ Milnor fiber class, spectrum, b-function roots, p-adic series) to the other.
 All of them are exact and invertible by swapping r1 and r2.
 
 The four series transfers share one skeleton, _transfer: a scalar, then r1
-binomials (1 - L^-j T^d) traded for r2 geometric factors.  castle_zeta and
-castle_local_zeta run it on RationalSeries; castle_zeta_numeric and
-castle_igusa are its specialization at L = q, on truncated Fraction series.
+binomials (1 - L^-j T^d) traded for r2 geometric factors, in one times_ratio
+call.  castle_zeta and castle_local_zeta run it on RationalSeries, which
+builds the result once; castle_zeta_numeric and castle_igusa are its
+specialization at L = q, on truncated Fraction series, one pass per factor.
 
 Every relation is a ratio of products prod_{j<=r}(1 - X^j), all built by
 motive._binomials: X = L^-1 in the SL_r classes and the local unit, L in the
@@ -109,16 +110,13 @@ def castle_local_zeta(Z1_0, c):
 
 def _transfer(Z, c, scalar, x):
     """Z * scalar * prod_{j<=r1}(1 - x(j) T^d) / prod_{j<=r2}(1 - x(j) T^d),
-    x(j) the exponent j of L^-j (RationalSeries) or the rational q^-j."""
+    x(j) the exponent j of L^-j (RationalSeries) or the rational q^-j: one
+    Z.times_ratio call, which builds a RationalSeries once."""
     if Z.nvars != c.l:
         raise CastlingError("series has %d variables, datum says %d"
                             % (Z.nvars, c.l))
-    out = Z.scale(scalar)
-    for j in range(1, c.r1 + 1):
-        out = out.times_binomial(x(j), c.d)
-    for j in range(1, c.r2 + 1):
-        out = out.over_binomial(x(j), c.d)
-    return out
+    xs = [x(j) for j in range(1, max(c.r1, c.r2) + 1)]
+    return Z.times_ratio(scalar, xs[:c.r1], xs[:c.r2], c.d)
 
 
 def _sl_ratio(c):

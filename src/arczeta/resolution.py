@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 from .motive import LaurentMotive, RationalMotive, parse_laurent
 from .series import RationalSeries
@@ -63,6 +64,38 @@ class ResolutionDatum:
                 raise ResolutionError("duplicate stratum subset %r" % sorted(s.I))
             seen.add(s.I)
 
+    @cached_property
+    def _zeta(self):
+        """The series of zeta_from_resolution, built on first use."""
+        out = RationalSeries.zero(1)
+        lminus1 = LaurentMotive({1: 1, 0: -1})
+        for s in self.strata:
+            comps = [self.component(cid) for cid in sorted(s.I)]
+            coeff = RationalMotive((lminus1 ** (len(comps) - 1) * s.cls)
+                                   .shift(-sum(c.nu for c in comps)))
+            shift = (sum(c.N for c in comps),)
+            factors = [(c.nu, (c.N,)) for c in comps]
+            out = out + RationalSeries.term(coeff, shift, factors)
+        return out
+
+    @cached_property
+    def _milnor(self):
+        """The pair of milnor_fiber, checked against the zeta limit on first use."""
+        one_minus_l = LaurentMotive({0: 1, 1: -1})
+        counting = LaurentMotive.zero()
+        for s in self.strata:
+            counting = counting + one_minus_l ** (len(s.I) - 1) * s.cls
+        if -self._zeta.limit_at_infinity() != RationalMotive(counting):
+            raise ResolutionError(
+                "zeta limit disagrees with the stratum sum; inconsistent datum")
+        spectrum = None
+        if self.has_spectra():
+            one_minus_t = Spectrum({0: 1, 1: -1})
+            spectrum = Spectrum.zero()
+            for s in self.strata:
+                spectrum = spectrum + one_minus_t ** (len(s.I) - 1) * s.spectrum
+        return counting, spectrum
+
     def component(self, cid):
         for c in self.components:
             if c.id == cid:
@@ -108,17 +141,9 @@ class ResolutionDatum:
 def zeta_from_resolution(R):
     """The zeta series as a sum over strata: the subset I contributes
     (L-1)^(|I|-1) [cover class] prod_{i in I} L^-nu_i T^N_i / (1 - L^-nu_i T^N_i).
+    It is built once per datum object and shared (a series is immutable).
     """
-    out = RationalSeries.zero(1)
-    lminus1 = LaurentMotive({1: 1, 0: -1})
-    for s in R.strata:
-        comps = [R.component(cid) for cid in sorted(s.I)]
-        coeff = RationalMotive((lminus1 ** (len(comps) - 1) * s.cls)
-                               .shift(-sum(c.nu for c in comps)))
-        shift = (sum(c.N for c in comps),)
-        factors = [(c.nu, (c.N,)) for c in comps]
-        out = out + RationalSeries.term(coeff, shift, factors)
-    return out
+    return R._zeta
 
 
 def milnor_fiber(R):
@@ -127,28 +152,16 @@ def milnor_fiber(R):
     when some stratum lacks one.
 
     The counting value is cross-checked against minus the limit at infinity
-    of the zeta series before being returned.
+    of the zeta series.  Pair and check are computed once per datum object;
+    a failed check caches nothing, so every call on that datum raises.
     """
-    one_minus_l = LaurentMotive({0: 1, 1: -1})
-    counting = LaurentMotive.zero()
-    for s in R.strata:
-        counting = counting + one_minus_l ** (len(s.I) - 1) * s.cls
-    if -zeta_from_resolution(R).limit_at_infinity() != RationalMotive(counting):
-        raise ResolutionError(
-            "zeta limit disagrees with the stratum sum; inconsistent datum")
-    spectrum = None
-    if R.has_spectra():
-        one_minus_t = Spectrum({0: 1, 1: -1})
-        spectrum = Spectrum.zero()
-        for s in R.strata:
-            spectrum = spectrum + one_minus_t ** (len(s.I) - 1) * s.spectrum
-    return counting, spectrum
+    return R._milnor
 
 
 def hsp_of_f(R, dim):
-    """Hodge spectrum at the chosen point: (-1)^(dim-1) (spectrum of the
-    Milnor fiber minus 1); the ambient dimension dim only fixes the sign."""
-    _, spec = milnor_fiber(R)
+    """Hodge spectrum at the chosen point: (-1)^(dim-1) (spectrum of the datum's
+    Milnor fiber, computed and checked once, minus 1); dim only fixes the sign."""
+    _, spec = R._milnor
     if spec is None:
         raise ResolutionError("spectrum requested but some stratum lacks it")
     sign = -1 if (dim - 1) % 2 else 1

@@ -17,7 +17,8 @@ form within a class, and a single-class sum (every transfer of the package)
 prints exactly as the reduced term-by-term sum.
 
 Every exponent of T is >= 0.  A binomial (1 - L^-nu T^N) is taken by its
-closed form: each term gains a copy, its numerator shifted by L^-nu and negated.
+closed form: each term gains a copy, its numerator shifted by L^-nu and negated;
+times_ratio takes a transfer's whole product of them in one build.
 
 The text form is one grammar, read and written here: str() prints terms
 ``(coeff) * T1^a1*T2^a2 / ((1 - L^-nu * T-monomial)...)`` joined by "  +  ",
@@ -85,24 +86,35 @@ class SeriesTerm:
 
 
 class RationalSeries:
-    """Sum of factored terms, all in the same number of T variables."""
+    """Sum of factored terms, all in the same number of T variables; immutable
+    (terms is a tuple), so a datum's zeta series can be shared."""
+
+    __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars, terms=()):
-        self.nvars = int(nvars)
-        if self.nvars < 1:
+        nvars = int(nvars)
+        if nvars < 1:
             raise SeriesError("need at least one T variable")
-        self.terms = []
+        kept = []
         for t in terms:
-            if t.nvars != self.nvars:
+            if t.nvars != nvars:
                 raise SeriesError("term has %d variables, series has %d"
-                                  % (t.nvars, self.nvars))
+                                  % (t.nvars, nvars))
             if min(t.shift) < 0:
                 raise SeriesError("term shift %r leaves the series ring" % (t.shift,))
             for f in t.factors:
-                if len(f.N) != self.nvars:
+                if len(f.N) != nvars:
                     raise SeriesError("factor multi-index length mismatch")
             if not t.coeff.is_zero():
-                self.terms.append(t)
+                kept.append(t)
+        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "terms", tuple(kept))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("RationalSeries is immutable")
+
+    def __reduce__(self):
+        return RationalSeries, (self.nvars, self.terms)
 
     @classmethod
     def zero(cls, nvars=1):
@@ -151,23 +163,28 @@ class RationalSeries:
         return RationalSeries(self.nvars, [
             SeriesTerm(t.coeff, mi_add(t.shift, delta), t.factors) for t in self.terms])
 
-    def times_binomial(self, nu, N):
-        """Multiply by the polynomial (1 - L^-nu T^N): each term gains a copy
-        at T^(shift + N) with its numerator times -L^-nu."""
+    def times_ratio(self, c, top, bottom, N):
+        """Multiply by c prod_{nu in top}(1 - L^-nu T^N) / prod_{nu in bottom}
+        (1 - L^-nu T^N) in one build.  Each binomial in turn gives every term
+        a copy at T^(shift + N), its numerator times -L^-nu, right after it;
+        each copy's coefficient is reduced once.  Every term gains all the
+        geometric factors at once."""
         N = _index(N, self.nvars)
+        steps = [(1, 0, 0)]  # (sign, exponent of L, power of T^N) per copy
+        for nu in top:
+            steps = [x for s, k, m in steps for x in ((s, k, m), (-s, k - nu, m + 1))]
+        fs = tuple(SeriesFactor(int(nu), N) for nu in bottom)
         out = []
         for t in self.terms:
-            out.append(t)
-            out.append(SeriesTerm(RationalMotive(-t.coeff.num.shift(-nu), t.coeff.den),
-                                  mi_add(t.shift, N), t.factors))
+            coeff, factors = t.coeff * c, t.factors + fs
+            for s, k, m in steps:
+                if not m:
+                    out.append(SeriesTerm(coeff, t.shift, factors))
+                    continue
+                num = coeff.num.shift(k)
+                out.append(SeriesTerm(RationalMotive(num if s > 0 else -num, coeff.den),
+                                      mi_add(t.shift, mi_scale(m, N)), factors))
         return RationalSeries(self.nvars, out)
-
-    def over_binomial(self, nu, N):
-        """Divide by (1 - L^-nu T^N), i.e. append a geometric factor."""
-        f = SeriesFactor(int(nu), _index(N, self.nvars))
-        return RationalSeries(self.nvars,
-                              [SeriesTerm(t.coeff, t.shift, t.factors + (f,))
-                               for t in self.terms])
 
     def expand(self, order):
         """Exact truncated expansion: coefficients of all T^n with |n| <= order.
@@ -448,6 +465,16 @@ class TruncatedSeries:
                     break
                 n, v = mi_add(n, d), v * c
         return TruncatedSeries(self.nvars, self.order, out, self.zero)
+
+    def times_ratio(self, c, top, bottom, d):
+        """Multiply by c prod_{x in top}(1 - x T^d) / prod_{x in bottom}(1 - x T^d),
+        one pass per factor."""
+        out = self.scale(c)
+        for x in top:
+            out = out.times_binomial(x, d)
+        for x in bottom:
+            out = out.over_binomial(x, d)
+        return out
 
     def specialize(self, q):
         out = {}

@@ -8,7 +8,7 @@ import pytest
 
 from arczeta import (BFunction, BudgetExceeded, CastlingDatum, CastlingError,
                      CountPlan, LaurentMotive, PolySystem, RationalMotive,
-                     ResolutionDatum, Spectrum, TruncatedSeries,
+                     RationalSeries, ResolutionDatum, Spectrum, TruncatedSeries,
                      castle_bfunction, castle_igusa, castle_local_zeta,
                      castle_milnor, castle_spectrum, castle_zeta,
                      castle_zeta_numeric, counting_series, igusa_coeffs,
@@ -16,7 +16,9 @@ from arczeta import (BFunction, BudgetExceeded, CastlingDatum, CastlingError,
                      series_equal, sl_class, verify_castling,
                      zeta_from_resolution)
 from arczeta.arcs import order_indices
+from arczeta.castling import _local_unit, _sl_ratio
 from arczeta.fixtures import castling_fixture, resolution_fixture
+from arczeta.series import SeriesFactor, SeriesTerm
 
 L = LaurentMotive.L()
 t = Spectrum.t
@@ -177,17 +179,28 @@ def random_truncated(rng, nvars, order):
     return TruncatedSeries(nvars, order, coeffs)
 
 
-def test_numeric_transfers_match_reference_loops():
+def test_numeric_transfers_match_reference_loops(monkeypatch):
     """The skeleton's numeric transfers give the exact Fractions of the
-    separate loops, for r1 < r2, r1 = r2 and r1 > r2, and l = 2 globally."""
+    separate loops, for r1, r2 in 1..5, and l = 2 globally; each makes one
+    scale, r1 binomial and r2 geometric pass."""
+    passes = []
+    for name in ("scale", "times_binomial", "over_binomial"):
+        def counted(self, *args, _name=name, _real=getattr(TruncatedSeries, name)):
+            passes.append(_name)
+            return _real(self, *args)
+        monkeypatch.setattr(TruncatedSeries, name, counted)
     rng = random.Random(20261018)
-    for r1, r2 in [(1, 2), (1, 3), (2, 4), (1, 1), (2, 2), (2, 1), (3, 1), (4, 2)]:
+    for r1, r2 in itertools.product(range(1, 6), repeat=2):
         for q in (2, 3, 5):
             c = CastlingDatum(r1 + r2, r1, r2, 1, (rng.randint(1, 3),))
             Z = random_truncated(rng, 1, 7)
-            for got, want in ((castle_igusa(Z, q, c), reference_igusa(Z, q, c)),
-                              (castle_zeta_numeric(Z, q, c),
-                               reference_zeta_numeric(Z, q, c))):
+            for transfer, reference in ((castle_igusa, reference_igusa),
+                                        (castle_zeta_numeric, reference_zeta_numeric)):
+                passes.clear()
+                got = transfer(Z, q, c)
+                assert passes == (["scale"] + ["times_binomial"] * r1
+                                  + ["over_binomial"] * r2)
+                want = reference(Z, q, c)
                 assert (got.order, got.coeffs) == (want.order, want.coeffs)
             c2 = CastlingDatum(r1 + r2, r1, r2, 2,
                                (rng.randint(1, 2), rng.randint(1, 2)))
@@ -195,6 +208,77 @@ def test_numeric_transfers_match_reference_loops():
             got = castle_zeta_numeric(Z2, q, c2)
             want = reference_zeta_numeric(Z2, q, c2)
             assert (got.order, got.coeffs) == (want.order, want.coeffs)
+
+
+def chained_transfer(Z, c, scalar, x):
+    """The transfer as chained passes, one rebuilt series per binomial and
+    per geometric factor: the route the one-pass build replaces."""
+    def times_binomial(s, nu, N):
+        out = []
+        for term in s.terms:
+            out.append(term)
+            out.append(SeriesTerm(RationalMotive(-term.coeff.num.shift(-nu),
+                                                 term.coeff.den),
+                                  tuple(a + b for a, b in zip(term.shift, N)),
+                                  term.factors))
+        return RationalSeries(s.nvars, out)
+
+    def over_binomial(s, nu, N):
+        f = SeriesFactor(nu, N)
+        return RationalSeries(s.nvars, [SeriesTerm(term.coeff, term.shift,
+                                                   term.factors + (f,))
+                                        for term in s.terms])
+
+    out = Z.scale(scalar)
+    for j in range(1, c.r1 + 1):
+        out = times_binomial(out, x(j), c.d)
+    for j in range(1, c.r2 + 1):
+        out = over_binomial(out, x(j), c.d)
+    return out
+
+
+def random_rational(rng, nvars):
+    """1-4 terms with Laurent or quotient coefficients over a few denominator
+    classes, shifts and factor tuples drawn per term."""
+    dens = [LaurentMotive.one(), L - 1, L + 1, L ** 2 - 1, 2 * L + 2, L ** 2 + L + 1]
+    terms = []
+    for _ in range(rng.randint(1, 4)):
+        num = LaurentMotive({rng.randint(-3, 3): rng.randint(-4, 4)
+                             for _ in range(rng.randint(1, 3))})
+        shift = tuple(rng.randint(0, 2) for _ in range(nvars))
+        factors = [(rng.randint(1, 4), tuple(rng.randint(0, 2) for _ in range(nvars)))
+                   for _ in range(rng.randint(0, 2))]
+        factors = [(nu, N) for nu, N in factors if any(N)]
+        terms.append(RationalSeries.term(RationalMotive(num, rng.choice(dens)),
+                                         shift, factors))
+    return sum(terms, RationalSeries.zero(nvars))
+
+
+def test_one_pass_transfer_prints_as_the_chained_passes():
+    """Seeded: castle_zeta and castle_local_zeta print the bytes of the
+    chained passes for r1, r2 in 1..5 (r2 < r1 included) in 1-3 variables,
+    and the local transfer refuses exactly the negative shifts the chained
+    series cannot take."""
+    rng = random.Random(20261019)
+    refused = 0
+    for r1, r2 in itertools.product(range(1, 6), repeat=2):
+        for _ in range(3):
+            nvars = rng.randint(1, 3)
+            c = CastlingDatum(r1 + r2, r1, r2, nvars,
+                              tuple(rng.randint(1, 2) for _ in range(nvars)))
+            Z = random_rational(rng, nvars)
+            want = chained_transfer(Z, c, _sl_ratio(c), lambda j: j)
+            assert str(castle_zeta(Z, c)) == str(want)
+            local = chained_transfer(Z, c, _local_unit(c), lambda j: j)
+            try:
+                want = local.shifted(tuple((r2 - r1) * x for x in c.d))
+            except ValueError:
+                refused += 1
+                with pytest.raises(CastlingError, match="degree bookkeeping"):
+                    castle_local_zeta(Z, c)
+                continue
+            assert str(castle_local_zeta(Z, c)) == str(want)
+    assert refused
 
 
 class TestNumeric:

@@ -37,6 +37,9 @@ QUADRIC_SERIES = ("(L^-1 + L^-2) * T1^2 / ((1 - L^-3 * T1^2))  +  "
 # The (3, 1, 2) transfer of t^(3/2): castle-spectrum under (3, 2, 1) takes it
 # back to t^(3/2), while t^(3/2) itself is no (3, 2, 1) input.
 PARTNER_SPECTRUM = "-t^(3/2) + t^2 + t^(7/2)"
+# b-function roots that contain every root an r1 <= 2, d = 2 transfer removes;
+# castle-bfun under (3, 2, 1) refuses "1/3", which lacks them.
+BFUN_ROOTS = "1/2,1,1,3/2,2/3"
 # (p, order, with the partner) of the castle-igusa cases.
 IGUSA = ((2, 3, True), (3, 2, True), (2, 4, True), (5, 4, False))
 
@@ -75,11 +78,13 @@ def cases(tmp):
         path = castling_path(tmp, m, r1, r2)
         tag = "{m:%d,r1:%d,r2:%d,d:[2]}" % (m, r1, r2)
         for cmd in ("castle-zeta", "castle-local"):
-            out["%s quadric3-local %s" % (cmd, tag)] = [
-                cmd, "--castling", str(path),
-                "--datum", _data("quadric3-local")]
+            for name in RESOLUTION_FIXTURES:
+                out["%s %s %s" % (cmd, name, tag)] = [
+                    cmd, "--castling", str(path), "--datum", _data(name)]
             out["%s --series quadric3-local %s" % (cmd, tag)] = [
                 cmd, "--castling", str(path), "--series", QUADRIC_SERIES]
+        out["castle-bfun '%s' %s" % (BFUN_ROOTS, tag)] = [
+            "castle-bfun", "--castling", str(path), "--roots", BFUN_ROOTS]
         out["castle-milnor 'L^2 + L' %s" % tag] = [
             "castle-milnor", "--castling", str(path), "--value", "L^2 + L"]
         out["castle-milnor 'L + 1' '1 + t' %s" % tag] = [
@@ -87,6 +92,9 @@ def cases(tmp):
             "--spectrum", "1 + t"]
         out["castle-spectrum 't^(3/2)' %s" % tag] = [
             "castle-spectrum", "--castling", str(path), "--spectrum", "t^(3/2)"]
+    out["castle-bfun '1/3' {m:3,r1:2,r2:1,d:[2]}"] = [
+        "castle-bfun", "--castling", str(castling_path(tmp, 3, 2, 1)),
+        "--roots", "1/3"]
     out["castle-spectrum '%s' {m:3,r1:2,r2:1,d:[2]}" % PARTNER_SPECTRUM] = [
         "castle-spectrum", "--castling", str(castling_path(tmp, 3, 2, 1)),
         "--spectrum", PARTNER_SPECTRUM]

@@ -1,13 +1,14 @@
 """Resolution data: zeta series, Milnor fiber, spectrum, shipped fixtures."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from arczeta import (ArcConstraint, Component, LaurentMotive, PolySystem,
-                     RationalMotive, ResolutionDatum, ResolutionError,
-                     Spectrum, Stratum, hsp_of_f, milnor_fiber, parse_poly,
-                     zeta_coeffs_from_counts, zeta_from_resolution)
+                     RationalMotive, RationalSeries, ResolutionDatum,
+                     ResolutionError, Spectrum, Stratum, hsp_of_f, milnor_fiber,
+                     parse_poly, zeta_coeffs_from_counts, zeta_from_resolution)
 from arczeta.fixtures import RESOLUTION_FIXTURES, resolution_fixture
 
 L = LaurentMotive.L()
@@ -97,3 +98,54 @@ class TestMilnorValues:
     def test_sign_dimension_override(self):
         R = resolution_fixture("x2")
         assert hsp_of_f(R, 2) == -t(half)
+
+
+@pytest.fixture
+def spy(monkeypatch):
+    """Counts zeta-series terms built and limits taken at infinity."""
+    calls = Counter()
+    term, limit = RationalSeries.term.__func__, RationalSeries.limit_at_infinity
+
+    def counted_term(cls, *args):
+        calls["term"] += 1
+        return term(cls, *args)
+
+    def counted_limit(self):
+        calls["limit"] += 1
+        return limit(self)
+
+    monkeypatch.setattr(RationalSeries, "term", classmethod(counted_term))
+    monkeypatch.setattr(RationalSeries, "limit_at_infinity", counted_limit)
+    return calls
+
+
+class TestDerivedOnce:
+    def test_zeta_series_and_check_run_once_per_datum(self, spy):
+        R = resolution_fixture("quadric3-local")
+        pair = milnor_fiber(R)
+        assert hsp_of_f(R, 3) == t(Fraction(3, 2))
+        assert milnor_fiber(R) is pair
+        assert zeta_from_resolution(R) is zeta_from_resolution(R)
+        assert spy == {"term": len(R.strata), "limit": 1}
+
+    def test_equal_data_compute_their_own_values(self, spy):
+        R1, R2 = resolution_fixture("xy-local"), resolution_fixture("xy-local")
+        assert R1 == R2 and hash(R1) == hash(R2)
+        Z1, Z2 = zeta_from_resolution(R1), zeta_from_resolution(R2)
+        assert Z1 is not Z2 and str(Z1) == str(Z2)
+        assert milnor_fiber(R1) == milnor_fiber(R2)
+        assert spy == {"term": 2 * len(R1.strata), "limit": 2}
+        assert R1 == R2 and hash(R1) == hash(R2)
+        assert ResolutionDatum.from_json(R1.to_json()) == R1
+
+    def test_cross_check_runs_on_every_fresh_datum(self, monkeypatch):
+        checked = resolution_fixture("quadric3-local")
+        pair = milnor_fiber(checked)
+        monkeypatch.setattr(RationalSeries, "limit_at_infinity",
+                            lambda self: RationalMotive(L ** 5))
+        assert milnor_fiber(checked) is pair
+        for call in (milnor_fiber, lambda R: hsp_of_f(R, 3)):
+            R = resolution_fixture("quadric3-local")
+            for _ in range(2):  # a failed check caches nothing
+                with pytest.raises(ResolutionError, match="zeta limit disagrees"):
+                    call(R)

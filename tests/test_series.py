@@ -203,8 +203,7 @@ class TestRationalSeries:
 
     def test_binomial_cancellation(self):
         s = geometric(nu=2, N=3)
-        assert series_equal(s.over_binomial(2, (3,)).times_binomial(2, (3,)),
-                            s, 9)
+        assert series_equal(s.times_ratio(1, [2], [2], (3,)), s, 9)
 
     def test_shifted_guard(self):
         s = RationalSeries.term(LaurentMotive.one(), (1,))
@@ -217,9 +216,9 @@ class TestRationalSeries:
         down to the first entries."""
         s = geometric()
         with pytest.raises(SeriesError):
-            s.times_binomial(1, (2, 5))
+            s.times_ratio(1, [1], [], (2, 5))
         with pytest.raises(SeriesError):
-            s.over_binomial(1, (2, 5))
+            s.times_ratio(1, [], [1], (2, 5))
         with pytest.raises(SeriesError):
             s.shifted((1, 2))
 
@@ -350,6 +349,16 @@ class TestRationalSeries:
         for back in (copy.copy(s), copy.deepcopy(s),
                      pickle.loads(pickle.dumps(s))):
             assert str(back) == str(s) and back.nvars == 2
+            assert back.terms == s.terms and isinstance(back.terms, tuple)
+            with pytest.raises(AttributeError, match="RationalSeries is immutable"):
+                back.terms = ()
+
+    def test_assignment_refused(self):
+        s = geometric()
+        for name in ("terms", "nvars", "other"):
+            with pytest.raises(AttributeError, match="RationalSeries is immutable"):
+                setattr(s, name, None)
+        assert isinstance(s.terms, tuple) and s.nvars == 1
 
     def test_empty_expansion_has_motive_zero(self):
         got = RationalSeries.zero(1).expand(3)
