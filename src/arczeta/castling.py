@@ -5,11 +5,14 @@ the operators push each realization of the zeta data of one partner (series,
 Milnor fiber class, spectrum, b-function roots, p-adic series) to the other.
 All of them are exact and invertible by swapping r1 and r2.
 
-The four series transfers share one skeleton, _transfer: a scalar, then r1
-binomials (1 - L^-j T^d) traded for r2 geometric factors, in one times_ratio
-call.  castle_zeta and castle_local_zeta run it on RationalSeries, which
-builds the result once; castle_zeta_numeric and castle_igusa are its
-specialization at L = q, on truncated Fraction series, one pass per factor.
+The four series transfers share one skeleton: a scalar, then r1 binomials
+(1 - L^-j T^d) traded for r2 geometric factors, in one times_ratio call.
+castle_zeta and castle_local_zeta run it on RationalSeries (_transfer),
+which builds the result once and prints every factor, so nothing is
+cancelled there.  castle_zeta_numeric and castle_igusa are its
+specialization at L = q on truncated Fraction series (_numeric_transfer):
+a value is all they keep, so the factors j <= min(r1, r2) of the scalar and
+of the product cancel, and one pass per remaining factor is made.
 
 Every relation is a ratio of products prod_{j<=r}(1 - X^j), all built by
 motive._binomials: X = L^-1 in the SL_r classes and the local unit, L in the
@@ -36,6 +39,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from .arcs import CountPlan, order_indices
 from .motive import LaurentMotive, RationalMotive, _binomials, sl_class
@@ -87,7 +91,7 @@ def castle_zeta(Z1, c):
     """Transfer of the global zeta series: multiply by the ratio of special
     linear group classes and trade r1 binomials (1 - L^-j T^d) for r2
     geometric factors, T^d meaning the product of T_i^d_i."""
-    return _transfer(Z1, c, _sl_ratio(c), lambda j: j)
+    return _transfer(Z1, c, _sl_ratio(c))
 
 
 def castle_local_zeta(Z1_0, c):
@@ -101,22 +105,49 @@ def castle_local_zeta(Z1_0, c):
     monomial shift is negative and fails loudly if a term would leave the
     series ring (degree bookkeeping error).
     """
-    out = _transfer(Z1_0, c, _local_unit(c), lambda j: j)
-    try:
-        return out.shifted(mi_scale(c.r2 - c.r1, c.d))
-    except ValueError as exc:
-        raise CastlingError("degree bookkeeping failed: %s" % exc) from exc
+    return _transfer(Z1_0, c, _local_unit(c), c.r2 - c.r1)
 
 
-def _transfer(Z, c, scalar, x):
-    """Z * scalar * prod_{j<=r1}(1 - x(j) T^d) / prod_{j<=r2}(1 - x(j) T^d),
-    x(j) the exponent j of L^-j (RationalSeries) or the rational q^-j: one
-    Z.times_ratio call, which builds a RationalSeries once."""
+def _transfer(Z, c, scalar, shift=0):
+    """Z * T^(shift d) * scalar * prod_{j<=r1}(1 - L^-j T^d)
+    / prod_{j<=r2}(1 - L^-j T^d): the shift is taken on the terms of Z, the
+    rest by one Z.times_ratio call, which builds a RationalSeries once.  The
+    binomials only raise shifts, so a term of the result leaves the series
+    ring exactly when the shifted term of Z it comes from does."""
+    _check_arity(Z, c)
+    if shift:
+        try:
+            Z = Z.shifted(mi_scale(shift, c.d))
+        except ValueError as exc:
+            raise CastlingError("degree bookkeeping failed: %s" % exc) from exc
+    js = range(1, max(c.r1, c.r2) + 1)
+    return Z.times_ratio(scalar, js[:c.r1], js[:c.r2], c.d)
+
+
+def _numeric_transfer(Z, q, c, e):
+    """The transfers at L = q on a truncated series Z with Fraction
+    coefficients: Z * q^e prod_{j<=r2}(1 - q^-j) prod_{j<=r1}(1 - q^-j T^d)
+    / (prod_{j<=r1}(1 - q^-j) prod_{j<=r2}(1 - q^-j T^d)).  The factors
+    j <= min(r1, r2) cancel, so only the others are applied: one scale, then
+    r1 - r2 binomials or r2 - r1 geometric factors.  The truncated series
+    form a ring, so the cancelled product gives every Fraction of the
+    uncancelled one.  q = 0 and q = +-1, where the uncancelled ratio
+    divides by zero, are refused."""
+    _check_arity(Z, c)
+    q = Fraction(q)
+    if q in (0, 1, -1):
+        raise CastlingError("no numeric transfer at q = %s" % q)
+    xs = [q ** -j for j in range(min(c.r1, c.r2) + 1, max(c.r1, c.r2) + 1)]
+    unit = prod((1 - x for x in xs), start=Fraction(1))
+    if c.r2 >= c.r1:
+        return Z.times_ratio(q ** e * unit, (), xs, c.d)
+    return Z.times_ratio(q ** e / unit, xs, (), c.d)
+
+
+def _check_arity(Z, c):
     if Z.nvars != c.l:
         raise CastlingError("series has %d variables, datum says %d"
                             % (Z.nvars, c.l))
-    xs = [x(j) for j in range(1, max(c.r1, c.r2) + 1)]
-    return Z.times_ratio(scalar, xs[:c.r1], xs[:c.r2], c.d)
 
 
 def _sl_ratio(c):
@@ -248,15 +279,14 @@ def castle_igusa(Z1, q, c):
     transfer at L = q without its monomial shift."""
     if c.l != 1:
         raise CastlingError("p-adic transfer needs a single invariant")
-    q = Fraction(q)
-    return _transfer(Z1, c, _local_unit(c).specialize(q), lambda j: q ** -j)
+    return _numeric_transfer(Z1, q, c, 0)
 
 
 def castle_zeta_numeric(Z1, q, c):
     """castle_zeta on a q-specialized truncated series (L already replaced
-    by the rational q)."""
-    q = Fraction(q)
-    return _transfer(Z1, c, _sl_ratio(c).specialize(q), lambda j: q ** -j)
+    by the rational q): the SL class ratio at q is q^(r2^2 - r1^2) times
+    the local unit."""
+    return _numeric_transfer(Z1, q, c, c.r2 ** 2 - c.r1 ** 2)
 
 
 def counting_series(sys, q, order, leading, threads=1):

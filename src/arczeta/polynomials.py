@@ -8,6 +8,7 @@ with values from any commutative ring (numbers, residues, other polynomials).
 from __future__ import annotations
 
 import re
+from operator import add
 
 from .motive import _integer, _monomial_text, _signed_text
 
@@ -38,6 +39,16 @@ class Poly:
                     clean[mono] = c
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _of(cls, nvars, terms):
+        """A Poly from clean parts, not checked again: nvars >= 1 and terms a
+        fresh dict of int exponent tuples of that length, entries >= 0, to
+        nonzero int coefficients."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "terms", terms)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -143,24 +154,34 @@ class Poly:
         return "Poly(%d, %r)" % (self.nvars, self.terms)
 
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<int>\d+)|(?P<var>x\d+)|(?P<op>[-+*^()]))")
+# The grammar: tokens are integers, variables x<digits> and - + * ^ ( ), with
+# whitespace allowed between any two of them and at either end.  Trailing
+# whitespace is cut first; then one match of _TOKENS reaches the end of the
+# text exactly when the text is made of tokens, and otherwise stops at the
+# whitespace before the first bad one.
+_TOKENS = re.compile(r"(?:\s*(?:x?\d+|[-+*^()]))*")
+_TOKEN = re.compile(r"\s*(x?\d+|[-+*^()])")
+_END = ""  # closes every token list, so the parser never reads past it
+_OPS = frozenset("-+*^()")
+# The tokens that end a product; any other token but "*" starts a factor
+# multiplied implicitly, as in 2x1 or (x1 + 1)(x2 + 1).
+_PRODUCT_ENDS = frozenset(("+", "-", "^", ")", _END))
 
 
-def _tokenize(text):
-    pos = 0
-    out = []
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            raise PolyError("bad polynomial syntax at %r" % text[pos:])
-        if m.group("int") is not None:
-            out.append(("int", int(m.group("int"))))
-        elif m.group("var") is not None:
-            out.append(("var", int(m.group("var")[1:])))
-        else:
-            out.append(("op", m.group("op")))
-        pos = m.end()
-    return out
+def _tokens(text):
+    """The tokens of text as strings, closed by _END."""
+    text = text.rstrip()
+    end = _TOKENS.match(text).end()
+    if end < len(text):
+        raise PolyError("bad polynomial syntax at %r" % text[end:])
+    toks = _TOKEN.findall(text)
+    toks.append(_END)
+    return toks
+
+
+def _arity(toks):
+    """The largest variable index among the tokens, 1 if there is none."""
+    return max((int(t[1:]) for t in toks if t[:1] == "x"), default=1)
 
 
 # Arithmetic on term dicts (exponent tuple -> nonzero coefficient), shared by
@@ -175,10 +196,16 @@ def _add(a, b, sign=1):
 
 
 def _mul(a, b):
+    if len(b) == 1:
+        ((m2, c2),) = b.items()
+        return {tuple(map(add, m1, m2)): c1 * c2 for m1, c1 in a.items()}
+    if len(a) == 1:
+        ((m1, c1),) = a.items()
+        return {tuple(map(add, m1, m2)): c1 * c2 for m2, c2 in b.items()}
     out = {}
     for m1, c1 in a.items():
         for m2, c2 in b.items():
-            m = tuple(x + y for x, y in zip(m1, m2))
+            m = tuple(map(add, m1, m2))
             out[m] = out.get(m, 0) + c1 * c2
     return {m: c for m, c in out.items() if c}
 
@@ -194,102 +221,99 @@ def _pow(a, n, nvars):
     return out
 
 
-class _Parser:
-    """Recursive descent over +, -, *, ^ and parentheses; * binds tighter
-    than + and -, ^ tighter than *, and only integer exponents are allowed.
-    Values are term dicts, as in Poly.terms."""
+# Recursive descent over a token list: * binds tighter than + and -, ^
+# tighter than *, and only integer exponents are allowed.  Each rule takes
+# the index of its first token and returns (term dict, index after it).
+# An operator token is quoted as ('op', '+') in the error messages, as the
+# parser has always printed it.
 
-    def __init__(self, tokens, nvars):
-        self.tokens = tokens
-        self.pos = 0
-        self.nvars = nvars
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+def _expr(toks, i, nvars):
+    """expr := [+|-] product {(+|-) product}"""
+    sign = toks[i]
+    if sign == "+" or sign == "-":
+        i += 1
+    out, i = _product(toks, i, nvars)
+    if sign == "-":
+        out = {m: -c for m, c in out.items()}
+    while True:
+        op = toks[i]
+        if op != "+" and op != "-":
+            return out, i
+        rhs, i = _product(toks, i + 1, nvars)
+        out = _add(out, rhs, 1 if op == "+" else -1)
 
-    def take(self):
-        t = self.peek()
-        if t is None:
-            raise PolyError("unexpected end of expression")
-        self.pos += 1
-        return t
 
-    def expr(self):
-        sign = 1
-        t = self.peek()
-        if t == ("op", "+") or t == ("op", "-"):
-            self.take()
-            sign = -1 if t[1] == "-" else 1
-        out = _add({}, self.product(), sign)
-        while True:
-            t = self.peek()
-            if t == ("op", "+") or t == ("op", "-"):
-                self.take()
-                out = _add(out, self.product(), 1 if t[1] == "+" else -1)
-            else:
-                return out
-
-    def product(self):
-        out = self.power()
-        while True:
-            t = self.peek()
-            if t == ("op", "*"):
-                self.take()
-                out = _mul(out, self.power())
-            elif t is not None and t[0] in ("int", "var") or t == ("op", "("):
-                # implicit multiplication, e.g. 2x1 or (x1+1)(x2+1)
-                out = _mul(out, self.power())
-            else:
-                return out
-
-    def power(self):
-        base = self.atom()
-        if self.peek() == ("op", "^"):
-            self.take()
-            t = self.take()
-            if t[0] != "int":
+def _product(toks, i, nvars):
+    """product := power {[*] power}, power := atom [^ integer]"""
+    out = None
+    while True:
+        base, i = _atom(toks, i, nvars)
+        if toks[i] == "^":
+            exp = toks[i + 1]
+            if exp == _END:
+                raise PolyError("unexpected end of expression")
+            if exp[0] == "x" or exp in _OPS:
                 raise PolyError("exponent must be a nonnegative integer")
-            return _pow(base, t[1], self.nvars)
-        return base
+            base = _pow(base, int(exp), nvars)
+            i += 2
+        out = base if out is None else _mul(out, base)
+        tok = toks[i]
+        if tok == "*":
+            i += 1
+        elif tok in _PRODUCT_ENDS:
+            return out, i
 
-    def atom(self):
-        t = self.take()
-        if t[0] == "int":
-            if self.nvars < 1:
-                raise PolyError("need at least one variable")
-            return {(0,) * self.nvars: t[1]} if t[1] else {}
-        if t[0] == "var":
-            if not 1 <= t[1] <= self.nvars:
-                raise PolyError("variable index %d out of range 1..%d"
-                                % (t[1], self.nvars))
-            return {tuple(int(j == t[1] - 1) for j in range(self.nvars)): 1}
-        if t == ("op", "("):
-            inner = self.expr()
-            if self.take() != ("op", ")"):
-                raise PolyError("missing closing parenthesis")
-            return inner
-        if t == ("op", "-"):
-            return _add({}, self.atom(), -1)
-        raise PolyError("unexpected token %r" % (t,))
+
+def _atom(toks, i, nvars):
+    """atom := integer | variable | ( expr ) | - atom"""
+    tok = toks[i]
+    if tok == "(":
+        inner, i = _expr(toks, i + 1, nvars)
+        if toks[i] != ")":
+            raise PolyError("missing closing parenthesis" if toks[i]
+                            else "unexpected end of expression")
+        return inner, i + 1
+    if tok == "-":
+        inner, i = _atom(toks, i + 1, nvars)
+        return {m: -c for m, c in inner.items()}, i
+    if tok == _END:
+        raise PolyError("unexpected end of expression")
+    if tok in _OPS:
+        raise PolyError("unexpected token ('op', %r)" % tok)
+    if tok[0] == "x":
+        k = int(tok[1:])
+        if not 1 <= k <= nvars:
+            raise PolyError("variable index %d out of range 1..%d" % (k, nvars))
+        return {(0,) * (k - 1) + (1,) + (0,) * (nvars - k): 1}, i + 1
+    if nvars < 1:
+        raise PolyError("need at least one variable")
+    c = int(tok)
+    return ({(0,) * nvars: c} if c else {}), i + 1
+
+
+def _parse(toks, nvars):
+    out, i = _expr(toks, 0, nvars)
+    if toks[i] != _END:
+        raise PolyError("trailing input at token ('op', %r)" % toks[i])
+    return Poly._of(int(nvars), out)
 
 
 def parse_poly(text, nvars=None):
-    """Parse a polynomial in x1..xr; r defaults to the largest index used."""
-    tokens = _tokenize(text)
-    if nvars is None:
-        nvars = max((t[1] for t in tokens if t[0] == "var"), default=1)
-    p = _Parser(tokens, nvars)
-    out = p.expr()
-    if p.peek() is not None:
-        raise PolyError("trailing input at token %r" % (p.peek(),))
-    return Poly(nvars, out)
+    """Parse a polynomial in x1..xr; r defaults to the largest index used.
+
+    The text is tokenized by one regular-expression pass and parsed by one
+    descent over the tokens; whitespace may stand between any two tokens and
+    at either end, so "x1 + 1 " reads as "x1 + 1"."""
+    toks = _tokens(text)
+    return _parse(toks, _arity(toks) if nvars is None else nvars)
 
 
 def parse_system(texts, nvars=None):
-    """Parse several polynomials over a shared variable set."""
-    if nvars is None:
-        nvars = 1
-        for text in texts:
-            nvars = max(nvars, max((t[1] for t in _tokenize(text) if t[0] == "var"),
-                                   default=1))
-    return [parse_poly(text, nvars) for text in texts]
+    """Parse several polynomials over a shared variable set; without nvars,
+    every text is tokenized before any is parsed."""
+    if nvars is not None:
+        return [parse_poly(text, nvars) for text in texts]
+    tokens = [_tokens(text) for text in texts]
+    nvars = max([1] + [_arity(toks) for toks in tokens])
+    return [_parse(toks, nvars) for toks in tokens]

@@ -180,9 +180,10 @@ def random_truncated(rng, nvars, order):
 
 
 def test_numeric_transfers_match_reference_loops(monkeypatch):
-    """The skeleton's numeric transfers give the exact Fractions of the
-    separate loops, for r1, r2 in 1..5, and l = 2 globally; each makes one
-    scale, r1 binomial and r2 geometric pass."""
+    """The numeric transfers give the exact Fractions of the separate
+    loops, for r1, r2 in 1..5, and l = 2 globally; each makes one scale and
+    applies only the factors that do not cancel: r1 - r2 binomial or
+    r2 - r1 geometric passes, none when r1 = r2."""
     passes = []
     for name in ("scale", "times_binomial", "over_binomial"):
         def counted(self, *args, _name=name, _real=getattr(TruncatedSeries, name)):
@@ -198,8 +199,8 @@ def test_numeric_transfers_match_reference_loops(monkeypatch):
                                         (castle_zeta_numeric, reference_zeta_numeric)):
                 passes.clear()
                 got = transfer(Z, q, c)
-                assert passes == (["scale"] + ["times_binomial"] * r1
-                                  + ["over_binomial"] * r2)
+                assert passes == (["scale"] + ["times_binomial"] * max(r1 - r2, 0)
+                                  + ["over_binomial"] * max(r2 - r1, 0))
                 want = reference(Z, q, c)
                 assert (got.order, got.coeffs) == (want.order, want.coeffs)
             c2 = CastlingDatum(r1 + r2, r1, r2, 2,
@@ -293,6 +294,13 @@ class TestNumeric:
             castle_zeta_numeric(Z, 3, SYM)
         with pytest.raises(CastlingError):
             castle_igusa(Z, 3, SYM)
+
+    @pytest.mark.parametrize("q", [0, 1, -1])
+    def test_degenerate_q_refused(self, q):
+        Z = TruncatedSeries(1, 3, {(0,): Fraction(1)})
+        for transfer in (castle_igusa, castle_zeta_numeric):
+            with pytest.raises(CastlingError, match="no numeric transfer"):
+                transfer(Z, q, QUADRIC.swapped())
 
     def test_zeta_numeric_matches_symbolic(self):
         Z = quadric_germ_zeta()

@@ -242,6 +242,38 @@ class TestCastlingCommands:
         assert json.loads(out)["partner_matches"] is True
 
 
+class TestTrailingWhitespace:
+    """A polynomial text with trailing whitespace prints the bytes of the
+    stripped text."""
+
+    QUADRIC_M3 = str(Path(TORUS_M3).with_name("quadric-m3.json"))
+    EXPECTED = Path(TORUS_M3).parents[1] / "expected" / "castle-igusa.txt"
+    PARTNER = "(x1*x4 - x2*x3)^2 + (x1*x6 - x2*x5)^2 + (x3*x6 - x4*x5)^2"
+
+    @pytest.mark.parametrize("space", ["", " ", " \t\n"])
+    def test_castle_igusa(self, capsys, space):
+        code, out, err = run(capsys, "castle-igusa", "--castling", self.QUADRIC_M3,
+                             "--poly", "x1^2 + x2^2 + x3^2" + space,
+                             "--partner", self.PARTNER + space, "--p", "2",
+                             "--order", "3", "--deterministic")
+        assert (code, err) == (0, "")
+        assert out == self.EXPECTED.read_text()
+
+    @pytest.mark.parametrize("argv", [
+        ["count", "--n", "2", "--q", "3"],
+        ["zeta-count", "--order", "3", "--q", "2"],
+    ])
+    def test_counts(self, capsys, argv):
+        want = run(capsys, *argv, "--poly", "x1^2 - x2^3", "--deterministic")
+        got = run(capsys, *argv, "--poly", "x1^2 - x2^3  ", "--deterministic")
+        assert got == want and want[0] == 0
+
+    def test_error_quotes_the_stripped_text(self, capsys):
+        want = run(capsys, "count", "--poly", "x1 + y1", "--n", "1", "--q", "3")
+        got = run(capsys, "count", "--poly", "x1 + y1 ", "--n", "1", "--q", "3")
+        assert got == want == (2, "", "error: bad polynomial syntax at ' y1'\n")
+
+
 class TestVerify:
     def test_fixture_pair(self, capsys):
         code, out, _ = run(capsys, "verify", "--fixture", "sym-m2",

@@ -1,5 +1,7 @@
 """Integer polynomial arithmetic and the x1..xr expression grammar."""
 
+import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -80,3 +82,233 @@ class TestGrammar:
         if p.is_zero():
             return
         assert parse_poly(str(p), nvars=2) == p
+
+    def test_trailing_whitespace_reads_as_the_stripped_text(self):
+        assert parse_poly("x1^2 + x2^2 + x3^2 \t\n") == parse_poly("x1^2 + x2^2 + x3^2")
+        assert parse_system(["x1 ", " x2  "]) == parse_system(["x1", " x2"])
+        with pytest.raises(PolyError, match=r"syntax at ' y'$"):
+            parse_poly("x1 y  ")
+
+
+# -- the route the one-pass parser replaced, kept to check it against ----------
+
+_OLD_TOKEN_RE = re.compile(r"\s*(?:(?P<int>\d+)|(?P<var>x\d+)|(?P<op>[-+*^()]))")
+
+
+def old_tokenize(text):
+    pos = 0
+    out = []
+    while pos < len(text):
+        m = _OLD_TOKEN_RE.match(text, pos)
+        if not m or m.end() == pos:
+            raise PolyError("bad polynomial syntax at %r" % text[pos:])
+        if m.group("int") is not None:
+            out.append(("int", int(m.group("int"))))
+        elif m.group("var") is not None:
+            out.append(("var", int(m.group("var")[1:])))
+        else:
+            out.append(("op", m.group("op")))
+        pos = m.end()
+    return out
+
+
+def old_add(a, b, sign=1):
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, 0) + sign * c
+    return {m: c for m, c in out.items() if c}
+
+
+def old_mul(a, b):
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = tuple(x + y for x, y in zip(m1, m2))
+            out[m] = out.get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def old_pow(a, n, nvars):
+    out = {(0,) * nvars: 1}
+    while n:
+        if n & 1:
+            out = old_mul(out, a)
+        n >>= 1
+        if n:
+            a = old_mul(a, a)
+    return out
+
+
+class OldParser:
+    def __init__(self, tokens, nvars):
+        self.tokens = tokens
+        self.pos = 0
+        self.nvars = nvars
+
+    def peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def take(self):
+        t = self.peek()
+        if t is None:
+            raise PolyError("unexpected end of expression")
+        self.pos += 1
+        return t
+
+    def expr(self):
+        sign = 1
+        t = self.peek()
+        if t == ("op", "+") or t == ("op", "-"):
+            self.take()
+            sign = -1 if t[1] == "-" else 1
+        out = old_add({}, self.product(), sign)
+        while True:
+            t = self.peek()
+            if t == ("op", "+") or t == ("op", "-"):
+                self.take()
+                out = old_add(out, self.product(), 1 if t[1] == "+" else -1)
+            else:
+                return out
+
+    def product(self):
+        out = self.power()
+        while True:
+            t = self.peek()
+            if t == ("op", "*"):
+                self.take()
+                out = old_mul(out, self.power())
+            elif t is not None and t[0] in ("int", "var") or t == ("op", "("):
+                out = old_mul(out, self.power())
+            else:
+                return out
+
+    def power(self):
+        base = self.atom()
+        if self.peek() == ("op", "^"):
+            self.take()
+            t = self.take()
+            if t[0] != "int":
+                raise PolyError("exponent must be a nonnegative integer")
+            return old_pow(base, t[1], self.nvars)
+        return base
+
+    def atom(self):
+        t = self.take()
+        if t[0] == "int":
+            if self.nvars < 1:
+                raise PolyError("need at least one variable")
+            return {(0,) * self.nvars: t[1]} if t[1] else {}
+        if t[0] == "var":
+            if not 1 <= t[1] <= self.nvars:
+                raise PolyError("variable index %d out of range 1..%d"
+                                % (t[1], self.nvars))
+            return {tuple(int(j == t[1] - 1) for j in range(self.nvars)): 1}
+        if t == ("op", "("):
+            inner = self.expr()
+            if self.take() != ("op", ")"):
+                raise PolyError("missing closing parenthesis")
+            return inner
+        if t == ("op", "-"):
+            return old_add({}, self.atom(), -1)
+        raise PolyError("unexpected token %r" % (t,))
+
+
+def old_parse_poly(text, nvars=None):
+    tokens = old_tokenize(text)
+    if nvars is None:
+        nvars = max((t[1] for t in tokens if t[0] == "var"), default=1)
+    p = OldParser(tokens, nvars)
+    out = p.expr()
+    if p.peek() is not None:
+        raise PolyError("trailing input at token %r" % (p.peek(),))
+    return Poly(nvars, out)
+
+
+def outcome(parse, *args):
+    """(nvars, terms in order) of the parsed Poly, or the PolyError message."""
+    try:
+        p = parse(*args)
+    except PolyError as exc:
+        return "error: %s" % exc
+    return p.nvars, list(p.terms.items())
+
+
+# Good tokens and pieces, and among them x0, both parentheses alone and ^x1;
+# then tokens the grammar refuses.
+GOOD = ["x1", "x2", "x3", "x0", "x01", "0", "1", "2", "3", "10", "+", "-", "-",
+        "*", "*", "^", "^2", "^x1", "(", ")", "x1^3", "(x1 + x2)", "2x3",
+        "(x2 - 1)^2", "x1*x3"]
+BAD = ["y", "x", "1.5", "$", "x-"]
+
+
+def random_expr(rng, depth=2):
+    """A text of the grammar: sums of products of powers, both kinds of
+    multiplication and signs, x0 and index 4 now and then."""
+    def atom():
+        roll = rng.random()
+        if depth and roll < 0.25:
+            return "(" + random_expr(rng, depth - 1) + ")"
+        if roll < 0.35:
+            return "-" + atom()
+        if roll < 0.65:
+            return str(rng.choice((0, 1, 2, 3, 10, 12)))
+        return "x%d" % rng.choice((1, 2, 3, 1, 2, 3, 4, 0))
+
+    def power():
+        return atom() + (" ^ %d" % rng.randint(0, 3) if rng.random() < 0.3 else "")
+
+    def product():
+        out = power()
+        for _ in range(rng.randint(0, 2)):
+            out += rng.choice(("*", " * ", "")) + power()
+        return out
+
+    out = rng.choice(("", "", "-", "+ ")) + product()
+    for _ in range(rng.randint(0, 3)):
+        out += rng.choice((" + ", " - ", "+", "-")) + product()
+    return out
+
+
+def random_text(rng):
+    """A grammar text, at times with one character replaced by a stray
+    token, or tokens drawn at random; at times whitespace at either end.
+    Exponents keep one digit, so that no power grows past a few hundred
+    terms."""
+    text = "^10"
+    while re.search(r"\^\s*\d\d", text):
+        text = _random_text(rng)
+    return text
+
+
+def _random_text(rng):
+    if rng.random() < 0.5:
+        text = random_expr(rng)
+        if rng.random() < 0.3:
+            cut = rng.randrange(len(text) + 1)
+            text = text[:cut] + rng.choice(BAD + GOOD) + text[cut + 1:]
+    else:
+        text = "".join(rng.choice(("", "", " ", "  ", "\t"))
+                       + rng.choice(BAD if rng.random() < 0.03 else GOOD)
+                       for _ in range(rng.randint(0, 9)))
+    return (rng.choice(("", "", " ", "\t")) + text
+            + rng.choice(("", "", "", " ", " \n", "\t ")))
+
+
+def test_parser_matches_the_route_it_replaced():
+    """Seeded: the one-pass parser gives the Poly (terms in the same order)
+    or the PolyError message of the old tokenizer and peek/take parser, with
+    and without an explicit arity; a text with trailing whitespace reads as
+    the stripped text."""
+    rng = random.Random(20261019)
+    parsed = failed = 0
+    for _ in range(3000):
+        text = random_text(rng)
+        for nvars in (None, rng.randint(0, 4)):
+            args = (text,) if nvars is None else (text, nvars)
+            want = outcome(old_parse_poly, text.rstrip(), *args[1:])
+            assert outcome(parse_poly, *args) == want, args
+            if isinstance(want, str):
+                failed += 1
+            else:
+                parsed += 1
+    assert parsed > 500 and failed > 500
