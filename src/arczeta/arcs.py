@@ -22,9 +22,9 @@ degree > i, and the coefficients form a matrix.  One kernel, _eval_poly_mod,
 evaluates a table at a block of rows with one gather and one multiply per slot;
 it reduces mod `mod` only when its running bound on the products, (mod-1)^s
 after s slots and at most T max|coef| times that in the final sum, could pass
-2^62.  Each row carries the code of its orders; liveness and the open set are
-gathers from two tables indexed by code, and the targets a code can end at
-come from one pass over the targets' paths of codes (CountPlan._paths).
+2^62.  Each row carries the code of its orders; liveness, the open set and the
+targets a code can end at come from one pass over the targets' paths of codes
+(CountPlan._paths).
 
 Also here: p-adic solution counting by stationary-phase lifting (Hensel at
 smooth zeros), which realizes the local zeta series of a polynomial at a prime.
@@ -33,7 +33,6 @@ It evaluates f and its gradient with the same kernel.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -367,9 +366,9 @@ def _eval_poly_mod(table, X, mod):
 
 
 def order_indices(l, n_max, low=1):
-    """Every order multi-index n with all n_i >= low and |n| <= n_max."""
-    return [n for n in itertools.product(range(low, n_max + 1), repeat=l)
-            if sum(n) <= n_max]
+    """Every order multi-index n with all n_i >= low and |n| <= n_max, sorted."""
+    return [(a,) + rest for a in range(low, n_max - low * (l - 1) + 1)
+            for rest in order_indices(l - 1, n_max - a, low)] if l else [()]
 
 
 def _level_split(terms, h, r):
@@ -410,7 +409,7 @@ class CountPlan:
     The jets are reduced mod q, so no level read only through multiples of
     q is carried.  A row is (levels, start index, code, leading-one flag),
     code = sum_i (ord f_i + 1) (depth+2)^i, digit 0 for an open f_i; every
-    per-row question is a gather from the code tables (see _tables).
+    per-row question is a gather from the code tables (see _paths).
 
     Construction checks q and every target (n_i >= min_order) once and, given
     a budget, refuses a plan whose estimate() exceeds it (BudgetExceeded)
@@ -439,27 +438,6 @@ class CountPlan:
             raise BudgetExceeded(est, budget)
         self._base = (self.depth + 2) ** np.arange(sys.l)
         self._dist = None
-
-    def _tables(self):
-        """Per code: reach, the deepest level at which a prefix with the code
-        can still reach a target (-1: none; live at k is reach >= k, ending at
-        k is reach == k), one scatter over targets x open sets; and open, its
-        open-set bits.  Refused beyond _MAX_GRID_CELLS codes."""
-        l, b = self.sys.l, self.depth + 2
-        if b ** l > _MAX_GRID_CELLS:
-            raise ArcError("code table of %d^%d entries exceeds the limit of %d"
-                           % (b, l, _MAX_GRID_CELLS))
-        sets = (np.arange(1 << l)[:, None] >> np.arange(l) & 1).astype(bool)
-        n = np.array(self.targets)[:, None, :]
-        low = np.where(sets, n, b - 1).min(axis=2)  # least n_i over U, depth+1 if none
-        self.reach = np.full(b ** l, -1, dtype=np.min_scalar_type(-b))
-        np.maximum.at(self.reach, (np.where(sets, 0, n + 1) @ self._base).ravel(),
-                      low.ravel().astype(self.reach.dtype))
-        self.open = np.zeros((b,) * l, dtype=np.min_scalar_type((1 << l) - 1))
-        for i in range(l):  # digit i of a code is axis l-1-i; 0 means open
-            self.open[(slice(None),) * (l - 1 - i) + (0,)] |= 1 << i
-        self.open, self._adds = self.open.ravel(), sets @ self._base
-        self._ending = np.bincount(self.reach[self.reach >= 0], minlength=b) > 0
 
     def estimate(self):
         """Candidate rows charged to the sweep: q^(r E) for the E levels below
@@ -533,14 +511,12 @@ class CountPlan:
         rec = Counter()
         if not self.targets:
             return rec
-        self._tables()
         self._paths()
         v0 = self._prepare()
         code, one = self._settle(np.zeros(len(v0), dtype=np.int64),
                                  np.ones(len(v0), dtype=bool), v0, 0)
-        live = self.reach[code] >= 1
-        self._start_bits(code, live)
-        keep = self._classify(code, one, np.arange(len(v0)), 1, 1, rec, live)
+        self._start_bits(code)
+        keep = self._classify(code, one, np.arange(len(v0)), 1, 1, rec)
         if not keep.any():
             return rec
         self._levels()  # before any shard starts: threads only read the plan
@@ -566,29 +542,41 @@ class CountPlan:
         return rec
 
     def _paths(self):
-        """One pass over the targets.  A prefix of length k with code c can end
-        at the target n exactly when c has digit n_i + 1 for n_i < k and 0 for
-        n_i >= k: n's path passes one code per k in {0} u {n_i + 1}, the open
-        set U losing the f_i in increasing n_i.  through[c] lists (n, least n_i
-        over U or depth+1 for U empty, sum of n_i over U, |U|) per target whose
-        path passes c; ranked[U] the level-0 codes on the paths that pass an
-        open set U of two or more f_i at a level k >= 1."""
-        l = self.sys.l
+        """The code tables from one pass over the targets, refused beyond
+        _MAX_GRID_CELLS codes before anything is built.  A prefix of length k
+        with code c can end at the target n exactly when c has digit n_i + 1
+        for n_i < k and 0 for n_i >= k: n's path passes one code per k in
+        {0} u {n_i + 1}, the open set U losing the f_i in increasing n_i.  Per
+        path code c, through[c] lists (n, least n_i over U or depth+1 for U
+        empty, sum of n_i over U, |U|) per target whose path passes c; reach[c]
+        is the largest such least n_i, the deepest level at which a prefix can
+        still reach a target (-1 off every path), and open[c] the bits of U.
+        ranked[U] lists the level-0 codes on the paths that pass an open set U
+        of two or more f_i at a level k >= 1."""
+        l, b = self.sys.l, self.depth + 2
+        if b ** l > _MAX_GRID_CELLS:
+            raise ArcError("code table of %d^%d entries exceeds the limit of %d"
+                           % (b, l, _MAX_GRID_CELLS))
         digits = list(zip(self._base.tolist(), [1 << i for i in range(l)]))
         self.through, self.ranked = {}, {}
+        self.reach = np.full(b ** l, -1, dtype=np.min_scalar_type(-b))
+        self.open = np.zeros(b ** l, dtype=np.min_scalar_type((1 << l) - 1))
         for n in self.targets:
             code, u, total, size, first, last = 0, (1 << l) - 1, sum(n), l, 0, None
-            for low, (b, bit) in sorted(zip(n, digits)) + [(self.depth + 1, (0, 0))]:
+            for low, (step, bit) in sorted(zip(n, digits)) + [(self.depth + 1, (0, 0))]:
                 if low != last:
                     self.through.setdefault(code, []).append((n, low, total, size))
+                    self.reach[code], self.open[code] = max(self.reach[code], low), u
                     if low and size >= 2:
                         self.ranked.setdefault(u, set()).add(first)
                     last = low
-                code, u, total, size = code + (low + 1) * b, u ^ bit, total - low, size - 1
+                code, u, total, size = code + (low + 1) * step, u ^ bit, total - low, size - 1
                 if not low:
                     first = code
+        self._adds = (np.arange(1 << l)[:, None] >> np.arange(l) & 1) @ self._base
+        self._ending = np.bincount(self.reach[self.reach >= 0], minlength=b) > 0
 
-    def _start_bits(self, codes, live):
+    def _start_bits(self, codes):
         """Bit i of nz[a_0] says grad f_i(a_0) != 0 mod q; full[U][a_0] says
         J_U(a_0) has rank |U| mod q, for each open set U of two or more f_i
         on the way to a target from the start's level-0 code (ranked).  The
@@ -606,7 +594,7 @@ class CountPlan:
                                                             if u >> j & 1]))
         self.nz, full = np.zeros(len(codes), np.int64), np.zeros((len(us), len(codes)), bool)
         self.full = dict(zip(us, full))  # rows of one array
-        cand = np.flatnonzero(live & (codes != self._base.sum()))
+        cand = np.flatnonzero((self.reach[codes] >= 1) & (codes != self._base.sum()))
         per = max(1, _CHUNK // (l * r))
         for a0 in (cand[lo:lo + per] for lo in range(0, len(cand), per)):
             J = _eval_poly_mod(jac, self.start[a0], q).reshape(len(a0), l, r)
@@ -683,14 +671,13 @@ class CountPlan:
         hit = self.open[code] & _bits(v != 0)
         return code + (k + 1) * self._adds[hit], one & ((hit & _bits(v > 1)) == 0)
 
-    def _classify(self, code, one, a0, level, weight, rec, live=None):
+    def _classify(self, code, one, a0, level, weight, rec):
         """Of the prefixes of length `level` that can still reach a target
-        (`live`, by default reach[code] >= level), record those that are
-        settled (no open f_i, or J_U(a_0) of full rank) and return the mask
-        of the others.  A live prefix with |U| >= 2 always finds its rank
-        test in full (see _start_bits)."""
-        if live is None:
-            live = self.reach[code] >= level
+        (reach[code] >= level), record those that are settled (no open f_i,
+        or J_U(a_0) of full rank) and return the mask of the others.  A live
+        prefix with |U| >= 2 always finds its rank test in full (see
+        _start_bits)."""
+        live = self.reach[code] >= level
         u = self.open[code]
         done = (self.nz[a0] & u) == u
         for s, full in self.full.items():
@@ -745,9 +732,8 @@ def _record(rec, level, codes, one, w_one, w_any):
     """Add w per prefix to rec[level, code, side]; side 0 counts only the
     prefixes whose leading coefficients are all 1."""
     for side, cs, w in ((0, codes[one], w_one), (1, codes, w_any)):
-        for c, cnt in enumerate(np.bincount(cs)):
-            if cnt:
-                rec[level, c, side] += w * int(cnt)
+        for c in np.flatnonzero(cnt := np.bincount(cs)).tolist():
+            rec[level, c, side] += w * int(cnt[c])
 
 
 def _index(n):

@@ -204,6 +204,14 @@ def _monomial_text(exps, symbol):
 _MAX_DIGITS = 4300  # Python's default str-to-int limit; the readers refuse more
 
 
+def _check_digits(text, noun, error):
+    """Refuse, as error, a number of more than _MAX_DIGITS digits in text."""
+    longest = max(map(len, re.findall(r"\d+", text)), default=0)
+    if longest > _MAX_DIGITS:
+        raise error("number of %d digits in %s text (at most %d)"
+                    % (longest, noun, _MAX_DIGITS))
+
+
 def _parse_terms(text, symbol, exponent, convert, noun, error):
     """{exponent: coefficient} of a signed sum of terms ``c``, ``c*X^e`` and
     ``X^e`` in the symbol X.  ``exponent`` is the regex of the text of e and
@@ -213,10 +221,7 @@ def _parse_terms(text, symbol, exponent, convert, noun, error):
     text = text.strip()
     if not text:
         raise error("empty %s expression" % noun)
-    longest = max(map(len, re.findall(r"\d+", text)), default=0)
-    if longest > _MAX_DIGITS:
-        raise error("number of %d digits in %s text (at most %d)"
-                    % (longest, noun, _MAX_DIGITS))
+    _check_digits(text, noun, error)
     power = r"%s(?:\^(%s))?" % (symbol, exponent)
     term = re.compile(r"\s*([+-])?\s*(?:(\d+)\s*(?:\*\s*(%s))?|(%s))\s*"
                       % (power, power))

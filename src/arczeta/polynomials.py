@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from operator import add
 
-from .motive import _integer, _monomial_text, _signed_text
+from .motive import _check_digits, _integer, _monomial_text, _signed_text
 
 
 class PolyError(ValueError):
@@ -158,7 +158,7 @@ class Poly:
 # whitespace allowed between any two of them and at either end.  Trailing
 # whitespace is cut first; then one match of _TOKENS reaches the end of the
 # text exactly when the text is made of tokens, and otherwise stops at the
-# whitespace before the first bad one.
+# whitespace before the first bad one.  A number has at most 4300 digits.
 _TOKENS = re.compile(r"(?:\s*(?:x?\d+|[-+*^()]))*")
 _TOKEN = re.compile(r"\s*(x?\d+|[-+*^()])")
 _END = ""  # closes every token list, so the parser never reads past it
@@ -174,6 +174,7 @@ def _tokens(text):
     end = _TOKENS.match(text).end()
     if end < len(text):
         raise PolyError("bad polynomial syntax at %r" % text[end:])
+    _check_digits(text, "polynomial", PolyError)
     toks = _TOKEN.findall(text)
     toks.append(_END)
     return toks
@@ -185,7 +186,9 @@ def _arity(toks):
 
 
 # Arithmetic on term dicts (exponent tuple -> nonzero coefficient), shared by
-# Poly and the parser, which builds no Poly until the end.
+# Poly and the parser, which builds no Poly until the end.  A product pairs at
+# most _MAX_PAIRS terms: (x1 + .. + x6)^10 takes 27,027, ^20 would take 2.6M.
+_MAX_PAIRS = 1 << 18
 
 
 def _add(a, b, sign=1):
@@ -196,6 +199,9 @@ def _add(a, b, sign=1):
 
 
 def _mul(a, b):
+    if len(a) * len(b) > _MAX_PAIRS:
+        raise PolyError("product of %d by %d terms exceeds the limit of %d pairs"
+                        % (len(a), len(b), _MAX_PAIRS))
     if len(b) == 1:
         ((m2, c2),) = b.items()
         return {tuple(map(add, m1, m2)): c1 * c2 for m1, c1 in a.items()}

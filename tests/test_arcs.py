@@ -439,32 +439,81 @@ def fitting(plan, code, level):
                   and min([n[i] for i in U], default=plan.depth + 1) >= level)
 
 
-def _seeded_target_plans():
-    rng = random.Random(1009)
-    for _ in range(16):
-        l, low = rng.randint(1, 3), rng.choice([0, 1])
-        top = rng.randint(l, 5)
+def _target_plans(seed, count, max_l, max_top):
+    rng = random.Random(seed)
+    for _ in range(count):
+        l, low = rng.randint(1, max_l), rng.choice([0, 1])
+        top = rng.randint(l, max_top)
         indices = order_indices(l, top, low)
         targets = rng.sample(indices, rng.randint(1, len(indices)))
         yield CountPlan(PolySystem([parse_poly("x%d" % (i + 1), l) for i in range(l)]),
                         2, None, targets)
 
 
+def _seeded_target_plans():
+    return _target_plans(1009, 16, 3, 5)
+
+
+def _scattered_tables(plan):
+    """reach and open as one scatter over targets x all 2^l open sets: per
+    (n, U), the code with the digits n_i + 1 off U gets at least the least
+    n_i over U (depth + 1 for U empty); open holds every code's zero digits."""
+    l, b = plan.sys.l, plan.depth + 2
+    base = b ** np.arange(l)
+    sets = (np.arange(1 << l)[:, None] >> np.arange(l) & 1).astype(bool)
+    n = np.array(plan.targets)[:, None, :]
+    reach = np.full(b ** l, -1)
+    np.maximum.at(reach, (np.where(sets, 0, n + 1) @ base).ravel(),
+                  np.where(sets, n, b - 1).min(axis=2).ravel())
+    codes = np.arange(b ** l)
+    open_ = ((codes[:, None] // base % b == 0) * (1 << np.arange(l))).sum(axis=1)
+    return reach, open_
+
+
+def _readable(plan):
+    """(codes, level) per level a sweep can ask about: the codes whose every
+    known order lies below the level."""
+    l, b = plan.sys.l, plan.depth + 2
+    codes = np.arange(b ** l)
+    known = (codes[:, None] // b ** np.arange(l) % b).max(axis=1) - 1
+    return [(codes[known < level], level) for level in range(b + 1)]
+
+
+def _check_tables(plan):
+    plan._paths()
+    reach, open_ = _scattered_tables(plan)
+    b, pairs = plan.depth + 2, 0
+    assert len(plan.reach) == len(plan.open) == b ** plan.sys.l
+    assert plan.reach.dtype == np.int8 and plan.open.dtype == np.uint8
+    for codes, level in _readable(plan):
+        live = codes[reach[codes] >= level]
+        assert np.array_equal(plan.reach[codes] >= level, reach[codes] >= level), \
+            (plan.targets, level)
+        assert np.array_equal(plan.reach[codes] == level, reach[codes] == level), \
+            (plan.targets, level)
+        assert np.array_equal(plan.open[live], open_[live]), (plan.targets, level)
+        if level <= plan.depth:  # a step's closed form skips no level a prefix ends at
+            assert plan._ending[level] or not (reach[codes] == level).any()
+        pairs += len(codes)
+    return pairs
+
+
 def test_code_tables_match_fitting():
-    """reach[code] >= level exactly where the code fits a target at that
-    level, and open[code] holds the zero digits of the code."""
+    """The walked tables agree with fitting and with a scatter over all open
+    sets at every (code, level) a sweep can read: reach >= level exactly
+    where the code fits a target at that level, reach == level alike, and
+    open holds the zero digits of every live code."""
     for plan in _seeded_target_plans():
-        l, targets = plan.sys.l, plan.targets
-        plan._tables()
-        b = plan.depth + 2
-        assert len(plan.reach) == len(plan.open) == b ** l
-        assert plan.reach.dtype == np.int8 and plan.open.dtype == np.uint8
-        for code in range(b ** l):
-            assert plan.open[code] == sum(1 << i for i in range(l)
-                                          if code // b ** i % b == 0)
-            for level in range(b + 1):
+        _check_tables(plan)
+        for codes, level in _readable(plan):
+            for code in codes.tolist():
                 assert (plan.reach[code] >= level) == bool(fitting(plan, code, level)), \
-                    (targets, code, level)
+                    (plan.targets, code, level)
+
+
+def test_code_tables_match_scatter_on_random_targets():
+    """300 random target sets, up to four polynomials and depth 7."""
+    assert sum(_check_tables(plan) for plan in _target_plans(2027, 300, 4, 7)) > 10 ** 5
 
 
 def test_target_paths_match_fitting_where_a_sweep_asks():
@@ -473,12 +522,9 @@ def test_target_paths_match_fitting_where_a_sweep_asks():
     with least open n_i >= level are exactly the fitting ones.  (Elsewhere
     the two differ, and no sweep asks.)"""
     for plan in _seeded_target_plans():
-        plan._tables()
         plan._paths()
-        b = plan.depth + 2
-        for code in range(b ** plan.sys.l):
-            known = [code // b ** i % b - 1 for i in range(plan.sys.l)]
-            for level in range(max(known) + 1, b + 1):
+        for codes, level in _readable(plan):
+            for code in codes.tolist():
                 got = sorted((n, total, u) for n, low, total, u
                              in plan.through.get(code, ()) if low >= level)
                 assert got == fitting(plan, code, level), (plan.targets, code, level)

@@ -122,6 +122,16 @@ class TestCount:
                            "--deterministic")
         assert json.loads(out)["coeff"] == "1/3"
 
+    def test_polynomial_reader_limits(self, capsys):
+        """A 5000-digit coefficient is the reader's input error, not Python's
+        int-conversion limit; an oversized product is refused by the reader."""
+        assert run(capsys, "count", "--poly", "9" * 5000 + "*x1", "--n", "1", "--q", "2") == (
+            2, "", "error: number of 5000 digits in polynomial text (at most 4300)\n")
+        code, _, err = run(capsys, "count", "--poly", "(x1 + x2 + x3 + x4)^40",
+                           "--n", "1", "--q", "2")
+        assert (code, err) == (2, "error: product of 969 by 969 terms exceeds "
+                                  "the limit of 262144 pairs\n")
+
 
 class TestResolutionCommands:
     def test_zeta_resolution_expansion(self, capsys, quadric_datum_file):

@@ -1,5 +1,5 @@
-"""Golden CLI output: the printed bytes of the symbolic commands and of the
-p-adic castling transfer are pinned.
+"""Golden CLI output: the printed bytes of the symbolic commands, of the
+p-adic castling transfer and of the arc-counting commands are pinned.
 
 The expected stdout, stderr and exit code of every case live in
 ``tests/golden/cli.json``.  They were recorded from a known-good build; a
@@ -12,6 +12,7 @@ deliberate.  To record them again after such a change, run
 import contextlib
 import io
 import json
+import shlex
 import sys
 from importlib import resources
 from pathlib import Path
@@ -42,6 +43,25 @@ PARTNER_SPECTRUM = "-t^(3/2) + t^2 + t^(7/2)"
 BFUN_ROOTS = "1/2,1,1,3/2,2/3"
 # (p, order, with the partner) of the castle-igusa cases.
 IGUSA = ((2, 3, True), (3, 2, True), (2, 4, True), (5, 4, False))
+# The arc-counting commands, each pinned under its own argv: three castling
+# verifications, a two-polynomial zeta-count, and origin and full-rank counts;
+# then two refusals, the budget (exit 3) and the code-table limit, 38^5 codes
+# for targets of depth 36 (exit 2).
+COUNTS = (
+    ["verify", "--fixture", "torus-m3", "--q", "2", "--order", "3"],
+    ["verify", "--fixture", "quadric-m3", "--q", "2", "--order", "2"],
+    ["verify", "--fixture", "sym-m2", "--q", "3", "--order", "3"],
+    ["zeta-count", "--polys", "x1*x2; x1 + x2^2", "--q", "3", "--order", "4"],
+    ["count", "--poly", "x1*x4 - x2*x3", "--n", "3", "--q", "3",
+     "--constraint", "origin"],
+    ["count", "--poly", QUADRIC, "--n", "2", "--q", "3",
+     "--constraint", "full-rank:3,1", "--leading", "any"],
+)
+REFUSALS = (
+    ["verify", "--fixture", "quadric-m3", "--q", "3", "--order", "4"],
+    ["zeta-count", "--polys", "x1;x2;x3;x4;x5", "--q", "2", "--order", "40",
+     "--budget", str(10 ** 70)],
+)
 
 
 def _data(name):
@@ -106,6 +126,8 @@ def cases(tmp):
                      "--p", str(p), "--order", str(order)]
         if partner:
             out[case] += ["--partner", PARTNER]
+    for argv in COUNTS + REFUSALS:
+        out[shlex.join(argv)] = list(argv)
     return out
 
 
@@ -135,6 +157,14 @@ def test_cli_bytes_match_golden(case, tmp_path):
     want = json.loads(GOLDEN.read_text())[case]
     write_castlings(tmp_path)
     assert run_case(cases(tmp_path)[case]) == want
+
+
+@pytest.mark.parametrize("argv", COUNTS, ids=shlex.join)
+def test_counting_bytes_do_not_depend_on_threads(argv):
+    """Two threads print the golden bytes of one.  (The refusals come before
+    any thread starts.)"""
+    want = json.loads(GOLDEN.read_text())[shlex.join(argv)]
+    assert run_case(list(argv) + ["--threads", "2"]) == want
 
 
 def record(tmp):

@@ -2,6 +2,7 @@
 
 import random
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -88,6 +89,34 @@ class TestGrammar:
         assert parse_system(["x1 ", " x2  "]) == parse_system(["x1", " x2"])
         with pytest.raises(PolyError, match=r"syntax at ' y'$"):
             parse_poly("x1 y  ")
+
+    @pytest.mark.parametrize("text", ["9" * 5000 + "*x1", "x" + "1" * 5000,
+                                      "x1^" + "9" * 5000])
+    def test_number_beyond_the_int_conversion_limit(self, text):
+        """A coefficient, variable index or exponent of 5000 digits is the
+        reader's input error, not Python's int-conversion limit."""
+        with pytest.raises(PolyError, match=r"^number of 5000 digits in "
+                                            r"polynomial text \(at most 4300\)$"):
+            parse_poly(text)
+        with pytest.raises(PolyError, match="5000 digits"):
+            parse_system(["x1", text])
+
+    def test_numbers_of_4300_digits_are_read(self):
+        assert parse_poly("9" * 4300 + "*x1").terms == {(1,): int("9" * 4300)}
+        assert parse_poly("x1^" + "0" * 4299 + "2").terms == {(2,): 1}
+
+    @pytest.mark.parametrize("text", ["(x1 + x2 + x3 + x4 + x5 + x6)^20",
+                                      "(x1 + x2 + x3 + x4)^40"])
+    def test_oversized_product_refused_early(self, text):
+        start = time.perf_counter()
+        with pytest.raises(PolyError, match="exceeds the limit of 262144 pairs"):
+            parse_poly(text)
+        assert time.perf_counter() - start < 0.5
+
+    def test_products_below_the_limit_are_read(self):
+        assert len(parse_poly("(x1 + x2 + x3 + x4 + x5 + x6)^10").terms) == 3003
+        with pytest.raises(PolyError, match="product of 513 by 513 terms"):
+            Poly(1, {(e,): 1 for e in range(513)}) ** 2
 
 
 # -- the route the one-pass parser replaced, kept to check it against ----------
