@@ -37,16 +37,21 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import comb
 
 import numpy as np
 
+from .motive import _Frozen
 from .polynomials import Poly
 from .series import TruncatedSeries
 
 _CHUNK = 1 << 21
 # Largest residue grid (q^r rows x r int64 cells) a plan or p-adic count builds.
 _MAX_GRID_CELLS = 1 << 26
+# Largest polynomial degree counted: a monomial repeats a variable's id once
+# per power, and the kernel gathers once per repeat.
+_MAX_DEGREE = 1000
 
 
 class ArcError(ValueError):
@@ -72,6 +77,12 @@ def is_prime(q):
     return True
 
 
+def _check_degree(d):
+    """Refuse a degree beyond _MAX_DEGREE before any jet or table is built."""
+    if d > _MAX_DEGREE:
+        raise ArcError("polynomial degree exceeds the limit of %d" % _MAX_DEGREE)
+
+
 def _check_grid(q, r):
     """Refuse a q^r x r residue grid beyond _MAX_GRID_CELLS before building it."""
     if q ** r * r > _MAX_GRID_CELLS:
@@ -84,7 +95,7 @@ def _residue_grid(q, r, dtype=int):
     return np.indices((q,) * r, dtype=dtype).reshape(r, q ** r).T
 
 
-class PolySystem:
+class PolySystem(_Frozen):
     """One or more nonzero integer polynomials on a common affine space."""
 
     __slots__ = ("r", "polys", "degrees", "homogeneous")
@@ -105,12 +116,6 @@ class PolySystem:
         object.__setattr__(self, "polys", polys)
         object.__setattr__(self, "degrees", [f.degree() for f in polys])
         object.__setattr__(self, "homogeneous", [f.is_homogeneous() for f in polys])
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PolySystem is immutable")
-
-    def __reduce__(self):
-        return PolySystem, (self.polys,)
 
     @property
     def l(self):
@@ -194,7 +199,8 @@ def _level_multisets(e, lo, maxdeg, mod=None):
             out.append((maxdeg - budget, levels, coef))
             return
         for k in range(start, budget // left + 1):
-            for m in range(1, left + 1):  # level k taken m times
+            # level k taken m times; the other left - m factors need levels > k
+            for m in range(max(1, (k + 1) * left - budget), left + 1):
                 if k * m > budget:
                     break
                 c = coef * comb(left, m)
@@ -411,9 +417,11 @@ class CountPlan:
     code = sum_i (ord f_i + 1) (depth+2)^i, digit 0 for an open f_i; every
     per-row question is a gather from the code tables (see _paths).
 
-    Construction checks q and every target (n_i >= min_order) once and, given
-    a budget, refuses a plan whose estimate() exceeds it (BudgetExceeded)
-    before any grid or jet is built; count and series check only leading.
+    Construction checks q, the degree and every target (n_i >= min_order, as
+    given) once and, given a budget, refuses a plan whose estimate() exceeds
+    it (BudgetExceeded), then one of more than _MAX_GRID_CELLS codes, before
+    the targets are normalized and sorted and before any grid or jet is
+    built; count checks only leading, series also the targets (see series).
     """
 
     def __init__(self, sys, q, constraint=None, targets=(), min_order=0,
@@ -424,18 +432,22 @@ class CountPlan:
                            % (constraint.m * constraint.r_mat))
         if not is_prime(q):
             raise ArcError("q must be prime (prime-power fields are not implemented)")
+        _check_degree(max(sys.degrees))
         self.sys, self.q, self.r = sys, q, sys.r
-        self.targets = sorted({_index(n) for n in targets})
-        for n in self.targets:
-            if len(n) != sys.l:
-                raise ArcError("order multi-index has length %d, system has %d "
-                               "polynomials" % (len(n), sys.l))
-            if min(n) < min_order:
-                raise ArcError("all n_i must be >= %d" % min_order)
-        self.depth = max((max(n) for n in self.targets), default=0)
+        raw = [(n,) if isinstance(n, int) else n for n in targets]
+        if bad := set(map(len, raw)) - {sys.l}:
+            raise ArcError("order multi-index has length %d, system has %d "
+                           "polynomials" % (min(bad), sys.l))
+        if min(chain.from_iterable(raw), default=min_order) < min_order:
+            raise ArcError("all n_i must be >= %d" % min_order)
+        self.depth = int(max(chain.from_iterable(raw), default=0))
         self.origin = constraint.kind == "origin"
         if budget is not None and (est := self.estimate()) > budget:
             raise BudgetExceeded(est, budget)
+        if (self.depth + 2) ** sys.l > _MAX_GRID_CELLS:
+            raise ArcError("code table of %d^%d entries exceeds the limit of %d"
+                           % (self.depth + 2, sys.l, _MAX_GRID_CELLS))
+        self.targets = sorted({_index(n) for n in raw})
         self._base = (self.depth + 2) ** np.arange(sys.l)
         self._dist = None
 
@@ -459,8 +471,14 @@ class CountPlan:
         return self._dist
 
     def series(self, n_max, leading, threads=1):
-        """Truncated zeta series: the T^n coefficient is count(n) q^(-|n| r)."""
+        """Truncated zeta series: the T^n coefficient is count(n) q^(-|n| r).
+        The targets must be every n with |n| <= n_max and all n_i >= low (their
+        least entry, or 1), or a missing one would read as a zero coefficient."""
         side = self._side(leading)
+        low = min(map(min, self.targets), default=1)
+        if self.targets != order_indices(self.sys.l, n_max, low):
+            raise ArcError("the targets are not every index with |n| <= %d and "
+                           "all n_i >= %d" % (n_max, low))
         coeffs = {n: Fraction(c[side], self.q ** (sum(n) * self.r))
                   for n, c in self.counts(threads).items() if c[side]}
         return TruncatedSeries(self.sys.l, n_max, coeffs)
@@ -542,8 +560,7 @@ class CountPlan:
         return rec
 
     def _paths(self):
-        """The code tables from one pass over the targets, refused beyond
-        _MAX_GRID_CELLS codes before anything is built.  A prefix of length k
+        """The code tables from one pass over the targets.  A prefix of length k
         with code c can end at the target n exactly when c has digit n_i + 1
         for n_i < k and 0 for n_i >= k: n's path passes one code per k in
         {0} u {n_i + 1}, the open set U losing the f_i in increasing n_i.  Per
@@ -554,9 +571,6 @@ class CountPlan:
         ranked[U] lists the level-0 codes on the paths that pass an open set U
         of two or more f_i at a level k >= 1."""
         l, b = self.sys.l, self.depth + 2
-        if b ** l > _MAX_GRID_CELLS:
-            raise ArcError("code table of %d^%d entries exceeds the limit of %d"
-                           % (b, l, _MAX_GRID_CELLS))
         digits = list(zip(self._base.tolist(), [1 << i for i in range(l)]))
         self.through, self.ranked = {}, {}
         self.reach = np.full(b ** l, -1, dtype=np.min_scalar_type(-b))
@@ -810,6 +824,7 @@ def padic_solution_counts(f, p, k_max):
         raise ArcError("p must be prime")
     if all(c % p == 0 for c in f.terms.values()):
         raise ArcError("polynomial vanishes identically mod p")
+    _check_degree(f.degree())
     if p ** (k_max + 1) > 2 ** 31:
         raise ArcError("modulus p^%d too large for exact vector arithmetic" % k_max)
     m = f.nvars

@@ -20,7 +20,22 @@ class LaurentError(ValueError):
     pass
 
 
-class LaurentMotive:
+class _Frozen:
+    """Base of the immutable value types: assignment is refused (constructors
+    use object.__setattr__), and a copy or unpickled value gets the slots of
+    the original back from the state (None, {slot: value}) of protocol >= 2."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def __setstate__(self, state):
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
+
+class LaurentMotive(_Frozen):
     """Laurent polynomial in L with integer coefficients, canonical form.
 
     Stored as a mapping exponent -> nonzero coefficient.  Instances are
@@ -37,12 +52,6 @@ class LaurentMotive:
                 if c:
                     clean[_integer(e, LaurentError)] = c
         object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentMotive is immutable")
-
-    def __reduce__(self):
-        return LaurentMotive._of, (self.terms,)
 
     @classmethod
     def _of(cls, terms):
@@ -251,7 +260,7 @@ def parse_laurent(text):
                                           "Laurent", LaurentError))
 
 
-class RationalMotive:
+class RationalMotive(_Frozen):
     """Quotient of Laurent polynomials in L.
 
     Equality is decided by cross-multiplication; no factorization is ever
@@ -272,12 +281,6 @@ class RationalMotive:
         num, den = _reduce_pair(num, den)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalMotive is immutable")
-
-    def __reduce__(self):
-        return RationalMotive, (self.num, self.den)
 
     @classmethod
     def zero(cls):
@@ -431,7 +434,7 @@ def sl_class(r):
     return _binomials(1, r, -1).shift(r * r - 1)
 
 
-class Permutation:
+class Permutation(_Frozen):
     """A permutation of {1..r}, stored as the image sequence w(1), ..., w(r)."""
 
     __slots__ = ("images",)
@@ -441,12 +444,6 @@ class Permutation:
         if sorted(images) != list(range(1, len(images) + 1)):
             raise LaurentError("not a permutation of 1..%d: %r" % (len(images), images))
         object.__setattr__(self, "images", images)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Permutation is immutable")
-
-    def __reduce__(self):
-        return Permutation, (self.images,)
 
     def __len__(self):
         return len(self.images)

@@ -10,14 +10,14 @@ from __future__ import annotations
 import re
 from operator import add
 
-from .motive import _check_digits, _integer, _monomial_text, _signed_text
+from .motive import _Frozen, _check_digits, _integer, _monomial_text, _signed_text
 
 
 class PolyError(ValueError):
     pass
 
 
-class Poly:
+class Poly(_Frozen):
     """Multivariate integer polynomial, stored as exponent tuple -> coefficient."""
 
     __slots__ = ("nvars", "terms")
@@ -49,12 +49,6 @@ class Poly:
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", terms)
         return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
-
-    def __reduce__(self):
-        return Poly, (self.nvars, self.terms)
 
     @classmethod
     def const(cls, nvars, c):

@@ -35,8 +35,8 @@ from functools import reduce
 from math import gcd, lcm
 from operator import add
 
-from .motive import (_MAX_DIGITS, LaurentMotive, RationalMotive, _monomial_text,
-                     parse_laurent)
+from .motive import (_MAX_DIGITS, LaurentMotive, RationalMotive, _Frozen,
+                     _monomial_text, parse_laurent)
 
 
 class SeriesError(ValueError):
@@ -85,7 +85,7 @@ class SeriesTerm:
         return len(self.shift)
 
 
-class RationalSeries:
+class RationalSeries(_Frozen):
     """Sum of factored terms, all in the same number of T variables; immutable
     (terms is a tuple), so a datum's zeta series can be shared."""
 
@@ -109,12 +109,6 @@ class RationalSeries:
                 kept.append(t)
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", tuple(kept))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalSeries is immutable")
-
-    def __reduce__(self):
-        return RationalSeries, (self.nvars, self.terms)
 
     @classmethod
     def zero(cls, nvars=1):

@@ -14,14 +14,14 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .motive import LaurentMotive, _parse_terms, _signed_text
+from .motive import LaurentMotive, _Frozen, _parse_terms, _signed_text
 
 
 class SpectrumError(ValueError):
     pass
 
 
-class Spectrum:
+class Spectrum(_Frozen):
     """Finite sum of integer multiples of t^e with e rational, canonical form."""
 
     __slots__ = ("den", "poly")
@@ -30,12 +30,6 @@ class Spectrum:
         terms = {Fraction(e): c for e, c in dict(terms or {}).items()}
         den = lcm(*(e.denominator for e in terms))
         return cls._of(den, LaurentMotive({e * den: c for e, c in terms.items()}))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Spectrum is immutable")
-
-    def __reduce__(self):
-        return Spectrum._of, (self.den, self.poly)
 
     @classmethod
     def _of(cls, den, poly):

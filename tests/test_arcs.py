@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -142,6 +143,26 @@ class TestValidationAndHelpers:
         with pytest.raises(ArcError, match=r"\(2,\) is not a target"):
             plan.count((2,))
         assert plan.count(1) == 2
+
+    def test_series_needs_every_index_up_to_its_order(self):
+        """A series reads a missing target as a zero coefficient, so its
+        targets must be every n with |n| <= n_max and all n_i >= low, low
+        their least entry."""
+        cusp = PolySystem([parse_poly("x1^2 - x2^3")])
+        for targets, n_max in ((order_indices(1, 2), 5), (order_indices(1, 5), 4),
+                               ([(1,), (3,)], 3), ([(2,), (3,)], 4)):
+            with pytest.raises(ArcError, match="not every index with"):
+                CountPlan(cusp, 2, None, targets).series(n_max, "one")
+        series = CountPlan(cusp, 2, None, order_indices(1, 5)).series(5, "one")
+        assert [series.coefficient((n,)) for n in (3, 4, 5)] == [
+            Fraction(3, 8), Fraction(3, 16), Fraction(1, 32)]
+        assert CountPlan(cusp, 2, None, [(2,), (3,)]).series(3, "one").coeffs
+        lines = PolySystem(parse_system(["x1", "x2", "x3"]))
+        assert CountPlan(lines, 2, None, []).series(2, "any").coeffs == {}
+        with pytest.raises(ArcError, match="not every index with"):
+            CountPlan(lines, 2, None, []).series(3, "any")
+        assert CountPlan(lines, 2, None, order_indices(3, 2, low=0)).series(
+            2, "any").coefficient((0, 0, 2)) == Fraction(1, 4)
 
     def test_constraint_parsing(self):
         assert ArcConstraint.parse("none").kind == "none"
@@ -531,18 +552,19 @@ def test_target_paths_match_fitting_where_a_sweep_asks():
 
 
 def test_code_table_limit_refuses_before_prepare(monkeypatch):
-    """(depth + 2)^l codes beyond the cell limit: refused before the grid,
-    the jets or the tables are built."""
-    def no_prepare(self):
-        raise AssertionError("prepared before the code table check")
+    """(depth + 2)^l codes beyond the cell limit: refused at construction,
+    before the targets are normalized and before the grid, the jets or the
+    tables are built."""
+    def no_build(*args):
+        raise AssertionError("built before the code table check")
 
-    monkeypatch.setattr(CountPlan, "_prepare", no_prepare)
+    monkeypatch.setattr(CountPlan, "_prepare", no_build)
+    monkeypatch.setattr(CountPlan, "_paths", no_build)
+    monkeypatch.setattr(arcs, "_index", no_build)
     monkeypatch.setattr(arcs, "_MAX_GRID_CELLS", 1000)
-    plan = CountPlan(PolySystem(parse_system(["x1", "x2", "x3"])), 2, None,
-                     order_indices(3, 12))
     with pytest.raises(ArcError, match="code table of 12\\^3"):
-        plan.counts()
-    assert not hasattr(plan, "reach")
+        CountPlan(PolySystem(parse_system(["x1", "x2", "x3"])), 2, None,
+                  order_indices(3, 12))
 
 
 def test_start_point_setup_stays_within_grid_and_chunk(monkeypatch):
@@ -611,6 +633,40 @@ def test_residue_grid_limit_counts_cells():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_degree_limit_refuses_before_any_jet(monkeypatch):
+    """A power beyond _MAX_DEGREE is refused by the plan and by the p-adic
+    count before any jet, monomial or grid is built.  One at the limit is
+    counted: x2 -> x2 + x1^1000 maps arcs one to one, so x1^1000 + x2 has
+    the counts of x2."""
+    def no_build(*args):
+        raise AssertionError("built before the degree check")
+
+    f = parse_poly("x1^%d + x2" % (arcs._MAX_DEGREE + 1))
+    with monkeypatch.context() as m:
+        for name in ("arc_value_coefficients", "_monomials", "_residue_grid"):
+            m.setattr(arcs, name, no_build)
+        with pytest.raises(ArcError, match="degree exceeds the limit of 1000"):
+            CountPlan(PolySystem([f]), 2, None, [(1,)])
+        with pytest.raises(ArcError, match="degree exceeds the limit of 1000"):
+            padic_solution_counts(f, 2, 3)
+    at_limit = PolySystem([parse_poly("x1^%d + x2" % arcs._MAX_DEGREE)])
+    linear = PolySystem([parse_poly("x2", 2)])
+    assert (CountPlan(at_limit, 3, None, order_indices(1, 3)).counts()
+            == CountPlan(linear, 3, None, order_indices(1, 3)).counts())
+
+
+def test_level_multisets_of_a_large_power():
+    """x(t)^e up to t^2 has four level multisets for any e >= 2, and a level
+    is taken only as often as the remaining factors leave room for."""
+    e = 10 ** 5
+    start = time.perf_counter()
+    got = arcs._level_multisets(e, 0, 2)
+    assert time.perf_counter() - start < 0.5
+    zeros = (0,) * (e - 2)
+    assert sorted(got) == [(0, zeros + (0, 0), 1), (1, zeros + (0, 1), e),
+                           (2, zeros + (0, 2), e), (2, zeros + (1, 1), math.comb(e, 2))]
 
 
 def test_residue_grid_order_and_memory():
@@ -769,6 +825,77 @@ def random_terms(rng, width, degree, count):
                             for _ in range(rng.randint(0, degree))))
         out[mono] = rng.choice([-1, 1]) * rng.randint(1, 10 ** rng.randint(0, 12))
     return out
+
+
+# Closed forms after Igusa, An Introduction to the Theory of Local Zeta
+# Functions (2000), ch. 10; the quadric and g forms hold for p odd only.
+CLOSED_FORM_POLYS = {
+    "det2": "x1*x4 - x2*x3",
+    "det3": "x1*x5*x9 - x1*x6*x8 - x2*x4*x9 + x2*x6*x7 + x3*x4*x8 - x3*x5*x7",
+    "quadric": "x1^2 + x2^2 + x3^2",
+    "g": "(x1*x4 - x2*x3)^2 + (x1*x6 - x2*x5)^2 + (x3*x6 - x4*x5)^2",
+    "torus": "x1*x4 - x2*x3; x1*x6 - x2*x5; x3*x6 - x4*x5",
+}
+
+
+def closed_form(name, p, order):
+    """{n: coefficient} for |n| <= order of the named zeta function at p:
+    scalar * prod (1 - a T^N) / prod (1 - a T^N) over the numerator and
+    denominator factors (a, N).
+
+    det_n: prod_{i<=n} (1-p^-i)/(1-p^-i t).
+    Ternary quadric: (1-p^-1)(1-p^-3 t) / ((1-p^-1 t)(1-p^-3 t^2)).
+    g: (1-p^-1)(1-p^-2)(1-p^-3 t) / ((1-p^-1 t)(1-p^-2 t^2)(1-p^-3 t^2)).
+    Torus partner: (1-p^-2) phi(T1) phi(T2) phi(T3) / (1 - p^-2 T1 T2 T3),
+    phi(T) = (1-p^-1)/(1-p^-1 T)."""
+    u = Fraction(1, p)
+    scalar, numer, denom = {
+        "det2": ((1 - u) * (1 - u ** 2), [], [(u, (1,)), (u ** 2, (1,))]),
+        "det3": ((1 - u) * (1 - u ** 2) * (1 - u ** 3), [],
+                 [(u, (1,)), (u ** 2, (1,)), (u ** 3, (1,))]),
+        "quadric": (1 - u, [(u ** 3, (1,))], [(u, (1,)), (u ** 3, (2,))]),
+        "g": ((1 - u) * (1 - u ** 2), [(u ** 3, (1,))],
+              [(u, (1,)), (u ** 2, (2,)), (u ** 3, (2,))]),
+        "torus": ((1 - u ** 2) * (1 - u) ** 3, [],
+                  [(u, (1, 0, 0)), (u, (0, 1, 0)), (u, (0, 0, 1)), (u ** 2, (1, 1, 1))]),
+    }[name]
+    l = len(denom[0][1])
+    out = {(0,) * l: scalar}
+    factors = [{(0,) * l: 1, N: -a} for a, N in numer] + [
+        {tuple(k * x for x in N): a ** k for k in range(order + 1)} for a, N in denom]
+    for factor in factors:
+        prod = {}
+        for n, c in out.items():
+            for m, d in factor.items():
+                nm = tuple(map(sum, zip(n, m)))
+                if sum(nm) <= order:
+                    prod[nm] = prod.get(nm, 0) + c * d
+        out = prod
+    return out
+
+
+@pytest.mark.parametrize("name, p, order", [
+    ("det2", 2, 8), ("det2", 3, 8), ("det3", 2, 4), ("quadric", 3, 12),
+    ("quadric", 5, 8), ("g", 3, 4)])
+def test_igusa_matches_closed_form_at_depth(name, p, order):
+    series = igusa_coeffs(parse_poly(CLOSED_FORM_POLYS[name]), p, order)
+    want = closed_form(name, p, order)
+    assert ([series.coefficient((n,)) for n in range(order + 1)]
+            == [want[(n,)] for n in range(order + 1)])
+
+
+@pytest.mark.parametrize("name, q, order", [
+    ("det2", 2, 8), ("det2", 3, 6), ("quadric", 3, 6), ("g", 3, 3),
+    ("torus", 2, 7), ("torus", 3, 4)])
+def test_any_leading_series_matches_closed_form_at_depth(name, q, order):
+    """The any-leading counting series, orders 0 included, is q^r times the
+    same closed form."""
+    sys = PolySystem(parse_system(CLOSED_FORM_POLYS[name].split(";")))
+    targets = order_indices(sys.l, order, low=0)
+    series = CountPlan(sys, q, None, targets).series(order, "any")
+    want = closed_form(name, q, order)
+    assert ([series.coefficient(n) for n in targets]
+            == [q ** sys.r * want[n] for n in targets])
 
 
 class TestSlotEvaluator:

@@ -1,6 +1,7 @@
 """Command-line interface: output contracts and exit codes, run in-process."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -131,6 +132,18 @@ class TestCount:
                            "--n", "1", "--q", "2")
         assert (code, err) == (2, "error: product of 969 by 969 terms exceeds "
                                   "the limit of 262144 pairs\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("count", "--poly", "x1^100000 + x2", "--n", "1", "--q", "2"),
+        ("count", "--poly", "x1^%s + x2" % ("9" * 4300), "--n", "1", "--q", "2"),
+        ("castle-igusa", "--castling", str(Path(TORUS_M3).with_name("quadric-m3.json")),
+         "--poly", "x1^%s + x2^2 + x3^2" % ("9" * 4300), "--p", "2", "--order", "3"),
+    ], ids=["count", "count-4300-digits", "castle-igusa"])
+    def test_large_power_is_refused_early(self, capsys, argv):
+        start = time.perf_counter()
+        assert run(capsys, *argv) == (
+            2, "", "error: polynomial degree exceeds the limit of 1000\n")
+        assert time.perf_counter() - start < 0.5
 
 
 class TestResolutionCommands:
