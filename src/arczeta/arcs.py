@@ -33,6 +33,7 @@ It evaluates f and its gradient with the same kernel.
 
 from __future__ import annotations
 
+import os
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -465,7 +466,11 @@ class CountPlan:
         return self.counts(threads)[n][side]
 
     def counts(self, threads=1):
-        """{n: (leading-one count, any-leading count)} for every target."""
+        """{n: (leading-one count, any-leading count)} for every target; at
+        most os.cpu_count() threads run, and the counts never depend on how
+        many."""
+        if threads < 1:
+            raise ArcError("threads must be >= 1, got %d" % threads)
         if self._dist is None:
             self._dist = self._assemble(self._sweep(threads))
         return self._dist
@@ -539,7 +544,8 @@ class CountPlan:
             return rec
         self._levels()  # before any shard starts: threads only read the plan
         chunks = [(self.start[keep], np.flatnonzero(keep), code[keep], one[keep])]
-        k0, threads = 1, max(threads, 1)  # shard once there is a row per thread
+        # one thread per CPU at most; shard once there is a row per thread
+        k0, threads = 1, min(threads, os.cpu_count() or 1)
         while 0 < sum(len(c[1]) for c in chunks) < threads and k0 <= self.depth:
             chunks = list(self._step(_batches(chunks), k0, rec))
             k0 += 1

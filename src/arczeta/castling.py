@@ -5,32 +5,15 @@ the operators push each realization of the zeta data of one partner (series,
 Milnor fiber class, spectrum, b-function roots, p-adic series) to the other.
 All of them are exact and invertible by swapping r1 and r2.
 
-The four series transfers share one skeleton: a scalar, then r1 binomials
-(1 - L^-j T^d) traded for r2 geometric factors, in one times_ratio call.
-castle_zeta and castle_local_zeta run it on RationalSeries (_transfer),
-which builds the result once and prints every factor, so nothing is
-cancelled there.  castle_zeta_numeric and castle_igusa are its
-specialization at L = q on truncated Fraction series (_numeric_transfer):
-a value is all they keep, so the factors j <= min(r1, r2) of the scalar and
-of the product cancel, and one pass per remaining factor is made.
-
-Every relation is a ratio of products prod_{j<=r}(1 - X^j), all built by
-motive._binomials: X = L^-1 in the SL_r classes and the local unit, L in the
-Milnor class, t in the spectrum.  The scalar transfers differ from _transfer
-in ring, sign convention and exact division, so they do not run it.
-
-The symbolic transfers reduce each output value once.  The Milnor transfer
-multiplies numerator and denominator of its counting channel by the
-binomials (1 - L^j) in the Laurent ring and builds one RationalMotive; it does
-not cancel the factors the two sides share, because its denominator is
-printed as it stands and quotients are never factored.  A spectrum is an
-element of Z[t^(1/Z)], not a quotient, and one value has one stored form
-(a Laurent polynomial in t^(1/den), see spectrum.py), so the spectrum channel
-and castle_spectrum cancel the shared factors j <= min(r1, r2) first: one
-product when r2 >= r1 and one exact division otherwise.  Z[t^(1/Z)] is an
-integral domain, so the cancelled division is inexact exactly when the
-uncancelled one is, and its error reports the lowest remainder term, which
-the shared factors (constant term 1) leave unchanged.
+Every transfer but the b-function's moves its data by one ratio,
+prod_{j<=r2}(1 - X^j) / prod_{j<=r1}(1 - X^j), with X = L^-1 in the series
+scalars, L in the Milnor class, t in the spectrum and q^-1 at L = q; the series
+themselves take its inverse in X^j T^d.  The factors j <= min(r1, r2) always
+cancel, and _remaining is the one rule for the ones left: j in
+(min(r1, r2), max(r1, r2)], in the numerator when r2 >= r1 and in the
+denominator otherwise.  No shared factor is a zero divisor, so the cancelled
+ratio has the value of the full one, and the spectrum's exact division fails
+exactly when the full one does.
 """
 
 from __future__ import annotations
@@ -42,7 +25,7 @@ from fractions import Fraction
 from math import prod
 
 from .arcs import CountPlan, order_indices
-from .motive import LaurentMotive, RationalMotive, _binomials, sl_class
+from .motive import LaurentMotive, RationalMotive, _binomials
 from .series import mi_scale
 from .spectrum import Spectrum, SpectrumError
 
@@ -89,9 +72,10 @@ class CastlingDatum:
 
 def castle_zeta(Z1, c):
     """Transfer of the global zeta series: multiply by the ratio of special
-    linear group classes and trade r1 binomials (1 - L^-j T^d) for r2
+    linear group classes, sl_class(r2)/sl_class(r1) = L^(r2^2 - r1^2) U with
+    U as in castle_local_zeta, and trade r1 binomials (1 - L^-j T^d) for r2
     geometric factors, T^d meaning the product of T_i^d_i."""
-    return _transfer(Z1, c, _sl_ratio(c))
+    return _transfer(Z1, c, c.r2 ** 2 - c.r1 ** 2)
 
 
 def castle_local_zeta(Z1_0, c):
@@ -105,41 +89,52 @@ def castle_local_zeta(Z1_0, c):
     monomial shift is negative and fails loudly if a term would leave the
     series ring (degree bookkeeping error).
     """
-    return _transfer(Z1_0, c, _local_unit(c), c.r2 - c.r1)
+    return _transfer(Z1_0, c, 0, c.r2 - c.r1)
 
 
-def _transfer(Z, c, scalar, shift=0):
-    """Z * T^(shift d) * scalar * prod_{j<=r1}(1 - L^-j T^d)
-    / prod_{j<=r2}(1 - L^-j T^d): the shift is taken on the terms of Z, the
-    rest by one Z.times_ratio call, which builds a RationalSeries once.  The
-    binomials only raise shifts, so a term of the result leaves the series
-    ring exactly when the shifted term of Z it comes from does."""
+def _remaining(c):
+    """(lo, hi, up): the factors lo < j <= hi of the castling ratio
+    prod_{j<=r2}(1 - X^j) / prod_{j<=r1}(1 - X^j) that do not cancel, in the
+    numerator when up (r2 >= r1) and in the denominator otherwise."""
+    return min(c.r1, c.r2), max(c.r1, c.r2), c.r2 >= c.r1
+
+
+def _transfer(Z, c, e, shift=0):
+    """Z * T^(shift d) * L^e U prod_{j<=r1}(1 - L^-j T^d)
+    / prod_{j<=r2}(1 - L^-j T^d), the factors of _remaining only: the shift
+    is taken on the terms of Z, the rest by one Z.times_ratio call, which
+    builds a RationalSeries once.  The binomials only raise shifts, so a term
+    of the result leaves the series ring exactly when the shifted term of Z
+    it comes from does."""
     _check_arity(Z, c)
     if shift:
         try:
             Z = Z.shifted(mi_scale(shift, c.d))
         except ValueError as exc:
             raise CastlingError("degree bookkeeping failed: %s" % exc) from exc
-    js = range(1, max(c.r1, c.r2) + 1)
-    return Z.times_ratio(scalar, js[:c.r1], js[:c.r2], c.d)
+    lo, hi, up = _remaining(c)
+    js, unit = range(lo + 1, hi + 1), _binomials(lo, hi, -1)
+    if up:
+        return Z.times_ratio(RationalMotive(unit.shift(e)), (), js, c.d)
+    return Z.times_ratio(RationalMotive(LaurentMotive({e: 1}), unit), js, (), c.d)
 
 
 def _numeric_transfer(Z, q, c, e):
     """The transfers at L = q on a truncated series Z with Fraction
-    coefficients: Z * q^e prod_{j<=r2}(1 - q^-j) prod_{j<=r1}(1 - q^-j T^d)
-    / (prod_{j<=r1}(1 - q^-j) prod_{j<=r2}(1 - q^-j T^d)).  The factors
-    j <= min(r1, r2) cancel, so only the others are applied: one scale, then
-    r1 - r2 binomials or r2 - r1 geometric factors.  The truncated series
-    form a ring, so the cancelled product gives every Fraction of the
+    coefficients: Z * q^e U prod_{j<=r1}(1 - q^-j T^d)
+    / prod_{j<=r2}(1 - q^-j T^d), the factors of _remaining only: one scale,
+    then r1 - r2 binomials or r2 - r1 geometric factors.  The truncated
+    series form a ring, so the cancelled product gives every Fraction of the
     uncancelled one.  q = 0 and q = +-1, where the uncancelled ratio
     divides by zero, are refused."""
     _check_arity(Z, c)
     q = Fraction(q)
     if q in (0, 1, -1):
         raise CastlingError("no numeric transfer at q = %s" % q)
-    xs = [q ** -j for j in range(min(c.r1, c.r2) + 1, max(c.r1, c.r2) + 1)]
+    lo, hi, up = _remaining(c)
+    xs = [q ** -j for j in range(lo + 1, hi + 1)]
     unit = prod((1 - x for x in xs), start=Fraction(1))
-    if c.r2 >= c.r1:
+    if up:
         return Z.times_ratio(q ** e * unit, (), xs, c.d)
     return Z.times_ratio(q ** e / unit, xs, (), c.d)
 
@@ -148,15 +143,6 @@ def _check_arity(Z, c):
     if Z.nvars != c.l:
         raise CastlingError("series has %d variables, datum says %d"
                             % (Z.nvars, c.l))
-
-
-def _sl_ratio(c):
-    return RationalMotive(sl_class(c.r2), sl_class(c.r1))
-
-
-def _local_unit(c):
-    """U = prod_{j<=r2}(1 - L^-j) / prod_{j<=r1}(1 - L^-j)."""
-    return RationalMotive(_binomials(0, c.r2, -1), _binomials(0, c.r1, -1))
 
 
 def localize_by_degree(Z, c, side):
@@ -180,17 +166,20 @@ def globalize_by_degree(Z0, c, side):
 
 def castle_milnor(S1, c):
     """Transfer of the virtual Milnor fiber: multiply by
-    prod_{j<=r2}(1 - L^j) / prod_{j<=r1}(1 - L^j); the optional spectrum
-    channel does the same with t for L and must divide exactly."""
+    prod_{j<=r2}(1 - L^j) / prod_{j<=r1}(1 - L^j), the factors of _remaining
+    only; the optional spectrum channel does the same with t for L and must
+    divide exactly."""
     counting, spectrum = S1 if isinstance(S1, tuple) else (S1, None)
     if not isinstance(counting, RationalMotive):
         counting = RationalMotive(counting)
-    counting = RationalMotive(counting.num * _binomials(0, c.r2),
-                              counting.den * _binomials(0, c.r1))
+    lo, hi, up = _remaining(c)
+    extra = _binomials(lo, hi)
+    counting = (RationalMotive(counting.num * extra, counting.den) if up
+                else RationalMotive(counting.num, counting.den * extra))
     if spectrum is None:
         return counting
     try:
-        return counting, _spectrum_ratio(spectrum, c.r1, c.r2)
+        return counting, _spectrum_ratio(spectrum, c)
     except SpectrumError as exc:
         raise CastlingError("spectrum channel is not divisible: %s" % exc) from exc
 
@@ -202,19 +191,20 @@ def castle_spectrum(h1, c):
     s1 = -1 if (c.m * c.r1 - 1) % 2 else 1
     s2 = -1 if (c.m * c.r2 - 1) % 2 else 1
     try:
-        quotient = _spectrum_ratio(Spectrum.one() + s1 * h1, c.r1, c.r2)
+        quotient = _spectrum_ratio(Spectrum.one() + s1 * h1, c)
     except SpectrumError as exc:
         raise CastlingError("not a castling-partner spectrum: %s" % exc) from exc
     return s2 * (quotient - Spectrum.one())
 
 
-def _spectrum_ratio(x, r1, r2):
-    """x * prod_{j<=r2}(1 - t^j) / prod_{j<=r1}(1 - t^j) with the shared
-    factors j <= min(r1, r2) cancelled: one product, or one exact division
-    (SpectrumError if inexact)."""
-    if r2 >= r1:
-        return x * Spectrum._of(1, _binomials(r1, r2))
-    return x.exact_div(Spectrum._of(1, _binomials(r2, r1)))
+def _spectrum_ratio(x, c):
+    """x * prod_{j<=r2}(1 - t^j) / prod_{j<=r1}(1 - t^j), the factors of
+    _remaining only: one product, or one exact division (SpectrumError if
+    inexact, reporting the lowest remainder term, which the cancelled
+    factors, constant term 1, leave unchanged)."""
+    lo, hi, up = _remaining(c)
+    extra = Spectrum._of(1, _binomials(lo, hi))
+    return x * extra if up else x.exact_div(extra)
 
 
 @dataclass(frozen=True)

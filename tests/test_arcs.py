@@ -1041,3 +1041,65 @@ def test_reduced_jets_are_the_jets_mod_q():
         jets = arc_value_coefficients(Poly(1, {(q,): 1}), 2 * q + 1, False, q)
         assert jets == [{(d // q,) * q: 1} if d % q == 0 else {}
                         for d in range(2 * q + 2)]
+
+
+def test_threads_below_one_are_refused():
+    plan = CountPlan(PolySystem([parse_poly("x1*x2")]), 3, None, [(2,)])
+    for threads in (0, -1):
+        with pytest.raises(ArcError, match="threads must be >= 1"):
+            plan.counts(threads)
+
+
+def test_threads_are_capped_at_the_cpu_count(monkeypatch):
+    """10000 threads asked on a plan with rows to spare run os.cpu_count()
+    workers over as many shards.  A fake executor records both and runs the
+    shards in this thread."""
+    seen = []
+
+    class FakeExecutor:
+        def __init__(self, max_workers):
+            seen.append(("workers", max_workers))
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, shards):
+            shards = list(shards)
+            seen.append(("shards", len(shards)))
+            return map(fn, shards)
+
+    monkeypatch.setattr(arcs, "ThreadPoolExecutor", FakeExecutor)
+    monkeypatch.setattr(arcs.os, "cpu_count", lambda: 3)
+    sys = PolySystem([parse_poly("x1^2 - x2^3")])
+    targets = order_indices(1, 6, low=0)
+    want = CountPlan(sys, 5, None, targets).counts(1)
+    seen.clear()
+    assert CountPlan(sys, 5, None, targets).counts(10000) == want
+    assert seen == [("workers", 3), ("shards", 3)]
+
+
+@pytest.mark.parametrize("polys,q,order", [
+    (("x1^2 - x2^3",), 2, 10),
+    (("x1*x4 - x2*x3", "x1*x6 - x2*x5"), 2, 3),
+])
+def test_small_chunks_give_the_same_counts(monkeypatch, polys, q, order):
+    """With _CHUNK at 64 cells, _batches flushes full batches in mid-stream
+    (only those reach _CHUNK rows) and every chunked loop takes many steps;
+    no count changes."""
+    sys = PolySystem(parse_system(list(polys)))
+    targets = order_indices(sys.l, order)
+    want = CountPlan(sys, q, None, targets).counts()
+    rows = []
+
+    def concat(chunks, _real=arcs._concat):
+        batch = _real(chunks)
+        rows.append(len(batch[1]))
+        return batch
+
+    monkeypatch.setattr(arcs, "_CHUNK", 64)
+    monkeypatch.setattr(arcs, "_concat", concat)
+    assert CountPlan(sys, q, None, targets).counts() == want
+    assert max(rows) >= 64

@@ -2,7 +2,9 @@
 
 import itertools
 import random
+import re
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -16,7 +18,6 @@ from arczeta import (BFunction, BudgetExceeded, CastlingDatum, CastlingError,
                      series_equal, sl_class, verify_castling,
                      zeta_from_resolution)
 from arczeta.arcs import order_indices
-from arczeta.castling import _local_unit, _sl_ratio
 from arczeta.fixtures import castling_fixture, resolution_fixture
 from arczeta.series import SeriesFactor, SeriesTerm
 
@@ -211,10 +212,11 @@ def test_numeric_transfers_match_reference_loops(monkeypatch):
             assert (got.order, got.coeffs) == (want.order, want.coeffs)
 
 
-def chained_transfer(Z, c, scalar, x):
-    """The transfer as chained passes, one rebuilt series per binomial and
+def chained_transfer(Z, scalar, top, bottom, N):
+    """Z * scalar * prod_{nu in top}(1 - L^-nu T^N) / prod_{nu in bottom}
+    (1 - L^-nu T^N) as chained passes, one rebuilt series per binomial and
     per geometric factor: the route the one-pass build replaces."""
-    def times_binomial(s, nu, N):
+    def times_binomial(s, nu):
         out = []
         for term in s.terms:
             out.append(term)
@@ -224,18 +226,39 @@ def chained_transfer(Z, c, scalar, x):
                                   term.factors))
         return RationalSeries(s.nvars, out)
 
-    def over_binomial(s, nu, N):
+    def over_binomial(s, nu):
         f = SeriesFactor(nu, N)
         return RationalSeries(s.nvars, [SeriesTerm(term.coeff, term.shift,
                                                    term.factors + (f,))
                                         for term in s.terms])
 
     out = Z.scale(scalar)
-    for j in range(1, c.r1 + 1):
-        out = times_binomial(out, x(j), c.d)
-    for j in range(1, c.r2 + 1):
-        out = over_binomial(out, x(j), c.d)
+    for nu in top:
+        out = times_binomial(out, nu)
+    for nu in bottom:
+        out = over_binomial(out, nu)
     return out
+
+
+def cancelled_chain(Z, c, e):
+    """The transfer with scalar L^e U after the factors j <= min(r1, r2)
+    cancel: U keeps (1 - L^-j) for min(r1, r2) < j <= max(r1, r2), one
+    product (r2 > r1) or quotient (r1 > r2) each, and the series as many
+    geometric factors or binomials."""
+    js = range(min(c.r1, c.r2) + 1, max(c.r1, c.r2) + 1)
+    scalar = RationalMotive(LaurentMotive({e: 1}))
+    for j in js:
+        one_minus = RationalMotive(LaurentMotive({0: 1, -j: -1}))
+        scalar = scalar * one_minus if c.r2 >= c.r1 else scalar / one_minus
+    if c.r2 >= c.r1:
+        return chained_transfer(Z, scalar, (), js, c.d)
+    return chained_transfer(Z, scalar, js, (), c.d)
+
+
+def full_chain(Z, c, scalar):
+    """The transfer with nothing cancelled: scalar, then all r1 binomials and
+    all r2 geometric factors."""
+    return chained_transfer(Z, scalar, range(1, c.r1 + 1), range(1, c.r2 + 1), c.d)
 
 
 def random_rational(rng, nvars):
@@ -257,7 +280,7 @@ def random_rational(rng, nvars):
 
 def test_one_pass_transfer_prints_as_the_chained_passes():
     """Seeded: castle_zeta and castle_local_zeta print the bytes of the
-    chained passes for r1, r2 in 1..5 (r2 < r1 included) in 1-3 variables,
+    cancelled chain for r1, r2 in 1..5 (r2 < r1 included) in 1-3 variables,
     and the local transfer refuses exactly the negative shifts the chained
     series cannot take."""
     rng = random.Random(20261019)
@@ -268,9 +291,9 @@ def test_one_pass_transfer_prints_as_the_chained_passes():
             c = CastlingDatum(r1 + r2, r1, r2, nvars,
                               tuple(rng.randint(1, 2) for _ in range(nvars)))
             Z = random_rational(rng, nvars)
-            want = chained_transfer(Z, c, _sl_ratio(c), lambda j: j)
+            want = cancelled_chain(Z, c, r2 ** 2 - r1 ** 2)
             assert str(castle_zeta(Z, c)) == str(want)
-            local = chained_transfer(Z, c, _local_unit(c), lambda j: j)
+            local = cancelled_chain(Z, c, 0)
             try:
                 want = local.shifted(tuple((r2 - r1) * x for x in c.d))
             except ValueError:
@@ -280,6 +303,44 @@ def test_one_pass_transfer_prints_as_the_chained_passes():
                 continue
             assert str(castle_local_zeta(Z, c)) == str(want)
     assert refused
+
+
+def test_transfers_equal_the_uncancelled_chain():
+    """Seeded: for r1, r2 in 1..5, castle_zeta expands to the values of the
+    chain with the full SL class ratio and every binomial, and
+    castle_local_zeta to those of the chain with the full unit U, to order 8."""
+    def binomials(r):
+        return prod((LaurentMotive({0: 1, -j: -1}) for j in range(1, r + 1)),
+                    start=LaurentMotive.one())
+
+    rng = random.Random(20261020)
+    for r1, r2 in itertools.product(range(1, 6), repeat=2):
+        nvars = rng.randint(1, 2)
+        c = CastlingDatum(r1 + r2, r1, r2, nvars,
+                          tuple(rng.randint(1, 2) for _ in range(nvars)))
+        Z = random_rational(rng, nvars)
+        want = full_chain(Z, c, RationalMotive(sl_class(r2), sl_class(r1)))
+        got = castle_zeta(Z, c).expand(8)
+        assert got.coeffs and got == want.expand(8)
+        # raised first so that the local transfer's shift is never refused
+        Z = Z.shifted(tuple(max(r1 - r2, 0) * x for x in c.d))
+        want = full_chain(Z, c, RationalMotive(binomials(r2), binomials(r1)))
+        want = want.shifted(tuple((r2 - r1) * x for x in c.d))
+        got = castle_local_zeta(Z, c).expand(8)
+        assert got.coeffs and got == want.expand(8)
+
+
+def test_quadric_poles_are_roots_of_the_transferred_bfunction():
+    """Every factor (1 - L^-nu T^N) printed by the (3, 1, 2) transfers of the
+    quadric germ has nu/N among the roots {1, 1, 3/2, 3/2} of the transferred
+    b-function: the shared factor (1 - L^-1 T^2), a pole at 1/2, cancels."""
+    roots = castle_bfunction(BFunction.from_roots([1, Fraction(3, 2)]), QUADRIC)
+    assert str(roots) == "{1, 1, 3/2, 3/2}"
+    for transfer in (castle_zeta, castle_local_zeta):
+        out = transfer(quadric_germ_zeta(), QUADRIC)
+        poles = {Fraction(int(nu), int(N or 1)) for nu, N in
+                 re.findall(r"\(1 - L\^-(\d+) \* T1\^?(\d*)\)", str(out))}
+        assert poles and poles <= set(roots.as_counter())
 
 
 class TestNumeric:

@@ -14,6 +14,9 @@ from arczeta.fixtures import castling_fixture, resolution_fixture
 TORUS_M3 = str(Path(__file__).resolve().parents[1] / "perfbench" / "data"
                / "torus-m3.json")
 TORUS_SYS2 = "x1*x4 - x2*x3; x1*x6 - x2*x5; x3*x6 - x4*x5"
+QUADRIC_M3 = str(Path(TORUS_M3).with_name("quadric-m3.json"))
+# The quadric's castling partner without its last square: not a partner.
+WRONG_PARTNER = "(x1*x4 - x2*x3)^2 + (x1*x6 - x2*x5)^2"
 
 
 @pytest.fixture
@@ -46,6 +49,22 @@ class TestCount:
         assert payload["n"] == [2]
         assert payload["count_leading_one"] * 2 == payload["count_all"]
         assert "elapsed_ms" not in payload
+
+    def test_timing_field(self, capsys):
+        """Without --deterministic the payload gains an int elapsed_ms and
+        nothing else."""
+        args = ("count", "--poly", "x1*x2", "--n", "2", "--q", "3")
+        code, out, _ = run(capsys, *args)
+        timed = json.loads(out)
+        elapsed = timed.pop("elapsed_ms")
+        assert code == 0 and type(elapsed) is int and elapsed >= 0
+        _, out, _ = run(capsys, *args, "--deterministic")
+        assert timed == json.loads(out)
+
+    def test_threads_below_one_are_an_input_error(self, capsys):
+        code, _, err = run(capsys, "count", "--poly", "x1*x2", "--n", "2",
+                           "--q", "3", "--threads", "0")
+        assert (code, err) == (2, "error: threads must be >= 1, got 0\n")
 
     def test_deterministic_output_is_stable(self, capsys):
         args = ("count", "--poly", "x1*x2", "--n", "2", "--q", "3",
@@ -264,18 +283,25 @@ class TestCastlingCommands:
         assert code == 0
         assert json.loads(out)["partner_matches"] is True
 
+    def test_castle_igusa_wrong_partner_exits_1(self, capsys):
+        code, out, _ = run(capsys, "castle-igusa", "--castling", QUADRIC_M3,
+                           "--poly", "x1^2 + x2^2 + x3^2",
+                           "--partner", WRONG_PARTNER, "--p", "3", "--order", "2",
+                           "--deterministic")
+        assert code == 1
+        assert json.loads(out)["partner_matches"] is False
+
 
 class TestTrailingWhitespace:
     """A polynomial text with trailing whitespace prints the bytes of the
     stripped text."""
 
-    QUADRIC_M3 = str(Path(TORUS_M3).with_name("quadric-m3.json"))
     EXPECTED = Path(TORUS_M3).parents[1] / "expected" / "castle-igusa.txt"
     PARTNER = "(x1*x4 - x2*x3)^2 + (x1*x6 - x2*x5)^2 + (x3*x6 - x4*x5)^2"
 
     @pytest.mark.parametrize("space", ["", " ", " \t\n"])
     def test_castle_igusa(self, capsys, space):
-        code, out, err = run(capsys, "castle-igusa", "--castling", self.QUADRIC_M3,
+        code, out, err = run(capsys, "castle-igusa", "--castling", QUADRIC_M3,
                              "--poly", "x1^2 + x2^2 + x3^2" + space,
                              "--partner", self.PARTNER + space, "--p", "2",
                              "--order", "3", "--deterministic")
@@ -327,6 +353,16 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--q", "2", "--order", "1")
         assert code == 2
         assert "error" in err
+
+    def test_wrong_partner_exits_1(self, capsys):
+        code, out, _ = run(capsys, "verify", "--castling", QUADRIC_M3,
+                           "--polys1", "x1^2 + x2^2 + x3^2",
+                           "--polys2", WRONG_PARTNER, "--q", "3", "--order", "2",
+                           "--deterministic")
+        payload = json.loads(out)
+        assert code == 1
+        assert payload["all_equal"] is False
+        assert payload["max_verified_order"] == -1
 
 
 @pytest.mark.parametrize("argv,plans", [
