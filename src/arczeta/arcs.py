@@ -304,7 +304,8 @@ class _SlotTable:
 
     def compiled(self, mod):
         """(slots, coefficient matrix, constants, largest absolute column
-        sum of the matrix) mod `mod`."""
+        sum of the matrix) mod `mod`; the column sums are taken in the loop
+        that fills the matrix."""
         if self._slots is None:
             monos = sorted({m for f in self.polys for m in f if m}, key=len,
                            reverse=True)
@@ -313,18 +314,20 @@ class _SlotTable:
                            for i in range(len(monos[0]) if monos else 0)]
         got = self._coefs.get(mod)
         if got is None:
-            half = mod // 2
+            half, csum = mod // 2, 0
             C = np.zeros((len(self._row), len(self.polys)), dtype=np.int64)
             const = np.zeros(len(self.polys), dtype=np.int64)
             for j, f in enumerate(self.polys):
+                col = 0
                 for m, c in f.items():
                     c = (c + half) % mod - half
                     if m:
                         C[self._row[m], j] = c
+                        col += abs(c)
                     else:
                         const[j] = c
-            got = self._coefs[mod] = (self._slots, C, const,
-                                      int(np.abs(C).sum(axis=0).max(initial=0)))
+                csum = max(csum, col)
+            got = self._coefs[mod] = (self._slots, C, const, csum)
         return got
 
 
@@ -478,10 +481,13 @@ class CountPlan:
     def series(self, n_max, leading, threads=1):
         """Truncated zeta series: the T^n coefficient is count(n) q^(-|n| r).
         The targets must be every n with |n| <= n_max and all n_i >= low (their
-        least entry, or 1), or a missing one would read as a zero coefficient."""
-        side = self._side(leading)
+        least entry, or 1), or a missing one would read as a zero coefficient.
+        The targets are distinct with every n_i >= low, so they are that set
+        when none passes n_max and there are comb(n_max - l low + l, l) of them."""
+        side, l = self._side(leading), self.sys.l
         low = min(map(min, self.targets), default=1)
-        if self.targets != order_indices(self.sys.l, n_max, low):
+        size = comb(n_max - l * low + l, l) if n_max >= l * low else 0
+        if len(self.targets) != size or max(map(sum, self.targets), default=0) > n_max:
             raise ArcError("the targets are not every index with |n| <= %d and "
                            "all n_i >= %d" % (n_max, low))
         coeffs = {n: Fraction(c[side], self.q ** (sum(n) * self.r))
@@ -517,10 +523,11 @@ class CountPlan:
         """Per level k >= 1: the t^k coefficients (c); the levels 0..need[k]-1
         they read besides a_k; without their a_k terms (g, all a flat prefix
         needs); and, per f_i, split at the top level h of those into c0 and
-        the w_j (None where not affine in it).  Tables compile on first use."""
+        the w_j (None where not affine in it), with lone[k][U] true for the
+        open sets U = {f_i} of an affine f_i.  Tables compile on first use."""
         q, r = self.q, self.r
         jets = [arc_value_coefficients(f, self.depth, self.origin, q) for f in self.sys.polys]
-        self.c, self.need, self.g, self.split = [None], [None], [None], [None]
+        self.c, self.need, self.g, self.split, self.lone = [None], [None], [None], [None], [None]
         for k in range(1, self.depth + 1):
             self.c.append(_SlotTable([jet[k] for jet in jets]))
             self.need.append(1 + max([v // r for jet in jets for mono in jet[k]
@@ -529,17 +536,22 @@ class CountPlan:
             parts = [_level_split(jet[k], max(self.need[k] - 1, 1), r) for jet in jets]
             self.split.append([p and (_SlotTable(p[:1]), _SlotTable(p[1:]))
                                for p in parts])
+            self.lone.append(np.zeros(1 << self.sys.l, dtype=bool))
+            self.lone[k][[1 << i for i, p in enumerate(parts) if p is not None]] = True
 
     def _sweep(self, threads):
+        """{(level, code, side): prefixes} of every settled prefix.  One
+        thread sweeps its rows in place; more split them into as many shards,
+        each swept into a Counter of its own on a thread pool."""
         rec = Counter()
         if not self.targets:
             return rec
         self._paths()
         v0 = self._prepare()
-        code, one = self._settle(np.zeros(len(v0), dtype=np.int64),
-                                 np.ones(len(v0), dtype=bool), v0, 0)
+        code, one, u = self._settle(np.zeros(len(v0), dtype=np.int64),
+                                    np.ones(len(v0), dtype=bool), v0, 0)
         self._start_bits(code)
-        keep = self._classify(code, one, np.arange(len(v0)), 1, 1, rec)
+        keep = self._classify(code, one, u, np.arange(len(v0)), 1, 1, rec)
         if not keep.any():
             return rec
         self._levels()  # before any shard starts: threads only read the plan
@@ -550,18 +562,19 @@ class CountPlan:
             chunks = list(self._step(_batches(chunks), k0, rec))
             k0 += 1
 
-        def run(shard):
-            part, chunks = Counter(), shard
+        def run(chunks, part):
             for k in range(k0, self.depth + 1):
                 chunks = self._step(_batches(chunks), k, part)
             for _ in chunks:
                 pass
             return part
 
+        if threads == 1:
+            return run(chunks, rec)
         shards = [[tuple(a[s] for a in c) for c in chunks] for s in zip(*[
             np.array_split(np.arange(len(c[1])), threads) for c in chunks])]
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            for part in (ex.map if threads > 1 else map)(run, shards or [[]]):
+            for part in ex.map(lambda shard: run(shard, Counter()), shards or [[]]):
                 rec.update(part)
         return rec
 
@@ -627,19 +640,24 @@ class CountPlan:
 
     def _expand(self, rows, width):
         """The rows with the levels below `width` enumerated, in chunks of
-        at most _CHUNK rows."""
+        at most _CHUNK rows: a level adds the r columns of the next level,
+        each row followed by every digit tuple in itertools.product order
+        with its start, code and flag repeated.  One level of a chunk is
+        one broadcast into an n x q^r x (w + r) array."""
         X, a0, code, one = rows
-        M = len(self.digits)
-        if X.shape[1] >= width * self.r:
+        M, r = self.digits.shape
+        if X.shape[1] >= width * r:
             yield rows
             return
         per = max(1, _CHUNK // M)
         for lo in range(0, len(X), per):
             s = slice(lo, lo + per)
-            yield from self._expand((
-                np.hstack([np.repeat(X[s], M, axis=0), np.tile(self.digits, (len(X[s]), 1))]),
-                np.repeat(a0[s], M), np.repeat(code[s], M),
-                np.repeat(one[s], M)), width)
+            n, w = X[s].shape
+            Y = np.empty((n, M, w + r), dtype=X.dtype)
+            Y[:, :, :w] = X[s, None]
+            Y[:, :, w:] = self.digits
+            yield from self._expand((Y.reshape(n * M, w + r), np.repeat(a0[s], M),
+                                     np.repeat(code[s], M), np.repeat(one[s], M)), width)
 
     def _step(self, batches, k, rec):
         """Settle the t^k coefficients of prefixes of length k; yields the
@@ -658,10 +676,12 @@ class CountPlan:
             X, a0, code, one = rows
             u = self.open[code]
             flat = (self.nz[a0] & u) == 0
-            ends = np.zeros(len(code), dtype=bool)
+            ends = None
             if self._ending[k] and X.shape[1] // r <= h:  # one open f_i, affine
-                ends = flat & (self.reach[code] == k) & np.isin(u, [1 << i for i in affine])
-            for i in affine if ends.any() else ():
+                ends = flat & (self.reach[code] == k) & self.lone[k][u]
+                if not ends.any():
+                    ends = None
+            for i in affine if ends is not None else ():
                 c0_table, w_table = self.split[k][i]
                 for Xs, _a, c, o1 in self._expand(tuple(a[ends & (u == 1 << i)]
                                                         for a in rows), h):
@@ -674,37 +694,41 @@ class CountPlan:
                     _record(rec, k + 1, c[hit], (o1 & (c0 == 1))[hit], w * q, w * q)
             # the rest read levels 0..need-1 (flat) or 0..k (any other), which
             # an expansion to that width enumerates where not yet carried
-            for sel, w in ((~ends & flat, need), (~ends & ~flat, k + 1)):
-                if not sel.any():
-                    continue
-                for X, a0, code, one in self._expand(tuple(a[sel] for a in rows), w):
-                    width = X.shape[1] // r
-                    v = _eval_poly_mod(self.g[k] if width <= k else self.c[k], X, q)
-                    code, one = self._settle(code, one, v, k)
-                    keep = self._classify(code, one, a0, k + 1,
-                                          q ** (r * (k + 1 - width)), rec)
-                    yield X[keep], a0[keep], code[keep], one[keep]
+            rest = (flat, ~flat) if ends is None else (~ends & flat, ~ends & ~flat)
+            for sel, w in zip(rest, (need, k + 1)):
+                for part in _take(rows, sel):
+                    for X, a0, code, one in self._expand(part, w):
+                        width = X.shape[1] // r
+                        v = _eval_poly_mod(self.g[k] if width <= k else self.c[k], X, q)
+                        code, one, u = self._settle(code, one, v, k)
+                        keep = self._classify(code, one, u, a0, k + 1,
+                                              q ** (r * (k + 1 - width)), rec)
+                        yield from _take((X, a0, code, one), keep)
 
     def _settle(self, code, one, v, k):
-        """Codes and leading-one flags after the t^k coefficients v: an open
-        f_i with v_i != 0 gets order k (digit k+1 of the code)."""
-        hit = self.open[code] & _bits(v != 0)
-        return code + (k + 1) * self._adds[hit], one & ((hit & _bits(v > 1)) == 0)
+        """Codes, leading-one flags and open sets after the t^k coefficients
+        v: an open f_i with v_i != 0 gets order k (digit k+1 of the code)
+        and leaves the open set (the new code's open[] wherever it is on a
+        path)."""
+        u = self.open[code]
+        hit = u & _bits(v != 0)
+        return (code + (k + 1) * self._adds[hit], one & ((hit & _bits(v > 1)) == 0),
+                u ^ hit)
 
-    def _classify(self, code, one, a0, level, weight, rec):
+    def _classify(self, code, one, u, a0, level, weight, rec):
         """Of the prefixes of length `level` that can still reach a target
-        (reach[code] >= level), record those that are settled (no open f_i,
-        or J_U(a_0) of full rank) and return the mask of the others.  A live
-        prefix with |U| >= 2 always finds its rank test in full (see
+        (reach[code] >= level), record those that are settled (no open f_i
+        in u, or J_U(a_0) of full rank) and return the mask of the others.
+        A live prefix with |U| >= 2 always finds its rank test in full (see
         _start_bits)."""
         live = self.reach[code] >= level
-        u = self.open[code]
         done = (self.nz[a0] & u) == u
         for s, full in self.full.items():
             at = u == s
             done[at] = full[a0[at]]
         done &= live
-        _record(rec, level, code[done], one[done], weight, weight)
+        if done.any():
+            _record(rec, level, code[done], one[done], weight, weight)
         return live & ~done
 
     def _assemble(self, rec):
@@ -724,9 +748,20 @@ class CountPlan:
         return {n: tuple(v) for n, v in dist.items()}
 
 
+# Bit i of an open-set mask stands for f_i; the code table limit keeps l < 27.
+_BIT = 1 << np.arange(32, dtype=np.int64)
+
+
 def _bits(act):
     """The open set of each row as a bit mask (bit i for f_i)."""
-    return act @ (1 << np.arange(act.shape[1]))
+    return act @ _BIT[:act.shape[1]]
+
+
+def _take(rows, mask):
+    """The rows where mask holds, as a list of at most one batch: none if it
+    holds nowhere, the rows themselves (no copies) if it holds everywhere."""
+    n = np.count_nonzero(mask)
+    return [] if not n else [rows] if n == len(mask) else [tuple(a[mask] for a in rows)]
 
 
 def _batches(chunks):
@@ -750,10 +785,14 @@ def _concat(chunks):
 
 def _record(rec, level, codes, one, w_one, w_any):
     """Add w per prefix to rec[level, code, side]; side 0 counts only the
-    prefixes whose leading coefficients are all 1."""
+    prefixes whose leading coefficients are all 1.  One bincount per side,
+    its nonzero codes and their counts read out as Python ints, so that the
+    weights (Python ints) never meet an int64."""
     for side, cs, w in ((0, codes[one], w_one), (1, codes, w_any)):
-        for c in np.flatnonzero(cnt := np.bincount(cs)).tolist():
-            rec[level, c, side] += w * int(cnt[c])
+        cnt = np.bincount(cs)
+        at = cnt.nonzero()[0]
+        for c, m in zip(at.tolist(), cnt[at].tolist()):
+            rec[level, c, side] += w * m
 
 
 def _index(n):

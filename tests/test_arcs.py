@@ -153,6 +153,15 @@ class TestValidationAndHelpers:
                                ([(1,), (3,)], 3), ([(2,), (3,)], 4)):
             with pytest.raises(ArcError, match="not every index with"):
                 CountPlan(cusp, 2, None, targets).series(n_max, "one")
+        # the right number of indices with one beyond n_max, and one index
+        # missing from the middle of the set
+        pair = PolySystem(parse_system(["x1", "x2"]))
+        full = order_indices(2, 4)
+        for targets in ([n for n in full if n != (2, 1)] + [(4, 1)],
+                        [n for n in full if n != (1, 2)]):
+            with pytest.raises(ArcError, match="not every index with"):
+                CountPlan(pair, 2, None, targets).series(4, "any")
+        assert CountPlan(pair, 2, None, full).series(4, "any").coeffs
         series = CountPlan(cusp, 2, None, order_indices(1, 5)).series(5, "one")
         assert [series.coefficient((n,)) for n in (3, 4, 5)] == [
             Fraction(3, 8), Fraction(3, 16), Fraction(1, 32)]
@@ -1076,7 +1085,7 @@ def test_threads_are_capped_at_the_cpu_count(monkeypatch):
     sys = PolySystem([parse_poly("x1^2 - x2^3")])
     targets = order_indices(1, 6, low=0)
     want = CountPlan(sys, 5, None, targets).counts(1)
-    seen.clear()
+    assert seen == []  # one thread sweeps in place, with no executor
     assert CountPlan(sys, 5, None, targets).counts(10000) == want
     assert seen == [("workers", 3), ("shards", 3)]
 
@@ -1103,3 +1112,66 @@ def test_small_chunks_give_the_same_counts(monkeypatch, polys, q, order):
     monkeypatch.setattr(arcs, "_concat", concat)
     assert CountPlan(sys, q, None, targets).counts() == want
     assert max(rows) >= 64
+
+
+def test_record_matches_a_counter_tally():
+    """_record against a plain per-row tally, on both sides, with weights
+    past 2^63 that only Python ints carry."""
+    rng = random.Random(63)
+    for trial in range(25):
+        n = rng.randint(0, 400)
+        codes = np.array([rng.randrange(rng.choice((1, 7, 300))) for _ in range(n)],
+                         dtype=np.int64)
+        one = np.array([rng.random() < 0.4 for _ in range(n)], dtype=bool)
+        w_one, w_any = rng.choice((1, 3, 2 ** 64 + 5)), 2 ** 63 + trial
+        rec, want = Counter({(2, 0, 0): 9}), Counter({(2, 0, 0): 9})
+        arcs._record(rec, 2, codes, one, w_one, w_any)
+        for c, o in zip(codes.tolist(), one.tolist()):
+            want[2, c, 1] += w_any
+            if o:
+                want[2, c, 0] += w_one
+        assert rec == want, trial
+        assert all(type(c) is int and type(v) is int for (_, c, _), v in rec.items())
+
+
+def test_expand_pairs_every_row_with_every_digit_tuple(monkeypatch):
+    """Two levels enumerated in chunks of one row: each row is followed by
+    every pair of digit tuples once, in itertools.product order, with its
+    start, code and flag repeated alongside."""
+    monkeypatch.setattr(arcs, "_CHUNK", 16)
+    plan = CountPlan(PolySystem([parse_poly("x1^2 - x2^3")]), 3, None, [(2,)])
+    plan._prepare()
+    rng = random.Random(9)
+    X = np.array([[rng.randrange(3) for _ in range(2)] for _ in range(5)],
+                 dtype=plan.dtype)
+    a0, code = np.array([4, 0, 8, 2, 6]), np.array([1, 3, 0, 2, 1], dtype=np.int64)
+    one = np.array([True, False, True, True, False])
+    batches = list(plan._expand((X, a0, code, one), 3))
+    assert len(batches) == 5 * 9 and all(len(b[1]) == 9 for b in batches)
+    got = [np.concatenate(p) for p in zip(*batches)]
+    assert got[0].dtype == plan.dtype
+    digits = list(itertools.product(range(3), repeat=2))
+    assert got[0].tolist() == [list(x) + list(d1) + list(d2) for x in X.tolist()
+                               for d1 in digits for d2 in digits]
+    for have, col in zip(got[1:], (a0, code, one)):
+        assert have.tolist() == [v for v in col.tolist() for _ in range(81)]
+
+
+@pytest.mark.parametrize("mod", (2, 3, 2 ** 31 - 1))
+def test_compiled_bound_is_the_largest_absolute_column_sum(mod):
+    """The bound that keeps _eval_poly_mod within int64 is exactly the
+    largest absolute column sum of the reduced coefficient matrix, on
+    negative and 40-digit coefficients, constant-only and empty polynomials."""
+    rng = random.Random(mod)
+    tables = [[], [{}], [{(): -7}], [{(): 10 ** 39 + 1}, {}], [{}, {(0, 1): -(10 ** 39)}]]
+    for _ in range(40):
+        polys = [random_terms(rng, rng.randint(1, 6), rng.randint(0, 5), rng.randint(0, 8))
+                 for _ in range(rng.randint(1, 4))]
+        for f in polys:
+            for m in list(f)[::2]:
+                f[m] = rng.choice((-1, 1)) * rng.randrange(10 ** 39, 10 ** 40)
+        tables.append(polys)
+    for polys in tables:
+        _slots, C, _const, csum = _SlotTable(polys).compiled(mod)
+        assert type(csum) is int
+        assert csum == int(np.abs(C).sum(axis=0).max(initial=0)), polys
