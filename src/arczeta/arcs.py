@@ -202,8 +202,6 @@ def _level_multisets(e, lo, maxdeg, mod=None):
         for k in range(start, budget // left + 1):
             # level k taken m times; the other left - m factors need levels > k
             for m in range(max(1, (k + 1) * left - budget), left + 1):
-                if k * m > budget:
-                    break
                 c = coef * comb(left, m)
                 if not mod or c % mod:
                     extend(levels + (k,) * m, k + 1, left - m, budget - k * m, c)
@@ -215,13 +213,15 @@ def _level_multisets(e, lo, maxdeg, mod=None):
 def arc_value_coefficients(poly, maxdeg, origin, mod=None):
     """Coefficients of t^0..t^maxdeg of poly(a_0 + a_1 t + ...), each a
     polynomial in the arc variables in monomial form; origin=True
-    substitutes a_0 = 0.  With a modulus every coefficient is reduced into
-    [0, mod) and the monomials that are 0 mod `mod` are dropped.
+    substitutes a_0 = 0.  With a prime modulus every coefficient is reduced
+    into [0, mod) and the monomials that are 0 mod `mod` are dropped.
 
     x_j(t)^e is enumerated by the multisets of its levels, so each monomial
-    of a term of poly is produced once and sorted once; mod a prime q, most
-    multisets of x_j(t)^q have a multinomial coefficient divisible by q and
-    are never produced ((sum a_k t^k)^q = sum a_k^q t^(qk) mod q)."""
+    is produced once and sorted once: its sorted ids k*r + j fix the term of
+    poly and every variable's level multiset, and a product of residues that
+    are nonzero mod a prime is nonzero.  Mod a prime q, most multisets of
+    x_j(t)^q have a multinomial coefficient divisible by q and are never
+    produced ((sum a_k t^k)^q = sum a_k^q t^(qk) mod q)."""
     r = poly.nvars
     lo = 1 if origin else 0
     powers = {}  # (j, e) -> the terms of x_j(t)^e
@@ -238,14 +238,7 @@ def arc_value_coefficients(poly, maxdeg, origin, mod=None):
                      for ids, deg, coef in parts
                      for d, more, m in powers[j, e] if deg + d <= maxdeg]
         for ids, deg, coef in parts:
-            acc, m = out[deg], tuple(sorted(ids))
-            s = acc.get(m, 0) + coef
-            if mod:
-                s %= mod
-            if s:
-                acc[m] = s
-            else:
-                acc.pop(m, None)
+            out[deg][tuple(sorted(ids))] = coef % mod if mod else coef
     return out
 
 

@@ -236,6 +236,17 @@ def _add_common(p):
                    help="suppress the timing field for byte-identical output")
 
 
+def _add_system(p):
+    p.add_argument("--poly")
+    p.add_argument("--polys", help="semicolon-separated for several invariants")
+    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--leading", choices=("one", "any"),
+                   help="leading coefficients 1, or any nonzero (default: one "
+                        "for one polynomial, any for a system)")
+    p.add_argument("--constraint", default="none",
+                   help="none | origin | full-rank:m,r")
+
+
 def _add_counting(p):
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
@@ -249,28 +260,15 @@ def build_parser():
     sub = top.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("count", help="count arcs with prescribed orders")
-    p.add_argument("--poly")
-    p.add_argument("--polys", help="semicolon-separated for several invariants")
+    _add_system(p)
     p.add_argument("--n", required=True, help="order multi-index, e.g. 3 or 1,2")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--leading", choices=("one", "any"),
-                   help="leading coefficients 1, or any nonzero (default: one "
-                        "for one polynomial, any for a system)")
-    p.add_argument("--constraint", default="none",
-                   help="none | origin | full-rank:m,r")
     _add_counting(p)
     _add_common(p)
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("zeta-count", help="zeta coefficients from counts")
-    p.add_argument("--poly")
-    p.add_argument("--polys")
-    p.add_argument("--q", type=int, required=True)
+    _add_system(p)
     p.add_argument("--order", type=int, required=True)
-    p.add_argument("--leading", choices=("one", "any"),
-                   help="leading coefficients 1, or any nonzero (default: one "
-                        "for one polynomial, any for a system)")
-    p.add_argument("--constraint", default="none")
     _add_counting(p)
     _add_common(p)
     p.set_defaults(func=_cmd_zeta_count)

@@ -3,9 +3,9 @@
 Point counts of the classes used throughout the package are obtained by
 substituting a prime power for L, so everything here is kept exact: integer
 coefficients, Fraction specialization, no floating point.  Quotients are
-never factored: two of them are added over a shared denominator when their
-denominators agree up to a power of L and an integer factor, and over the
-product otherwise.
+never factored.  A denominator's class is d0 in c * L^k * d0, d0 primitive
+(_denominator_class); it is the one rule for sharing a denominator, read by
+RationalMotive addition and by RationalSeries.expand.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 class LaurentError(ValueError):
@@ -266,9 +266,9 @@ class RationalMotive(_Frozen):
     Equality is decided by cross-multiplication; no factorization is ever
     attempted.  A cheap normalization (integer content and monomial factors)
     keeps intermediate results small.  A sum of two quotients whose
-    denominators agree up to a power of L and an integer factor is taken
-    over their least common multiple, which has the same terms; any other
-    sum is taken over the product of the denominators.
+    denominators share a class (_denominator_class) is taken over their
+    least common multiple, which has the same terms; any other sum is taken
+    over the product of the denominators.
     """
 
     __slots__ = ("num", "den")
@@ -292,14 +292,16 @@ class RationalMotive(_Frozen):
 
     def __add__(self, other):
         other = _coerce_rm(other)
-        shared = _shift_between(self.den, other.den)
-        if shared is None:
+        key, ca, ea = _denominator_class(self.den)
+        other_key, cb, eb = _denominator_class(other.den)
+        if key != other_key:
             return RationalMotive(self.num * other.den + other.num * self.den,
                                   self.den * other.den)
-        s, u, v = shared
-        if (u, v) == (1, 1):
-            return RationalMotive(self.num.shift(s) + other.num, other.den)
-        return RationalMotive(self.num.shift(s) * u + other.num * v, other.den * v)
+        # self.den = ca L^ea d0 and other.den = cb L^eb d0: one formula over
+        # c L^(ea+eb) d0, c = lcm(ca, cb)
+        c = lcm(ca, cb)
+        num = self.num.shift(eb) * (c // ca) + other.num.shift(ea) * (c // cb)
+        return RationalMotive(num, LaurentMotive._of({e + ea + eb: c * v for e, v in key}))
 
     __radd__ = __add__
 
@@ -374,20 +376,20 @@ def _coerce_rm(x):
     return RationalMotive(_coerce(x))
 
 
-def _shift_between(a, b):
-    """(s, u, v) with a * L^s * u == b * v for the least integers u, v with
-    v > 0, or None if b is not an integer multiple of a shifted copy of a."""
-    if len(a.terms) != len(b.terms):
-        return None
-    s = b.min_exp() - a.min_exp()
-    ca, cb = a.terms[a.min_exp()], b.terms[b.min_exp()]
-    g = gcd(ca, cb) * (1 if ca > 0 else -1)
-    u, v = cb // g, ca // g
-    bt = b.terms
-    for e, c in a.terms.items():
-        if bt.get(e + s, 0) * v != c * u:
-            return None
-    return s, u, v
+def _denominator_class(den):
+    """(key, c, k) with den = c * L^k * d0, d0 primitive with lowest exponent
+    0; key is d0 as sorted (exponent, coefficient) pairs.  c > 0, so d0
+    has the sign of den's top coefficient, positive once den is reduced.
+
+    Integer content and lowest exponent are multiplicative (Gauss's lemma),
+    so _reduce_pair gives a value one canonical form over all denominators
+    of the class {c * L^k * d0}: summing numerators over C * d0, C the lcm
+    of the class's c, and reducing once yields the same bytes as summing
+    the reduced quotients one at a time, in any grouping."""
+    terms = den.terms
+    k = min(terms)
+    c = gcd(*terms.values())
+    return tuple(sorted((e - k, v // c) for e, v in terms.items())), c, k
 
 
 def _reduce_pair(num, den):

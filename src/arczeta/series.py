@@ -11,10 +11,9 @@ class d0 sum their numerators over C * d0 (C the lcm of the class's c) into
 rows at their shifts, and each factor (1 - L^-nu T^N) divides the rows by one
 recurrence, row[n + N] += L^-nu row[n] in ascending |n|.  Only then is one
 RationalMotive built per (index, class), the classes of an index added in the
-order of the earliest term that reaches it.  Content and lowest L-exponent are
-multiplicative (Gauss's lemma), so RationalMotive's reduction is one canonical
-form within a class, and a single-class sum (every transfer of the package)
-prints exactly as the reduced term-by-term sum.
+order of the earliest term that reaches it.  The class is motive's
+_denominator_class, whose reduction argument makes a single-class sum (every
+transfer of the package) print exactly as the reduced term-by-term sum.
 
 Every exponent of T is >= 0.  A binomial (1 - L^-nu T^N) is taken by its
 closed form: each term gains a copy, its numerator shifted by L^-nu and negated;
@@ -32,11 +31,11 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import gcd, lcm
+from math import lcm
 from operator import add
 
-from .motive import (_MAX_DIGITS, LaurentMotive, RationalMotive, _Frozen,
-                     _monomial_text, parse_laurent)
+from .motive import (_MAX_DIGITS, LaurentMotive, RationalMotive, _denominator_class,
+                     _Frozen, _monomial_text, parse_laurent)
 
 
 class SeriesError(ValueError):
@@ -271,22 +270,6 @@ class RationalSeries(_Frozen):
                 SeriesFactor(_int(nu), _parse_monomial(mono, nvars))
                 for nu, mono in re.findall(_FACTOR, factors or ""))))
         return cls(nvars, terms)
-
-
-def _denominator_class(den):
-    """(key, c, k) with den = c * L^k * d0, d0 primitive with lowest exponent
-    0; key is d0 as sorted (exponent, coefficient) pairs.  den is a reduced
-    denominator, so its top coefficient and c are positive.
-
-    Integer content and lowest exponent are multiplicative (Gauss's lemma),
-    so RationalMotive's reduction gives a value one canonical form over all
-    denominators of the class {c * L^k * d0}: summing numerators over C * d0,
-    C the lcm of the class's |c|, and reducing once yields the same bytes as
-    summing the reduced quotients one at a time."""
-    terms = den.terms
-    k = min(terms)
-    c = gcd(*terms.values())
-    return tuple(sorted((e - k, v // c) for e, v in terms.items())), c, k
 
 
 def _divide(rows, f, order):

@@ -195,6 +195,15 @@ class TestValidationAndHelpers:
     def test_homogeneity_check(self):
         assert homogeneity_check(self.sys, 3, 1)
         assert homogeneity_check(self.sys, 3, 2)
+        with pytest.raises(ArcError, match="takes a single polynomial"):
+            homogeneity_check(PolySystem(parse_system(["x1", "x2"])), 3, 1)
+        with pytest.raises(ArcError, match="not homogeneous"):
+            homogeneity_check(PolySystem([parse_poly("x1^2 + x2")]), 3, 1)
+
+    def test_leading_is_one_or_any(self):
+        plan = CountPlan(PolySystem([parse_poly("x1")]), 3, None, [(1,)])
+        with pytest.raises(ArcError, match="leading must be 'one' or 'any'"):
+            plan.count(1, "some")
 
     def test_zeta_coeffs_monomial(self):
         sys = PolySystem([parse_poly("x1")])

@@ -134,6 +134,10 @@ class TestBFunction:
         assert b2.as_counter() == {Fraction(1): 2, Fraction(3, 2): 2}
         assert castle_bfunction(b2, QUADRIC.swapped()) == b1
 
+    def test_needs_a_single_invariant(self):
+        with pytest.raises(CastlingError, match="single invariant"):
+            castle_bfunction(BFunction.from_roots([1]), SYM)
+
     def test_cancellation_failure(self):
         with pytest.raises(CastlingError):
             castle_bfunction(BFunction.from_roots([Fraction(5, 7)]),
@@ -408,3 +412,10 @@ class TestNumeric:
         sys1 = PolySystem([parse_poly("x1^2 + x2^2 + x3^2")])
         with pytest.raises(CastlingError):
             verify_castling(sys1, sys1, QUADRIC, 3, 1)
+
+    def test_verify_rejects_wrong_invariant_degrees(self):
+        # the partner on m*r2 = 6 variables has degree 2, not r2*d = 4
+        sys1 = PolySystem([parse_poly("x1^2 + x2^2 + x3^2")])
+        sys2 = PolySystem([parse_poly("x1*x4 - x2*x3 + x5*x6")])
+        with pytest.raises(CastlingError, match="invariant degrees must be r_j"):
+            verify_castling(sys1, sys2, QUADRIC, 3, 1)

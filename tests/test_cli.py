@@ -98,6 +98,12 @@ class TestCount:
         assert code == 2
         assert "error" in err
 
+    def test_full_rank_needs_the_matrix_dimension(self, capsys):
+        code, _, err = run(capsys, "count", "--poly", "x1*x4 - x2*x3", "--n", "2",
+                           "--q", "3", "--constraint", "full-rank:3,1")
+        assert code == 2
+        assert "full rank needs ambient dimension m*r_mat = 3" in err
+
     def test_leading_one_on_a_system_is_refused_before_counting(self, capsys,
                                                                 monkeypatch):
         def no_sweep(self, threads=1):
@@ -282,6 +288,18 @@ class TestCastlingCommands:
                            "--partner", "x1", "--deterministic")
         assert code == 0
         assert json.loads(out)["partner_matches"] is True
+
+    @pytest.mark.parametrize("poly, p, order, message", [
+        ("x1^2 + x2^2 + x3^2", "4", "3", "p must be prime"),
+        ("2*x1^2 + 2*x2", "2", "3", "polynomial vanishes identically mod p"),
+        ("x1^2 + x2^2 + x3^2", "2", "40", "too large for exact vector arithmetic"),
+    ], ids=["composite-p", "zero-mod-p", "modulus-beyond-2^31"])
+    def test_castle_igusa_refusals_exit_2(self, capsys, poly, p, order, message):
+        code, out, err = run(capsys, "castle-igusa", "--castling", QUADRIC_M3,
+                             "--poly", poly, "--partner", WRONG_PARTNER,
+                             "--p", p, "--order", order, "--deterministic")
+        assert (code, out) == (2, "")
+        assert message in err
 
     def test_castle_igusa_wrong_partner_exits_1(self, capsys):
         code, out, _ = run(capsys, "castle-igusa", "--castling", QUADRIC_M3,

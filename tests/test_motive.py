@@ -12,7 +12,7 @@ from arczeta import (LaurentError, LaurentMotive, Permutation, PolySystem,
                      RationalMotive, RationalSeries, Spectrum, fibration_factor,
                      parse_laurent, parse_poly, parse_system, partition_weight_sum,
                      sl_class, z_w_class)
-from arczeta.motive import _binomials, _Frozen, _shift_between, compositions
+from arczeta.motive import _binomials, _denominator_class, _Frozen, compositions
 
 L = LaurentMotive.L()
 ONE = LaurentMotive.one()
@@ -169,7 +169,37 @@ class TestRationalMotive:
     @given(d=primitive_denominators, s=st.integers(-4, 4))
     def test_shifted_copies_need_no_scaling(self, d, s):
         # whatever the sign of the lowest coefficient, as in L - 1
-        assert _shift_between(d, d.shift(s)) == (s, 1, 1)
+        key, c, k = _denominator_class(d)
+        assert _denominator_class(d.shift(s)) == (key, c, k + s)
+        assert c == 1
+
+    @given(a=laurents, b=laurents, d=primitive_denominators,
+           s=st.integers(-4, 4), u=st.integers(-6, 6).filter(bool),
+           v=st.integers(-6, 6).filter(bool))
+    def test_sum_prints_as_the_shift_formula(self, a, b, d, s, u, v):
+        # the sum before the class rule: over y.den * v' when x.den * L^s' * u'
+        # == y.den * v' for the least integers u', v' > 0, else cross-multiplied
+        def reference(x, y):
+            s2 = y.den.min_exp() - x.den.min_exp()
+            ca, cb = x.den.terms[x.den.min_exp()], y.den.terms[y.den.min_exp()]
+            g = math.gcd(ca, cb) * (1 if ca > 0 else -1)
+            u2, v2 = cb // g, ca // g
+            if (len(x.den.terms) == len(y.den.terms)
+                    and all(y.den.terms.get(e + s2, 0) * v2 == c * u2
+                            for e, c in x.den.terms.items())):
+                return RationalMotive(x.num.shift(s2) * u2 + y.num * v2, y.den * v2)
+            return RationalMotive(x.num * y.den + y.num * x.den, x.den * y.den)
+
+        x, y = RationalMotive(a, d * u), RationalMotive(b, d.shift(s) * v)
+        want = reference(x, y)
+        assert str(x + y) == str(want)
+        assert (x + y).den.terms == want.den.terms
+
+    def test_cross_class_sum_prints_as_the_product(self):
+        x, y = RationalMotive(L, 2 * L + 2), RationalMotive(3, L ** 2 - L)
+        assert _denominator_class(x.den)[0] != _denominator_class(y.den)[0]
+        want = RationalMotive(x.num * y.den + y.num * x.den, x.den * y.den)
+        assert str(x + y) == str(want) == "(L^3 - L^2 + 6*L + 6) / (2*L^3 - 2*L)"
 
     def test_sum_keeps_denominator_with_integer_content(self):
         total = RationalMotive(1, 2 * L + 2) + RationalMotive(2, 2 * L + 2)

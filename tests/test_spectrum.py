@@ -69,6 +69,10 @@ class TestExactDiv:
         with pytest.raises(SpectrumError):
             (Spectrum.one() + t(half)).exact_div(1 - t(1))
 
+    def test_inexact_quotient_coefficient_raises(self):
+        with pytest.raises(SpectrumError, match="coefficient 3/2"):
+            Spectrum({0: 3, 1: 1}).exact_div(Spectrum({0: 2, 1: 1}))
+
     def test_zero_cases(self):
         assert Spectrum.zero().exact_div(1 - t(1)) == Spectrum.zero()
         with pytest.raises(SpectrumError):
