@@ -1,7 +1,7 @@
 """Truncated-arc counting over prime fields by one level sweep per plan.
 
 An arc of length N over F_q is an r-tuple of polynomials in t of degree <= N.
-A CountPlan is built once per (system, q, constraint, set of order indices)
+A CountPlan is built once per (system, q, constraint, order or order indices)
 and one sweep over the arc levels yields, for every index n, the number of
 arcs with ord_t f_i = n_i, with leading coefficients 1 and with any nonzero
 leading coefficients.  Prefixes that start at a smooth point of the open
@@ -252,31 +252,19 @@ _EXACT = 1 << 62
 
 def _full_row_rank(A, q):
     """True where the k x c matrix A[n] has rank k mod the prime q, by
-    Gaussian elimination on all the matrices at once."""
-    A = A % q
+    Gaussian elimination on all the matrices at once.  Row j is replaced by
+    piv * row j - A[j, col] * row i: the pivot is a unit, so the rank stays
+    and no inverse is needed, and entries in [0, q) keep products below q^2."""
+    A = A.astype(np.int64) % q
     rows = np.arange(len(A))
     ok = np.ones(len(A), dtype=bool)
     for i in range(A.shape[1]):
         col = (A[:, i] != 0).argmax(axis=1)
         piv = A[rows, i, col]
         ok &= piv != 0
-        inv = _pow_mod(piv, 2 * q - 3, q)  # 1/x = x^(2q-3) for x != 0, q = 2 too
         for j in range(i + 1, A.shape[1]):
-            A[:, j] = (A[:, j] - (A[rows, j, col] * inv % q)[:, None] * A[:, i]) % q
+            A[:, j] = (piv[:, None] * A[:, j] - A[rows, j, col][:, None] * A[:, i]) % q
     return ok
-
-
-def _pow_mod(col, e, mod):
-    """col^e mod `mod` for e >= 1, squaring with a reduction at every step."""
-    base = col.astype(np.int64)
-    out = None
-    while True:
-        if e & 1:
-            out = base if out is None else out * base % mod
-        e >>= 1
-        if not e:
-            return out
-        base = base * base % mod
 
 
 class _SlotTable:
@@ -414,11 +402,14 @@ class CountPlan:
     code = sum_i (ord f_i + 1) (depth+2)^i, digit 0 for an open f_i; every
     per-row question is a gather from the code tables (see _paths).
 
-    Construction checks q, the degree and every target (n_i >= min_order, as
-    given) once and, given a budget, refuses a plan whose estimate() exceeds
-    it (BudgetExceeded), then one of more than _MAX_GRID_CELLS codes, before
-    the targets are normalized and sorted and before any grid or jet is
-    built; count checks only leading, series also the targets (see series).
+    The targets are a list of indices, or an int N for every n with all
+    n_i >= min_order and |n| <= N (order_indices), the only plans with a
+    series.  Construction checks q, the degree and every listed target
+    (n_i >= min_order, as given) once and, given a budget, refuses a plan
+    whose estimate() exceeds it (BudgetExceeded), then one of more than
+    _MAX_GRID_CELLS codes or residue grid cells, all from the depth alone,
+    before the targets are listed, normalized and sorted and before any grid
+    or jet is built; count and series check only leading.
     """
 
     def __init__(self, sys, q, constraint=None, targets=(), min_order=0,
@@ -431,20 +422,27 @@ class CountPlan:
             raise ArcError("q must be prime (prime-power fields are not implemented)")
         _check_degree(max(sys.degrees))
         self.sys, self.q, self.r = sys, q, sys.r
-        raw = [(n,) if isinstance(n, int) else n for n in targets]
-        if bad := set(map(len, raw)) - {sys.l}:
-            raise ArcError("order multi-index has length %d, system has %d "
-                           "polynomials" % (min(bad), sys.l))
-        if min(chain.from_iterable(raw), default=min_order) < min_order:
-            raise ArcError("all n_i must be >= %d" % min_order)
-        self.depth = int(max(chain.from_iterable(raw), default=0))
+        self.order = targets if isinstance(targets, int) else None
+        if self.order is None:
+            raw = [(n,) if isinstance(n, int) else n for n in targets]
+            if bad := set(map(len, raw)) - {sys.l}:
+                raise ArcError("order multi-index has length %d, system has %d "
+                               "polynomials" % (min(bad), sys.l))
+            if min(chain.from_iterable(raw), default=min_order) < min_order:
+                raise ArcError("all n_i must be >= %d" % min_order)
+            self.depth = int(max(chain.from_iterable(raw), default=0))
+        else:  # the largest n_i of an index with the others at min_order
+            top = targets - min_order * (sys.l - 1)
+            self.depth = top if top >= min_order else 0
         self.origin = constraint.kind == "origin"
         if budget is not None and (est := self.estimate()) > budget:
             raise BudgetExceeded(est, budget)
         if (self.depth + 2) ** sys.l > _MAX_GRID_CELLS:
             raise ArcError("code table of %d^%d entries exceeds the limit of %d"
                            % (self.depth + 2, sys.l, _MAX_GRID_CELLS))
-        self.targets = sorted({_index(n) for n in raw})
+        _check_grid(q, self.r)
+        self.targets = (sorted({_index(n) for n in raw}) if self.order is None
+                        else order_indices(sys.l, targets, min_order))
         self._base = (self.depth + 2) ** np.arange(sys.l)
         self._dist = None
 
@@ -471,21 +469,17 @@ class CountPlan:
             self._dist = self._assemble(self._sweep(threads))
         return self._dist
 
-    def series(self, n_max, leading, threads=1):
-        """Truncated zeta series: the T^n coefficient is count(n) q^(-|n| r).
-        The targets must be every n with |n| <= n_max and all n_i >= low (their
-        least entry, or 1), or a missing one would read as a zero coefficient.
-        The targets are distinct with every n_i >= low, so they are that set
-        when none passes n_max and there are comb(n_max - l low + l, l) of them."""
-        side, l = self._side(leading), self.sys.l
-        low = min(map(min, self.targets), default=1)
-        size = comb(n_max - l * low + l, l) if n_max >= l * low else 0
-        if len(self.targets) != size or max(map(sum, self.targets), default=0) > n_max:
-            raise ArcError("the targets are not every index with |n| <= %d and "
-                           "all n_i >= %d" % (n_max, low))
+    def series(self, leading, threads=1):
+        """Truncated zeta series to the plan's order: the T^n coefficient is
+        count(n) q^(-|n| r).  Only a plan built for an order has one, since an
+        index missing from a list would read as a zero coefficient."""
+        side = self._side(leading)
+        if self.order is None:
+            raise ArcError("a series needs a plan built for an order, not an "
+                           "index list")
         coeffs = {n: Fraction(c[side], self.q ** (sum(n) * self.r))
                   for n, c in self.counts(threads).items() if c[side]}
-        return TruncatedSeries(self.sys.l, n_max, coeffs)
+        return TruncatedSeries(self.sys.l, self.order, coeffs)
 
     def _side(self, leading):
         """0 for leading 'one', 1 for 'any': the index into a count pair."""
@@ -500,7 +494,6 @@ class CountPlan:
     def _prepare(self):
         """The starts, the level digits and the level-0 values."""
         q, r = self.q, self.r
-        _check_grid(q, r)
         self.dtype = np.int8 if q <= 127 else np.int64
         self.digits = _residue_grid(q, r, self.dtype)
         start = np.zeros((1, r), dtype=self.dtype) if self.origin else self.digits
@@ -824,8 +817,7 @@ def zeta_coeffs_from_counts(sys, q, n_max, constraint=None, leading="one",
                             threads=1):
     """Truncated zeta series over exact rationals: the T^n coefficient is the
     arc count at n times q^(-|n| r)."""
-    return CountPlan(sys, q, constraint, order_indices(sys.l, n_max)).series(
-        n_max, leading, threads)
+    return CountPlan(sys, q, constraint, n_max, min_order=1).series(leading, threads)
 
 
 def homogeneity_check(sys, q, n, threads=1):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
-from .arcs import CountPlan, order_indices
+from .arcs import CountPlan
 from .motive import LaurentMotive, RationalMotive, _binomials
 from .series import mi_scale
 from .spectrum import Spectrum, SpectrumError
@@ -283,15 +283,14 @@ def counting_series(sys, q, order, leading, threads=1):
     """Numeric zeta series from exhaustive counts, including the order-zero
     boundary strata: coefficient at T^n is count(n) q^(-|n| r), every n
     counted by one plan."""
-    plan = CountPlan(sys, q, None, order_indices(sys.l, order, low=0))
-    return plan.series(order, leading, threads)
+    return CountPlan(sys, q, None, order).series(leading, threads)
 
 
 def verify_castling(sys1, sys2, c, q, order, threads=1, budget=None):
     """Count both partners, transfer the first series, and compare
     coefficientwise; returns a JSON-ready report.  Both counting plans are
-    built, and refused with BudgetExceeded if either estimate exceeds the
-    budget, before either sweeps."""
+    built before either sweeps, so a plan beyond the budget (BudgetExceeded)
+    or beyond a limit of its own (ArcError) is refused before any counting."""
     if sys1.l != c.l or sys2.l != c.l:
         raise CastlingError("polynomial systems do not match the datum arity")
     if sys1.r != c.m * c.r1 or sys2.r != c.m * c.r2:
@@ -300,9 +299,8 @@ def verify_castling(sys1, sys2, c, q, order, threads=1, budget=None):
         if sys1.degrees[i] != c.r1 * c.d[i] or sys2.degrees[i] != c.r2 * c.d[i]:
             raise CastlingError("invariant degrees must be r_j * d_i")
     leading = "one" if c.l == 1 else "any"
-    plans = [CountPlan(s, q, None, order_indices(c.l, order, low=0), budget=budget)
-             for s in (sys1, sys2)]
-    Z1, Z2 = (plan.series(order, leading, threads) for plan in plans)
+    plans = [CountPlan(s, q, None, order, budget=budget) for s in (sys1, sys2)]
+    Z1, Z2 = (plan.series(leading, threads) for plan in plans)
     predicted = castle_zeta_numeric(Z1, q, c)
     rows = []
     worst = order

@@ -14,7 +14,7 @@ import sys as _sys
 import time
 
 from .arcs import (ArcConstraint, ArcError, BudgetExceeded, CountPlan, PolySystem,
-                   igusa_coeffs, order_indices)
+                   igusa_coeffs)
 from .castling import (BFunction, CastlingDatum, CastlingError, castle_bfunction,
                        castle_igusa, castle_local_zeta, castle_milnor,
                        castle_spectrum, castle_zeta, verify_castling)
@@ -104,9 +104,9 @@ def _cmd_count(args, t0):
 def _cmd_zeta_count(args, t0):
     sys_ = _system(args)
     plan = CountPlan(sys_, args.q, ArcConstraint.parse(args.constraint),
-                     order_indices(sys_.l, args.order), budget=args.budget)
+                     args.order, min_order=1, budget=args.budget)
     leading = _leading(args, sys_)
-    series = plan.series(args.order, leading, args.threads)
+    series = plan.series(leading, args.threads)
     _emit({
         "q": args.q,
         "order": args.order,

@@ -132,11 +132,11 @@ class TestValidationAndHelpers:
 
         monkeypatch.setattr(CountPlan, "counts", no_sweep)
         plan = CountPlan(PolySystem([parse_poly("x1", 2), parse_poly("x2", 2)]), 3,
-                         None, order_indices(2, 2))
+                         None, 2, min_order=1)
         with pytest.raises(ArcError, match="leading-coefficient-one"):
             plan.count((1, 1), "one")
         with pytest.raises(ArcError, match="leading-coefficient-one"):
-            plan.series(2, "one")
+            plan.series("one")
 
     def test_lookup_of_a_non_target_is_an_arc_error(self):
         plan = CountPlan(PolySystem([parse_poly("x1")]), 3, None, [(1,)])
@@ -144,34 +144,32 @@ class TestValidationAndHelpers:
             plan.count((2,))
         assert plan.count(1) == 2
 
-    def test_series_needs_every_index_up_to_its_order(self):
-        """A series reads a missing target as a zero coefficient, so its
-        targets must be every n with |n| <= n_max and all n_i >= low, low
-        their least entry."""
+    def test_series_needs_a_plan_built_for_an_order(self):
+        """A series reads a missing target as a zero coefficient, so only a
+        plan built for an order N has one: its targets are every n with
+        |n| <= N and all n_i >= min_order, listed by the plan itself.  A plan
+        built from an index list, even the full one, has none."""
         cusp = PolySystem([parse_poly("x1^2 - x2^3")])
-        for targets, n_max in ((order_indices(1, 2), 5), (order_indices(1, 5), 4),
-                               ([(1,), (3,)], 3), ([(2,), (3,)], 4)):
-            with pytest.raises(ArcError, match="not every index with"):
-                CountPlan(cusp, 2, None, targets).series(n_max, "one")
-        # the right number of indices with one beyond n_max, and one index
-        # missing from the middle of the set
         pair = PolySystem(parse_system(["x1", "x2"]))
-        full = order_indices(2, 4)
-        for targets in ([n for n in full if n != (2, 1)] + [(4, 1)],
-                        [n for n in full if n != (1, 2)]):
-            with pytest.raises(ArcError, match="not every index with"):
-                CountPlan(pair, 2, None, targets).series(4, "any")
-        assert CountPlan(pair, 2, None, full).series(4, "any").coeffs
-        series = CountPlan(cusp, 2, None, order_indices(1, 5)).series(5, "one")
+        lines = PolySystem(parse_system(["x1", "x2", "x3"]))
+        for sys, targets in ((cusp, order_indices(1, 5)), (cusp, [(2,), (3,)]),
+                             (pair, order_indices(2, 4)), (lines, [])):
+            with pytest.raises(ArcError, match="built for an order"):
+                CountPlan(sys, 2, None, targets).series("any")
+        for sys, order, low in ((cusp, 5, 1), (pair, 4, 1), (pair, 1, 1),
+                                (lines, 2, 0), (lines, 2, 1), (lines, -1, 0)):
+            plan = CountPlan(sys, 2, None, order, min_order=low)
+            targets = order_indices(sys.l, order, low)
+            assert plan.targets == targets
+            assert plan.depth == max(map(max, targets), default=0)
+            assert plan.counts() == CountPlan(sys, 2, None, targets).counts()
+        series = CountPlan(cusp, 2, None, 5, min_order=1).series("one")
+        assert series.order == 5
         assert [series.coefficient((n,)) for n in (3, 4, 5)] == [
             Fraction(3, 8), Fraction(3, 16), Fraction(1, 32)]
-        assert CountPlan(cusp, 2, None, [(2,), (3,)]).series(3, "one").coeffs
-        lines = PolySystem(parse_system(["x1", "x2", "x3"]))
-        assert CountPlan(lines, 2, None, []).series(2, "any").coeffs == {}
-        with pytest.raises(ArcError, match="not every index with"):
-            CountPlan(lines, 2, None, []).series(3, "any")
-        assert CountPlan(lines, 2, None, order_indices(3, 2, low=0)).series(
-            2, "any").coefficient((0, 0, 2)) == Fraction(1, 4)
+        assert CountPlan(pair, 2, None, 1, min_order=1).series("any").coeffs == {}
+        assert CountPlan(lines, 2, None, 2).series("any").coefficient(
+            (0, 0, 2)) == Fraction(1, 4)
 
     def test_constraint_parsing(self):
         assert ArcConstraint.parse("none").kind == "none"
@@ -621,12 +619,10 @@ def test_residue_grid_limit_refuses_before_allocating():
     """q^r = 101^4 (about 1.04e8 rows) is beyond the grid limit: the plan
     and the p-adic counter refuse without building the grid."""
     f = parse_poly("x1*x4 - x2*x3")
-    plan = CountPlan(PolySystem([f]), 101, None, [(1,)])
-    assert plan.estimate() == 101 ** 4
     tracemalloc.start()
     try:
         with pytest.raises(ArcError, match="grid"):
-            plan.counts()
+            CountPlan(PolySystem([f]), 101, None, [(1,)])
         with pytest.raises(ArcError, match="grid"):
             count_arcs(PolySystem([f]), (1,), 101, leading="any")
         with pytest.raises(ArcError, match="grid"):
@@ -644,7 +640,7 @@ def test_residue_grid_limit_counts_cells():
     tracemalloc.start()
     try:
         with pytest.raises(ArcError, match="grid"):
-            CountPlan(PolySystem([f]), 2, None, [(1,)]).counts()
+            CountPlan(PolySystem([f]), 2, None, [(1,)])
         with pytest.raises(ArcError, match="grid"):
             padic_solution_counts(f, 2, 1)
         peak = tracemalloc.get_traced_memory()[1]
@@ -910,10 +906,54 @@ def test_any_leading_series_matches_closed_form_at_depth(name, q, order):
     same closed form."""
     sys = PolySystem(parse_system(CLOSED_FORM_POLYS[name].split(";")))
     targets = order_indices(sys.l, order, low=0)
-    series = CountPlan(sys, q, None, targets).series(order, "any")
+    series = CountPlan(sys, q, None, order).series("any")
     want = closed_form(name, q, order)
     assert ([series.coefficient(n) for n in targets]
             == [q ** sys.r * want[n] for n in targets])
+
+
+def _rank_by_inverses(rows, q):
+    """Rank mod the prime q by textbook elimination: each pivot row is
+    scaled by pow(pivot, -1, q)."""
+    rows, rank = [[x % q for x in row] for row in rows], 0
+    for col in range(len(rows[0])):
+        at = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if at is None:
+            continue
+        rows[rank], rows[at] = rows[at], rows[rank]
+        inv = pow(rows[rank][col], -1, q)
+        rows[rank] = [x * inv % q for x in rows[rank]]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col]
+            rows[i] = [(x - f * y) % q for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 127, 65521])
+def test_full_row_rank_matches_elimination_with_inverses(q):
+    """Seeded: _full_row_rank, which scales rows by their pivots instead of
+    inverting them, agrees with elimination by inverses on batches of k x c
+    matrices up to 4 x 6, int8 (q <= 127) and int64, with zero rows,
+    repeated rows and multiples of a row mixed in, and leaves its input as
+    it was."""
+    rng = random.Random(q)
+    for k, c in itertools.product(range(1, 5), range(1, 7)):
+        batch = []
+        for _ in range(40):
+            top = rng.choice([2, q])
+            A = [[rng.randrange(min(top, q)) for _ in range(c)] for _ in range(k)]
+            if k > 1 and rng.random() < 0.5:
+                i, j = rng.sample(range(k), 2)
+                A[j] = rng.choice([[0] * c, list(A[i]),
+                                   [rng.randrange(1, q) * x % q for x in A[i]]])
+            batch.append(A)
+        want = [_rank_by_inverses(A, q) == k for A in batch]
+        for dtype in (np.int8, np.int64) if q <= 127 else (np.int64,):
+            A = np.array(batch, dtype=dtype)
+            before = A.copy()
+            assert arcs._full_row_rank(A, q).tolist() == want, (k, c, dtype)
+            assert A.dtype == dtype and (A == before).all()
 
 
 class TestSlotEvaluator:

@@ -14,8 +14,8 @@ from arczeta import (BFunction, BudgetExceeded, CastlingDatum, CastlingError,
                      castle_bfunction, castle_igusa, castle_local_zeta,
                      castle_milnor, castle_spectrum, castle_zeta,
                      castle_zeta_numeric, counting_series, igusa_coeffs,
-                     globalize_by_degree, localize_by_degree, parse_poly,
-                     series_equal, sl_class, verify_castling,
+                     globalize_by_degree, localize_by_degree, milnor_fiber,
+                     parse_poly, series_equal, sl_class, verify_castling,
                      zeta_from_resolution)
 from arczeta.arcs import order_indices
 from arczeta.fixtures import castling_fixture, resolution_fixture
@@ -107,6 +107,21 @@ class TestMilnorAndSpectrum:
         S2 = castle_milnor(S1, QUADRIC)
         back = castle_milnor(S2, QUADRIC.swapped())
         assert back == S1
+
+    @pytest.mark.parametrize("c", [QUADRIC, CastlingDatum(7, 2, 5, 1, (2,))])
+    def test_milnor_fiber_of_a_datum_round_trips(self, c):
+        """milnor_fiber gives its counting class as a LaurentMotive: the
+        transfer reads it as a RationalMotive times the factors
+        (1 - L^j), r1 < j <= r2, and the swapped datum divides them out
+        again, spectrum channel included."""
+        counting, spectrum = milnor_fiber(resolution_fixture("quadric3-local"))
+        assert isinstance(counting, LaurentMotive)
+        extra = prod((1 - L ** j for j in range(c.r1 + 1, c.r2 + 1)),
+                     start=LaurentMotive.one())
+        assert castle_milnor(counting, c) == RationalMotive(counting * extra)
+        S2 = castle_milnor((counting, spectrum), c)
+        assert S2[0] == RationalMotive(counting * extra)
+        assert castle_milnor(S2, c.swapped()) == (RationalMotive(counting), spectrum)
 
     def test_milnor_fixed_point(self):
         c = CastlingDatum(2, 1, 1, 1, (2,))

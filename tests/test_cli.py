@@ -391,7 +391,8 @@ class TestVerify:
 def test_one_plan_per_system_and_one_normalisation_per_target(
         capsys, monkeypatch, argv, plans):
     """A verify request builds one plan per partner and a zeta-count request
-    one plan, and each plan normalises each of its targets once."""
+    one plan, each built for an order: it lists its targets itself, so none
+    is normalised."""
     built, indexed = [], []
     init, index = CountPlan.__init__, arcs._index
 
@@ -408,4 +409,34 @@ def test_one_plan_per_system_and_one_normalisation_per_target(
     code, _, _ = run(capsys, *argv, "--threads", "1", "--deterministic")
     assert code == 0
     assert len(built) == plans
-    assert len(indexed) == sum(len(plan.targets) for plan in built)
+    assert all(plan.order is not None for plan in built)
+    assert indexed == []
+
+
+def test_code_table_refusal_lists_no_index(capsys, monkeypatch):
+    """38^5 codes for five polynomials to order 40: the plan refuses from its
+    depth, before it lists or normalises any of its 658,008 targets."""
+    def no_list(*args):
+        raise AssertionError("listed the targets before the code table check")
+
+    monkeypatch.setattr(arcs, "order_indices", no_list)
+    monkeypatch.setattr(arcs, "_index", no_list)
+    code, out, err = run(capsys, "zeta-count", "--polys", "x1;x2;x3;x4;x5",
+                         "--q", "2", "--order", "40", "--budget", str(10 ** 70))
+    assert (code, out) == (2, "")
+    assert err == "error: code table of 38^5 entries exceeds the limit of 67108864\n"
+
+
+def test_verify_refuses_a_grid_before_either_sweep(capsys, monkeypatch):
+    """quadric-m3 at q = 23: the partner on 6 variables needs a 23^6 x 6
+    residue grid, so its plan refuses at construction, before the partner on
+    3 variables prepares or sweeps anything."""
+    def no_prepare(self):
+        raise AssertionError("prepared a sweep before the grid check")
+
+    monkeypatch.setattr(CountPlan, "_prepare", no_prepare)
+    code, out, err = run(capsys, "verify", "--fixture", "quadric-m3", "--q", "23",
+                         "--order", "6", "--budget", str(10 ** 60))
+    assert (code, out) == (2, "")
+    assert err == ("error: residue grid of 23^6 rows x 6 = %d cells exceeds the "
+                   "limit of 67108864\n" % (23 ** 6 * 6))

@@ -117,6 +117,20 @@ class TestRationalMotive:
         assert a / a == RationalMotive.one()
         assert (a * b).num * (L - 1) ** 2 == L * ((a * b).den)
 
+    def test_reflected_operations_and_mixed_equality(self):
+        """int - RationalMotive, int / RationalMotive and LaurentMotive ==
+        RationalMotive, which hands the comparison to RationalMotive."""
+        a = RationalMotive(L + 1, L - 1)
+        assert 1 - a == RationalMotive(-2, L - 1)
+        assert 2 / a == RationalMotive(2 * L - 2, L + 1)
+        assert L / a == RationalMotive(L ** 2 - L, L + 1)
+        with pytest.raises(LaurentError, match="division by zero"):
+            1 / RationalMotive.zero()
+        assert L + 1 == RationalMotive(L ** 2 - 1, L - 1)
+        assert L ** 2 == RationalMotive(L ** 3, L)
+        assert L != RationalMotive(L, L - 1)
+        assert LaurentMotive.zero() == RationalMotive.zero()
+
     def test_zero_denominator_rejected(self):
         with pytest.raises(LaurentError):
             RationalMotive(ONE, LaurentMotive.zero())

@@ -442,6 +442,23 @@ class TestRationalSeries:
 
 
 class TestTruncatedSeries:
+    def test_difference_and_product_stop_at_the_lower_order(self):
+        """Terms of the longer series past the shorter one's order, and
+        products that pass it, are dropped, in either operand order."""
+        a = TruncatedSeries(1, 4, {(0,): Fraction(1), (3,): Fraction(2),
+                                   (4,): Fraction(5)})
+        b = TruncatedSeries(1, 2, {(1,): Fraction(3), (2,): Fraction(1, 2)})
+        for got, want in ((a - b, {(0,): 1, (1,): -3, (2,): Fraction(-1, 2)}),
+                          (b - a, {(0,): -1, (1,): 3, (2,): Fraction(1, 2)}),
+                          (a * b, {(1,): 3, (2,): Fraction(1, 2)}),
+                          (b * a, {(1,): 3, (2,): Fraction(1, 2)}),
+                          (b * b, {(2,): 9})):
+            assert (got.order, got.coeffs) == (2, want)
+        x = TruncatedSeries(2, 3, {(0, 1): Fraction(2), (2, 1): Fraction(1)})
+        y = TruncatedSeries(2, 2, {(1, 0): Fraction(1), (0, 2): Fraction(3)})
+        assert (x * y).coeffs == {(1, 1): 2}
+        assert (x - y).coeffs == {(0, 1): 2, (1, 0): -1, (0, 2): -3}
+
     def test_binomial_inverse(self):
         s = TruncatedSeries(1, 6, {(k,): Fraction(k + 1) for k in range(7)})
         c = Fraction(1, 3)
