@@ -526,9 +526,11 @@ class CountPlan:
             self.lone[k][[1 << i for i, p in enumerate(parts) if p is not None]] = True
 
     def _sweep(self, threads):
-        """{(level, code, side): prefixes} of every settled prefix.  One
-        thread sweeps its rows in place; more split them into as many shards,
-        each swept into a Counter of its own on a thread pool."""
+        """{(level, code, side): prefixes} of every settled prefix.  Each
+        chunk a level yields goes straight to the next level, so a sweep
+        holds about one chunk per level.  One thread sweeps its rows in
+        place; more split them into as many shards, each swept into a
+        Counter of its own on a thread pool."""
         rec = Counter()
         if not self.targets:
             return rec
@@ -545,12 +547,12 @@ class CountPlan:
         # one thread per CPU at most; shard once there is a row per thread
         k0, threads = 1, min(threads, os.cpu_count() or 1)
         while 0 < sum(len(c[1]) for c in chunks) < threads and k0 <= self.depth:
-            chunks = list(self._step(_batches(chunks), k0, rec))
+            chunks = list(self._step(chunks, k0, rec))
             k0 += 1
 
         def run(chunks, part):
             for k in range(k0, self.depth + 1):
-                chunks = self._step(_batches(chunks), k, part)
+                chunks = self._step(chunks, k, part)
             for _ in chunks:
                 pass
             return part
@@ -645,9 +647,10 @@ class CountPlan:
             yield from self._expand((Y.reshape(n * M, w + r), np.repeat(a0[s], M),
                                      np.repeat(code[s], M), np.repeat(one[s], M)), width)
 
-    def _step(self, batches, k, rec):
-        """Settle the t^k coefficients of prefixes of length k; yields the
-        prefixes of length k+1 that stay open.
+    def _step(self, chunks, k, rec):
+        """Settle the t^k coefficients of the prefixes of length k in each of
+        the chunks (rows of one width); yields, chunk by chunk, the prefixes
+        of length k+1 that stay open.
 
         A flat prefix carries only the levels its coefficients have read so
         far (a level it skips is free: q^r ways); any other prefix carries
@@ -658,7 +661,7 @@ class CountPlan:
         q, r, need = self.q, self.r, self.need[k]
         h = max(need - 1, 1)
         affine = [i for i, sp in enumerate(self.split[k]) if sp is not None]
-        for rows in batches:
+        for rows in chunks:
             X, a0, code, one = rows
             u = self.open[code]
             flat = (self.nz[a0] & u) == 0
@@ -744,29 +747,10 @@ def _bits(act):
 
 
 def _take(rows, mask):
-    """The rows where mask holds, as a list of at most one batch: none if it
+    """The rows where mask holds, as a list of at most one chunk: none if it
     holds nowhere, the rows themselves (no copies) if it holds everywhere."""
     n = np.count_nonzero(mask)
     return [] if not n else [rows] if n == len(mask) else [tuple(a[mask] for a in rows)]
-
-
-def _batches(chunks):
-    """Row chunks regrouped into batches of about _CHUNK rows of one width."""
-    bufs = {}
-    for chunk in chunks:
-        buf = bufs.setdefault(chunk[0].shape[1], [])
-        buf.append(chunk)
-        if sum(len(c[1]) for c in buf) >= _CHUNK:
-            yield _concat(buf)
-            buf.clear()
-    for buf in bufs.values():
-        if buf:
-            yield _concat(buf)
-
-
-def _concat(chunks):
-    """One batch from row chunks of one width."""
-    return chunks[0] if len(chunks) == 1 else tuple(np.concatenate(p) for p in zip(*chunks))
 
 
 def _record(rec, level, codes, one, w_one, w_any):

@@ -15,20 +15,20 @@ import time
 
 from .arcs import (ArcConstraint, ArcError, BudgetExceeded, CountPlan, PolySystem,
                    igusa_coeffs)
-from .castling import (BFunction, CastlingDatum, CastlingError, castle_bfunction,
-                       castle_igusa, castle_local_zeta, castle_milnor,
-                       castle_spectrum, castle_zeta, verify_castling)
+from .castling import (BFunction, CastlingDatum, castle_bfunction, castle_igusa,
+                       castle_local_zeta, castle_milnor, castle_spectrum,
+                       castle_zeta, verify_castling)
 from .fixtures import CASTLING_FIXTURES, castling_fixture
-from .motive import LaurentError, parse_laurent, RationalMotive
-from .polynomials import PolyError, parse_poly, parse_system
-from .resolution import (ResolutionDatum, ResolutionError, hsp_of_f,
-                         milnor_fiber, zeta_from_resolution)
-from .series import RationalSeries, SeriesError
-from .spectrum import SpectrumError, parse_spectrum
+from .motive import parse_laurent, RationalMotive
+from .polynomials import parse_poly, parse_system
+from .resolution import (ResolutionDatum, hsp_of_f, milnor_fiber,
+                         zeta_from_resolution)
+from .series import RationalSeries
+from .spectrum import parse_spectrum
 
-_INPUT_ERRORS = (ArcError, CastlingError, LaurentError, PolyError,
-                 ResolutionError, SeriesError, SpectrumError,
-                 KeyError, OSError, ValueError, json.JSONDecodeError)
+# every arczeta input error and json.JSONDecodeError is a ValueError;
+# BudgetExceeded is not, and exits 3 before these are caught
+_INPUT_ERRORS = (KeyError, OSError, ValueError)
 
 DEFAULT_BUDGET = 10 ** 9
 

@@ -81,7 +81,10 @@ class LaurentMotive(_Frozen):
     # -- ring structure ----------------------------------------------------
 
     def __add__(self, other):
-        other = _coerce(other)
+        try:
+            other = _coerce(other)
+        except TypeError:
+            return NotImplemented  # a RationalMotive's reflected method takes it
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = out.get(e, 0) + c
@@ -93,13 +96,16 @@ class LaurentMotive(_Frozen):
         return LaurentMotive._of({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-_coerce(other))
+        return self + (-other)
 
     def __rsub__(self, other):
         return _coerce(other) + (-self)
 
     def __mul__(self, other):
-        other = _coerce(other)
+        try:
+            other = _coerce(other)
+        except TypeError:
+            return NotImplemented
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -122,8 +128,6 @@ class LaurentMotive(_Frozen):
         return out
 
     def __eq__(self, other):
-        if isinstance(other, RationalMotive):
-            return other == self
         try:
             other = _coerce(other)
         except TypeError:

@@ -1144,23 +1144,41 @@ def test_threads_are_capped_at_the_cpu_count(monkeypatch):
     (("x1*x4 - x2*x3", "x1*x6 - x2*x5"), 2, 3),
 ])
 def test_small_chunks_give_the_same_counts(monkeypatch, polys, q, order):
-    """With _CHUNK at 64 cells, _batches flushes full batches in mid-stream
-    (only those reach _CHUNK rows) and every chunked loop takes many steps;
-    no count changes."""
+    """With _CHUNK at 64 cells every chunked loop takes many steps, and each
+    chunk goes to the next level as it is, so more chunks are settled than
+    at the default size; no count changes."""
     sys = PolySystem(parse_system(list(polys)))
     targets = order_indices(sys.l, order)
+    settled = []
+
+    def settle(self, code, one, v, k, _real=CountPlan._settle):
+        settled.append(len(code))
+        return _real(self, code, one, v, k)
+
+    monkeypatch.setattr(CountPlan, "_settle", settle)
     want = CountPlan(sys, q, None, targets).counts()
-    rows = []
-
-    def concat(chunks, _real=arcs._concat):
-        batch = _real(chunks)
-        rows.append(len(batch[1]))
-        return batch
-
+    whole = len(settled)
     monkeypatch.setattr(arcs, "_CHUNK", 64)
-    monkeypatch.setattr(arcs, "_concat", concat)
     assert CountPlan(sys, q, None, targets).counts() == want
-    assert max(rows) >= 64
+    assert len(settled) - whole > whole
+
+
+def test_sweep_holds_about_one_chunk_per_level(monkeypatch):
+    """det2 from the origin to order 4 at q = 5 with _CHUNK = 4096: each
+    expanded chunk goes straight to the next level, so the sweep's peak is
+    about 14 int64 chunks (8 _CHUNK bytes each); regrouping chunks into
+    _CHUNK-row batches held twice that (measured: 14.4 and 28.5)."""
+    monkeypatch.setattr(arcs, "_CHUNK", 1 << 12)
+    plan = CountPlan(PolySystem(parse_system(["x1*x4 - x2*x3"])), 5,
+                     ArcConstraint.origin(), [(4,)])
+    tracemalloc.start()
+    try:
+        counts = plan.counts()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * 8 * arcs._CHUNK
+    assert counts == {(4,): (1453125000, 5812500000)}
 
 
 def test_record_matches_a_counter_tally():

@@ -7,9 +7,15 @@ from pathlib import Path
 import pytest
 
 from arczeta import arcs
-from arczeta.arcs import CountPlan
+from arczeta.arcs import ArcError, BudgetExceeded, CountPlan
+from arczeta.castling import CastlingError
 from arczeta.cli import main
 from arczeta.fixtures import castling_fixture, resolution_fixture
+from arczeta.motive import LaurentError
+from arczeta.polynomials import PolyError
+from arczeta.resolution import ResolutionError
+from arczeta.series import SeriesError
+from arczeta.spectrum import SpectrumError
 
 TORUS_M3 = str(Path(__file__).resolve().parents[1] / "perfbench" / "data"
                / "torus-m3.json")
@@ -440,3 +446,35 @@ def test_verify_refuses_a_grid_before_either_sweep(capsys, monkeypatch):
     assert (code, out) == (2, "")
     assert err == ("error: residue grid of 23^6 rows x 6 = %d cells exceeds the "
                    "limit of 67108864\n" % (23 ** 6 * 6))
+
+
+@pytest.fixture
+def r1_zero_file(tmp_path):
+    path = tmp_path / "r1-zero.json"
+    path.write_text(json.dumps(dict(json.loads(Path(TORUS_M3).read_text()), r1=0)))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("count", "--n", "1", "--q", "2"), "need --poly or --polys"),
+    (("count", "--poly", "0", "--n", "1", "--q", "2"), "zero polynomial in system"),
+    (("count", "--poly", "x1", "--n", "1", "--q", "2", "--constraint", "full-rank:3"),
+     "expected full-rank:m,r"),
+    (("count", "--poly", "x1*x2", "--n", "1", "--q", "2", "--constraint",
+      "full-rank:1,2"), "full rank needs 1 <= r_mat <= m"),
+    (("castle-zeta", "--castling", TORUS_M3), "need --series or --datum"),
+    (("castle-bfun", "--castling", "R1_ZERO", "--roots", "1"),
+     "r1 and r2 must be >= 1"),
+])
+def test_refusals_exit_two_with_their_message(capsys, r1_zero_file, argv, message):
+    argv = [r1_zero_file if a == "R1_ZERO" else a for a in argv]
+    assert run(capsys, *argv) == (2, "", "error: %s\n" % message)
+
+
+def test_every_input_error_is_a_value_error():
+    """The CLI catches ValueError for every arczeta input error (exit 2);
+    BudgetExceeded is no ValueError and keeps its own exit code 3."""
+    for error in (ArcError, CastlingError, LaurentError, PolyError,
+                  ResolutionError, SeriesError, SpectrumError):
+        assert issubclass(error, ValueError), error
+    assert not issubclass(BudgetExceeded, ValueError)

@@ -118,9 +118,15 @@ class TestRationalMotive:
         assert (a * b).num * (L - 1) ** 2 == L * ((a * b).den)
 
     def test_reflected_operations_and_mixed_equality(self):
-        """int - RationalMotive, int / RationalMotive and LaurentMotive ==
-        RationalMotive, which hands the comparison to RationalMotive."""
+        """int - RationalMotive, int / RationalMotive, LaurentMotive +, - and *
+        RationalMotive and LaurentMotive == RationalMotive, each handed to
+        RationalMotive's reflected method."""
         a = RationalMotive(L + 1, L - 1)
+        assert L + a == a + L == RationalMotive(L ** 2 + 1, L - 1)
+        assert L - a == RationalMotive(L ** 2 - 2 * L - 1, L - 1)
+        assert L * a == a * L == RationalMotive(L ** 2 + L, L - 1)
+        with pytest.raises(TypeError, match="cannot coerce"):
+            RationalMotive("L")
         assert 1 - a == RationalMotive(-2, L - 1)
         assert 2 / a == RationalMotive(2 * L - 2, L + 1)
         assert L / a == RationalMotive(L ** 2 - L, L + 1)
