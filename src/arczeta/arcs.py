@@ -24,7 +24,8 @@ it reduces mod `mod` only when its running bound on the products, (mod-1)^s
 after s slots and at most T max|coef| times that in the final sum, could pass
 2^62.  Each row carries the code of its orders; liveness, the open set and the
 targets a code can end at come from one pass over the targets' paths of codes
-(CountPlan._paths).
+(CountPlan._paths).  Every block of rows built here holds at most _CHUNK
+cells, or one row if a row is larger (_batches).
 
 Also here: p-adic solution counting by stationary-phase lifting (Hensel at
 smooth zeros), which realizes the local zeta series of a polynomial at a prime.
@@ -91,6 +92,12 @@ def _check_grid(q, r):
                        "limit of %d" % (q, r, r, q ** r * r, _MAX_GRID_CELLS))
 
 
+def _batches(n, cells_per_row):
+    """Slices of range(n) of at most _CHUNK cells each, one row at least."""
+    per = max(1, _CHUNK // cells_per_row)
+    return (slice(lo, lo + per) for lo in range(0, n, per))
+
+
 def _residue_grid(q, r, dtype=int):
     """The rows [0, q)^r in itertools.product order, as a transposed view."""
     return np.indices((q,) * r, dtype=dtype).reshape(r, q ** r).T
@@ -105,10 +112,10 @@ class PolySystem(_Frozen):
         polys = list(polys)
         if not polys:
             raise ArcError("need at least one polynomial")
+        if not all(isinstance(f, Poly) for f in polys):
+            raise ArcError("PolySystem takes Poly values")
         r = polys[0].nvars
         for f in polys:
-            if not isinstance(f, Poly):
-                raise ArcError("PolySystem takes Poly values")
             if f.nvars != r:
                 raise ArcError("polynomials live on different spaces")
             if f.is_zero():
@@ -321,15 +328,14 @@ def _eval_poly_mod(table, X, mod):
     products, (mod-1)^s after s slots, triggers a reduction mod `mod` only
     where the next product or the sum against the coefficients (bound times
     the largest absolute column sum, at most T max|coef|) could pass 2^62.
-    Rows go in chunks, so each temporary has at most _CHUNK cells."""
+    Rows go in _batches of T cells a row (P is rows x T)."""
     slots, C, const, csum = table.compiled(mod)
     out = np.empty((len(X), len(const)), dtype=np.int64)
     if not slots:
         out[:] = const % mod
         return out
-    per = max(1, _CHUNK // len(C))
-    for lo in range(0, len(X), per):
-        Xc = X[lo:lo + per]
+    for s in _batches(len(X), len(C)):
+        Xc = X[s]
         P = Xc[:, slots[0]].astype(np.int64)
         bound = mod - 1
         for cols in slots[1:]:
@@ -342,10 +348,10 @@ def _eval_poly_mod(table, X, mod):
             P %= mod
             bound = mod - 1
         if bound * csum > _EXACT:  # only for huge moduli: reduce each product
-            out[lo:lo + per] = np.stack([(P * C[:, j] % mod).sum(axis=1)
-                                         for j in range(len(const))], axis=1)
+            out[s] = np.stack([(P * C[:, j] % mod).sum(axis=1)
+                               for j in range(len(const))], axis=1)
         else:
-            out[lo:lo + per] = P @ C
+            out[s] = P @ C
     out += const
     out %= mod
     return out
@@ -601,9 +607,9 @@ class CountPlan:
         """Bit i of nz[a_0] says grad f_i(a_0) != 0 mod q; full[U][a_0] says
         J_U(a_0) has rank |U| mod q, for each open set U of two or more f_i
         on the way to a target from the start's level-0 code (ranked).  The
-        Jacobian is evaluated at live starts with U(a_0) nonempty only,
-        _CHUNK cells at a time, and the J_U of one size |U| go through one
-        elimination."""
+        Jacobian is evaluated at live starts with U(a_0) nonempty only, in
+        _batches of l r cells a start, and the J_U of one size |U| go through
+        one elimination."""
         q, r, l = self.q, self.r, self.sys.l
         jac = _SlotTable([_partial(f, j) for f in map(_monomials, self.sys.polys)
                           for j in range(r)])
@@ -616,8 +622,7 @@ class CountPlan:
         self.nz, full = np.zeros(len(codes), np.int64), np.zeros((len(us), len(codes)), bool)
         self.full = dict(zip(us, full))  # rows of one array
         cand = np.flatnonzero((self.reach[codes] >= 1) & (codes != self._base.sum()))
-        per = max(1, _CHUNK // (l * r))
-        for a0 in (cand[lo:lo + per] for lo in range(0, len(cand), per)):
+        for a0 in (cand[s] for s in _batches(len(cand), l * r)):
             J = _eval_poly_mod(jac, self.start[a0], q).reshape(len(a0), l, r)
             self.nz[a0] = _bits(J.any(axis=2))
             hit = needs[:, codes[a0]]
@@ -627,19 +632,18 @@ class CountPlan:
                 full[ids[which], a0[at]] = _full_row_rank(J[at[:, None], fs[which]], q)
 
     def _expand(self, rows, width):
-        """The rows with the levels below `width` enumerated, in chunks of
-        at most _CHUNK rows: a level adds the r columns of the next level,
-        each row followed by every digit tuple in itertools.product order
-        with its start, code and flag repeated.  One level of a chunk is
-        one broadcast into an n x q^r x (w + r) array."""
+        """The rows with the levels below `width` enumerated: a level adds
+        the r columns of the next level, each row followed by every digit
+        tuple in itertools.product order with its start, code and flag
+        repeated.  One level of n rows of width w is one broadcast into an
+        n x q^r x (w + r) array, its rows taken in _batches of q^r (w + r)
+        cells, so a chunk holds at most max(_CHUNK, q^r (w + r)) cells."""
         X, a0, code, one = rows
         M, r = self.digits.shape
         if X.shape[1] >= width * r:
             yield rows
             return
-        per = max(1, _CHUNK // M)
-        for lo in range(0, len(X), per):
-            s = slice(lo, lo + per)
+        for s in _batches(len(X), M * (X.shape[1] + r)):
             n, w = X[s].shape
             Y = np.empty((n, M, w + r), dtype=X.dtype)
             Y[:, :, :w] = X[s, None]
@@ -833,7 +837,7 @@ def padic_solution_counts(f, p, k_max):
     every j >= 2 (Hensel), never lifted.  Singular zero with f(c) = 0 mod
     p^(2d+2): a base point at depth d+1.  Any other singular zero: no zeros
     mod p^(2d+2).  Depths run while 2d < k_max, so moduli stay <= p^k_max.
-    """
+    Candidates go in _batches of p^m m cells a base point."""
     if not is_prime(p):
         raise ArcError("p must be prime")
     if all(c % p == 0 for c in f.terms.values()):
@@ -854,9 +858,8 @@ def padic_solution_counts(f, p, k_max):
         if 2 * d >= k_max:
             break
         lifts = []
-        per = max(1, _CHUNK // len(grid))
-        for a in (base[lo:lo + per] for lo in range(0, len(base), per)):
-            c = np.repeat(a, len(grid), axis=0) + p ** d * np.tile(grid, (len(a), 1))
+        for s in _batches(len(base), len(grid) * m):
+            c = (base[s, None] + p ** d * grid).reshape(-1, m)
             v = _eval_poly_mod(values, c, p ** min(2 * d + 2, k_max))[:, 0]
             zero = v % p ** (2 * d + 1) == 0
             c, v = c[zero], v[zero]

@@ -22,25 +22,21 @@ RESOLUTION_FIXTURES = ("x1", "x2", "x3", "xy-global", "xy-local",
 CASTLING_FIXTURES = ("quadric-m3", "torus-m3", "sym-m2")
 
 
-def _read(name):
+def _read(kind, name, names):
+    if name not in names:
+        raise KeyError("unknown %s fixture %r (have: %s)" % (kind, name, ", ".join(names)))
     ref = resources.files("arczeta") / "data" / (name + ".json")
     with ref.open() as fh:
         return json.load(fh)
 
 
 def resolution_fixture(name):
-    if name not in RESOLUTION_FIXTURES:
-        raise KeyError("unknown resolution fixture %r (have: %s)"
-                       % (name, ", ".join(RESOLUTION_FIXTURES)))
-    return ResolutionDatum.from_json(_read(name))
+    return ResolutionDatum.from_json(_read("resolution", name, RESOLUTION_FIXTURES))
 
 
 def castling_fixture(name):
     """(sys1 polys, sys2 polys, CastlingDatum) for a named castling pair."""
-    if name not in CASTLING_FIXTURES:
-        raise KeyError("unknown castling fixture %r (have: %s)"
-                       % (name, ", ".join(CASTLING_FIXTURES)))
-    data = _read(name)
+    data = _read("castling", name, CASTLING_FIXTURES)
     datum = CastlingDatum.from_json(data["castling"])
     sys1 = [parse_poly(text, datum.m * datum.r1) for text in data["sys1"]]
     sys2 = [parse_poly(text, datum.m * datum.r2) for text in data["sys2"]]

@@ -138,6 +138,22 @@ class TestValidationAndHelpers:
         with pytest.raises(ArcError, match="leading-coefficient-one"):
             plan.series("one")
 
+    @pytest.mark.parametrize("polys,message", [
+        ([1], "takes Poly values"),
+        ([parse_poly("x1"), "x1"], "takes Poly values"),
+        ([], "at least one polynomial"),
+        ([parse_poly("x1"), parse_poly("x1*x2")], "different spaces"),
+    ])
+    def test_poly_system_refusals(self, polys, message):
+        """Every entry is checked to be a Poly before any is read, so a
+        non-Poly first entry is refused as such, not by an AttributeError."""
+        with pytest.raises(ArcError, match=message):
+            PolySystem(polys)
+
+    def test_q_one_is_not_a_prime(self):
+        with pytest.raises(ArcError, match="q must be prime"):
+            CountPlan(self.sys, 1, None, [(1,)])
+
     def test_lookup_of_a_non_target_is_an_arc_error(self):
         plan = CountPlan(PolySystem([parse_poly("x1")]), 3, None, [(1,)])
         with pytest.raises(ArcError, match=r"\(2,\) is not a target"):
@@ -805,6 +821,28 @@ class TestPadic:
         assert peak < 16 << 20
         assert padic_solution_counts(g, 3, 3) == [1, 297, 123201, 33126489]
 
+    def test_candidates_stay_within_chunk(self, monkeypatch):
+        """The quadric-m3 partner at p = 2, k = 4 with _CHUNK = 2048: each
+        block of candidates holds at most _CHUNK cells (m = 6 cells a
+        candidate), so the peak stays within four blocks of _CHUNK int64
+        cells above the peak at a 64-cell _CHUNK, where only the tables and
+        the grid count (measured: 2.4 blocks).  Counting _CHUNK in
+        candidates, not cells, held 9.7 blocks above it."""
+        g = parse_poly("(x1*x4 - x2*x3)^2 + (x1*x6 - x2*x5)^2"
+                       " + (x3*x6 - x4*x5)^2")
+        want = padic_solution_counts(g, 2, 4)
+        peaks = []
+        for chunk in (64, 2048):
+            monkeypatch.setattr(arcs, "_CHUNK", chunk)
+            tracemalloc.start()
+            try:
+                assert padic_solution_counts(g, 2, 4) == want
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 4 * 8 * arcs._CHUNK
+        assert want == [1, 40, 1408, 53248, 1638400]
+
     def test_igusa_linear(self):
         # f = x: the measure of {ord x = n} is (1 - 1/p) p^-n
         series = igusa_coeffs(parse_poly("x1"), 5, 4)
@@ -1179,6 +1217,33 @@ def test_sweep_holds_about_one_chunk_per_level(monkeypatch):
         tracemalloc.stop()
     assert peak <= 20 * 8 * arcs._CHUNK
     assert counts == {(4,): (1453125000, 5812500000)}
+
+
+@pytest.mark.parametrize("polys,q,constraint,targets", [
+    (("x1*x4 - x2*x3",), 3, ArcConstraint.origin(), [(5,)]),
+    (("x1*x4 - x2*x3", "x1*x6 - x2*x5", "x3*x6 - x4*x5"), 2, None, 4),
+])
+def test_every_expanded_block_holds_at_most_chunk_cells(monkeypatch, polys, q,
+                                                        constraint, targets):
+    """With _CHUNK = 4096 every block _expand yields holds at most
+    max(_CHUNK, q^r (w + r)) cells, w + r its width: one row of a level's
+    expansion is q^r (w + r) cells.  Counting _CHUNK in rows, each block
+    held up to w + r times _CHUNK cells.  No count changes."""
+    sys = PolySystem(parse_system(list(polys)))
+    want = CountPlan(sys, q, constraint, targets).counts()
+    blocks = []
+
+    def expand(self, rows, width, _real=CountPlan._expand):
+        for got in _real(self, rows, width):
+            blocks.append(got[0].shape)
+            yield got
+
+    monkeypatch.setattr(CountPlan, "_expand", expand)
+    monkeypatch.setattr(arcs, "_CHUNK", 1 << 12)
+    assert CountPlan(sys, q, constraint, targets).counts() == want
+    M = q ** sys.r
+    assert max(n for n, w in blocks) > M  # several rows expanded per block
+    assert all(n * w <= max(arcs._CHUNK, M * w) for n, w in blocks)
 
 
 def test_record_matches_a_counter_tally():

@@ -94,6 +94,16 @@ class TestSeriesOperators:
         glob = globalize_by_degree(Z, QUADRIC, 1)
         assert series_equal(localize_by_degree(glob, QUADRIC, 1), Z, 8)
 
+    def test_globalizing_a_series_that_does_not_vanish_refused(self):
+        # the constant series 1 has no factor T^(r d) to take off
+        with pytest.raises(CastlingError, match="degree bookkeeping failed"):
+            globalize_by_degree(RationalSeries.parse("(1)", 1), QUADRIC, 1)
+
+    @pytest.mark.parametrize("load", [castling_fixture, resolution_fixture])
+    def test_unknown_fixture_refused(self, load):
+        with pytest.raises(KeyError, match="unknown .* fixture 'nope'"):
+            load("nope")
+
     def test_degree_bookkeeping_error(self):
         # the germ series of the larger partner does not always divide back
         Z = zeta_from_resolution(resolution_fixture("x1"))

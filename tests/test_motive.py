@@ -137,6 +137,18 @@ class TestRationalMotive:
         assert L != RationalMotive(L, L - 1)
         assert LaurentMotive.zero() == RationalMotive.zero()
 
+    @pytest.mark.parametrize("build,message", [
+        (lambda: LaurentMotive.zero().min_exp(), "zero polynomial has no exponents"),
+        (lambda: L.specialize(0), "cannot specialize at q = 0"),
+        (lambda: RationalMotive(ONE, L - 3).specialize(3), "denominator vanishes at q=3"),
+        (lambda: sl_class(0), "r must be >= 1"),
+        (lambda: fibration_factor(3, 1, -1, 0), "n, k must be >= 0"),
+        (lambda: z_w_class(Permutation([1, 2]), 3), "length 2 != r=3"),
+    ])
+    def test_refusals(self, build, message):
+        with pytest.raises(LaurentError, match=message):
+            build()
+
     def test_zero_denominator_rejected(self):
         with pytest.raises(LaurentError):
             RationalMotive(ONE, LaurentMotive.zero())

@@ -44,6 +44,15 @@ class TestPoly:
         with pytest.raises(PolyError, match="not an integer"):
             Poly(1, terms)
 
+    @pytest.mark.parametrize("build,message", [
+        (lambda: Poly(2, {(1,): 1}), "wrong arity"),
+        (lambda: Poly(1, {(-1,): 1}), "negative exponent"),
+        (lambda: Poly.var(2, 3), "out of range 1..2"),
+    ])
+    def test_malformed_terms_and_variables_refused(self, build, message):
+        with pytest.raises(PolyError, match=message):
+            build()
+
     def test_mixed_arity_rejected(self):
         with pytest.raises(PolyError):
             x(1, 2) + x(1, 3)

@@ -205,6 +205,15 @@ class TestRationalSeries:
         s = geometric(nu=2, N=3)
         assert series_equal(s.times_ratio(1, [2], [2], (3,)), s, 9)
 
+    @pytest.mark.parametrize("build,message", [
+        (lambda: RationalSeries(0), "at least one T variable"),
+        (lambda: RationalSeries(1).expand(-1), "order must be >= 0"),
+        (lambda: TruncatedSeries(2, 2, {(1,): Fraction(1)}), "length mismatch"),
+    ])
+    def test_malformed_series_refused(self, build, message):
+        with pytest.raises(SeriesError, match=message):
+            build()
+
     def test_shifted_guard(self):
         s = RationalSeries.term(LaurentMotive.one(), (1,))
         assert s.shifted((-1,)).expand(2).coefficient((0,)) == RationalMotive.one()

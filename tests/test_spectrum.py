@@ -54,6 +54,10 @@ class TestStoredForm:
         assert s == Spectrum.one() and s.den == 1
         assert (t(half) * t(half)).den == 1
 
+    def test_negative_power_refused(self):
+        with pytest.raises(SpectrumError, match="negative powers"):
+            Spectrum.one() ** -1
+
     def test_non_integer_coefficient_refused(self):
         with pytest.raises(LaurentError, match="not an integer"):
             Spectrum({half: 1.5})
