@@ -29,7 +29,8 @@ cells, or one row if a row is larger (_batches).
 
 Also here: p-adic solution counting by stationary-phase lifting (Hensel at
 smooth zeros), which realizes the local zeta series of a polynomial at a prime.
-It evaluates f and its gradient with the same kernel.
+It evaluates f and its gradient with the same kernel and is admitted, as a
+plan is, by one helper (_admit) that refuses a grid, degree or field first.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import comb
+from math import comb, isqrt
 
 import numpy as np
 
@@ -69,27 +70,20 @@ class BudgetExceeded(Exception):
 
 
 def is_prime(q):
-    if q < 2:
-        return False
-    i = 2
-    while i * i <= q:
-        if q % i == 0:
-            return False
-        i += 1
-    return True
+    return q >= 2 and all(q % i for i in range(2, isqrt(q) + 1))
 
 
-def _check_degree(d):
-    """Refuse a degree beyond _MAX_DEGREE before any jet or table is built."""
-    if d > _MAX_DEGREE:
-        raise ArcError("polynomial degree exceeds the limit of %d" % _MAX_DEGREE)
-
-
-def _check_grid(q, r):
-    """Refuse a q^r x r residue grid beyond _MAX_GRID_CELLS before building it."""
-    if q ** r * r > _MAX_GRID_CELLS:
+def _admit(q, r, degree, name):
+    """Refuse before any work, cheapest first: a q^r x r grid beyond
+    _MAX_GRID_CELLS, a degree beyond _MAX_DEGREE, then a q that is not prime
+    (q < 2, or at most sqrt(_MAX_GRID_CELLS) trial divisions once the grid fits)."""
+    if q > 1 and q ** r * r > _MAX_GRID_CELLS:
         raise ArcError("residue grid of %d^%d rows x %d = %d cells exceeds the "
                        "limit of %d" % (q, r, r, q ** r * r, _MAX_GRID_CELLS))
+    if degree > _MAX_DEGREE:
+        raise ArcError("polynomial degree exceeds the limit of %d" % _MAX_DEGREE)
+    if not is_prime(q):
+        raise ArcError(name + " must be prime (prime-power fields are not implemented)")
 
 
 def _batches(n, cells_per_row):
@@ -410,12 +404,12 @@ class CountPlan:
 
     The targets are a list of indices, or an int N for every n with all
     n_i >= min_order and |n| <= N (order_indices), the only plans with a
-    series.  Construction checks q, the degree and every listed target
-    (n_i >= min_order, as given) once and, given a budget, refuses a plan
-    whose estimate() exceeds it (BudgetExceeded), then one of more than
-    _MAX_GRID_CELLS codes or residue grid cells, all from the depth alone,
-    before the targets are listed, normalized and sorted and before any grid
-    or jet is built; count and series check only leading.
+    series.  Construction refuses the grid, the degree and q (_admit) before
+    any target is read; then checks every listed target (n_i >= min_order,
+    as given) and refuses, from the depth alone, a plan whose estimate()
+    exceeds a given budget (BudgetExceeded), then one of more than
+    _MAX_GRID_CELLS codes, before any target is listed, normalized or sorted
+    and before any grid or jet is built; count and series check only leading.
     """
 
     def __init__(self, sys, q, constraint=None, targets=(), min_order=0,
@@ -424,9 +418,7 @@ class CountPlan:
         if constraint.kind == "full_rank" and sys.r != constraint.m * constraint.r_mat:
             raise ArcError("full rank needs ambient dimension m*r_mat = %d"
                            % (constraint.m * constraint.r_mat))
-        if not is_prime(q):
-            raise ArcError("q must be prime (prime-power fields are not implemented)")
-        _check_degree(max(sys.degrees))
+        _admit(q, sys.r, max(sys.degrees), "q")
         self.sys, self.q, self.r = sys, q, sys.r
         self.order = targets if isinstance(targets, int) else None
         if self.order is None:
@@ -446,7 +438,6 @@ class CountPlan:
         if (self.depth + 2) ** sys.l > _MAX_GRID_CELLS:
             raise ArcError("code table of %d^%d entries exceeds the limit of %d"
                            % (self.depth + 2, sys.l, _MAX_GRID_CELLS))
-        _check_grid(q, self.r)
         self.targets = (sorted({_index(n) for n in raw}) if self.order is None
                         else order_indices(sys.l, targets, min_order))
         self._base = (self.depth + 2) ** np.arange(sys.l)
@@ -581,54 +572,50 @@ class CountPlan:
         empty, sum of n_i over U, |U|) per target whose path passes c; reach[c]
         is the largest such least n_i, the deepest level at which a prefix can
         still reach a target (-1 off every path), and open[c] the bits of U.
-        ranked[U] lists the level-0 codes on the paths that pass an open set U
-        of two or more f_i at a level k >= 1."""
+        ranked holds the open sets U of two or more f_i that a path passes at
+        a level k >= 1."""
         l, b = self.sys.l, self.depth + 2
         digits = list(zip(self._base.tolist(), [1 << i for i in range(l)]))
-        self.through, self.ranked = {}, {}
+        self.through, self.ranked = {}, set()
         self.reach = np.full(b ** l, -1, dtype=np.min_scalar_type(-b))
         self.open = np.zeros(b ** l, dtype=np.min_scalar_type((1 << l) - 1))
         for n in self.targets:
-            code, u, total, size, first, last = 0, (1 << l) - 1, sum(n), l, 0, None
+            code, u, total, size, last = 0, (1 << l) - 1, sum(n), l, None
             for low, (step, bit) in sorted(zip(n, digits)) + [(self.depth + 1, (0, 0))]:
                 if low != last:
                     self.through.setdefault(code, []).append((n, low, total, size))
                     self.reach[code], self.open[code] = max(self.reach[code], low), u
                     if low and size >= 2:
-                        self.ranked.setdefault(u, set()).add(first)
+                        self.ranked.add(u)
                     last = low
                 code, u, total, size = code + (low + 1) * step, u ^ bit, total - low, size - 1
-                if not low:
-                    first = code
         self._adds = (np.arange(1 << l)[:, None] >> np.arange(l) & 1) @ self._base
         self._ending = np.bincount(self.reach[self.reach >= 0], minlength=b) > 0
 
     def _start_bits(self, codes):
         """Bit i of nz[a_0] says grad f_i(a_0) != 0 mod q; full[U][a_0] says
-        J_U(a_0) has rank |U| mod q, for each open set U of two or more f_i
-        on the way to a target from the start's level-0 code (ranked).  The
-        Jacobian is evaluated at live starts with U(a_0) nonempty only, in
-        _batches of l r cells a start, and the J_U of one size |U| go through
-        one elimination."""
+        J_U(a_0) has rank |U| mod q, for each U in ranked within the start's
+        level-0 open set (open sets only shrink along a path).  The Jacobian
+        is evaluated at live starts with U(a_0) nonempty only, in _batches of
+        l r cells a start, and the J_U of one size |U| go through one
+        elimination."""
         q, r, l = self.q, self.r, self.sys.l
         jac = _SlotTable([_partial(f, j) for f in map(_monomials, self.sys.polys)
                           for j in range(r)])
-        us, sizes = list(self.ranked), {}  # |U| -> [(index of U, the f_i in U)]
-        needs = np.zeros((len(us), len(self.reach)), dtype=bool)
-        for i, u in enumerate(us):
-            needs[i, list(self.ranked[u])] = True
+        us, sizes = np.array(sorted(self.ranked), dtype=np.int64), {}
+        for i, u in enumerate(us.tolist()):  # |U| -> [(index of U, the f_i in U)]
             sizes.setdefault(u.bit_count(), []).append((i, [j for j in range(l)
                                                             if u >> j & 1]))
         self.nz, full = np.zeros(len(codes), np.int64), np.zeros((len(us), len(codes)), bool)
-        self.full = dict(zip(us, full))  # rows of one array
+        self.full = dict(zip(us.tolist(), full))  # rows of one array
         cand = np.flatnonzero((self.reach[codes] >= 1) & (codes != self._base.sum()))
         for a0 in (cand[s] for s in _batches(len(cand), l * r)):
             J = _eval_poly_mod(jac, self.start[a0], q).reshape(len(a0), l, r)
             self.nz[a0] = _bits(J.any(axis=2))
-            hit = needs[:, codes[a0]]
+            u0 = self.open[codes[a0]]
             for group in sizes.values():
                 ids, fs = map(np.array, zip(*group))
-                which, at = np.nonzero(hit[ids])
+                which, at = np.nonzero((u0 & us[ids, None]) == us[ids, None])
                 full[ids[which], a0[at]] = _full_row_rank(J[at[:, None], fs[which]], q)
 
     def _expand(self, rows, width):
@@ -826,6 +813,18 @@ def homogeneity_check(sys, q, n, threads=1):
 # ---------------------------------------------------------------------------
 
 
+def check_padic(f, p, k_max):
+    """Refuse padic_solution_counts(f, p, k_max) before any work, cheapest first:
+    k_max < 0, p^(k_max+1) > 2^31, _admit, then f = 0 mod p (f = 0 included)."""
+    if k_max < 0:
+        raise ArcError("order must be >= 0")
+    if p ** (k_max + 1) > 2 ** 31:
+        raise ArcError("modulus p^%d too large for exact vector arithmetic" % k_max)
+    _admit(p, f.nvars, max(map(sum, f.terms), default=0), "p")
+    if all(c % p == 0 for c in f.terms.values()):
+        raise ArcError("polynomial vanishes identically mod p")
+
+
 def padic_solution_counts(f, p, k_max):
     """[A_0, ..., A_k_max] with A_k = #{x in (Z/p^k)^m : f(x) = 0 mod p^k}.
 
@@ -838,15 +837,8 @@ def padic_solution_counts(f, p, k_max):
     p^(2d+2): a base point at depth d+1.  Any other singular zero: no zeros
     mod p^(2d+2).  Depths run while 2d < k_max, so moduli stay <= p^k_max.
     Candidates go in _batches of p^m m cells a base point."""
-    if not is_prime(p):
-        raise ArcError("p must be prime")
-    if all(c % p == 0 for c in f.terms.values()):
-        raise ArcError("polynomial vanishes identically mod p")
-    _check_degree(f.degree())
-    if p ** (k_max + 1) > 2 ** 31:
-        raise ArcError("modulus p^%d too large for exact vector arithmetic" % k_max)
+    check_padic(f, p, k_max)
     m = f.nvars
-    _check_grid(p, m)
     grid = _residue_grid(p, m)
     terms = _monomials(f)
     values, grads = _SlotTable([terms]), _SlotTable([_partial(terms, i) for i in range(m)])

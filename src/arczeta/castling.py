@@ -245,8 +245,7 @@ def castle_bfunction(b1, c):
     """Root multiset transfer: add {(i+j)/d : i <= r2, 0 <= j < d}, remove the
     same set with r1; removing a root that is not present means the input was
     not the b-function of a castling partner."""
-    if c.l != 1:
-        raise CastlingError("b-function transfer needs a single invariant")
+    check_pair(c, transfer="b-function")
     d = c.d[0]
     roots = b1.as_counter()
     for i in range(1, c.r2 + 1):
@@ -267,8 +266,7 @@ def castle_igusa(Z1, q, c):
     prod_{j<=r2} (1 - q^-j)/(1 - q^-j t^d) and divide the r1 version out,
     with exact rational arithmetic at the input truncation order: the local
     transfer at L = q without its monomial shift."""
-    if c.l != 1:
-        raise CastlingError("p-adic transfer needs a single invariant")
+    check_pair(c, transfer="p-adic")
     return _numeric_transfer(Z1, q, c, 0)
 
 
@@ -286,18 +284,27 @@ def counting_series(sys, q, order, leading, threads=1):
     return CountPlan(sys, q, None, order).series(leading, threads)
 
 
+def check_pair(c, *sides, transfer=None):
+    """Before any counting or lifting, refuse a datum of l != 1 for a named
+    one-invariant transfer, then partners that do not fit it: side j (1, then
+    2 if given) needs l polynomials on m r_j variables, the i-th of degree r_j d_i."""
+    if transfer and c.l != 1:
+        raise CastlingError("%s transfer needs a single invariant" % transfer)
+    sides = list(zip(sides, (c.r1, c.r2)))
+    if any(len(fs) != c.l for fs, _r in sides):
+        raise CastlingError("polynomial systems do not match the datum arity")
+    if any(f.nvars != c.m * r for fs, r in sides for f in fs):
+        raise CastlingError("ambient dimensions must be m*r1 and m*r2")
+    if any(f.degree() != r * d for fs, r in sides for f, d in zip(fs, c.d)):
+        raise CastlingError("invariant degrees must be r_j * d_i")
+
+
 def verify_castling(sys1, sys2, c, q, order, threads=1, budget=None):
     """Count both partners, transfer the first series, and compare
     coefficientwise; returns a JSON-ready report.  Both counting plans are
     built before either sweeps, so a plan beyond the budget (BudgetExceeded)
     or beyond a limit of its own (ArcError) is refused before any counting."""
-    if sys1.l != c.l or sys2.l != c.l:
-        raise CastlingError("polynomial systems do not match the datum arity")
-    if sys1.r != c.m * c.r1 or sys2.r != c.m * c.r2:
-        raise CastlingError("ambient dimensions must be m*r1 and m*r2")
-    for i in range(c.l):
-        if sys1.degrees[i] != c.r1 * c.d[i] or sys2.degrees[i] != c.r2 * c.d[i]:
-            raise CastlingError("invariant degrees must be r_j * d_i")
+    check_pair(c, sys1.polys, sys2.polys)
     leading = "one" if c.l == 1 else "any"
     plans = [CountPlan(s, q, None, order, budget=budget) for s in (sys1, sys2)]
     Z1, Z2 = (plan.series(leading, threads) for plan in plans)

@@ -14,10 +14,10 @@ import sys as _sys
 import time
 
 from .arcs import (ArcConstraint, ArcError, BudgetExceeded, CountPlan, PolySystem,
-                   igusa_coeffs)
+                   check_padic, igusa_coeffs)
 from .castling import (BFunction, CastlingDatum, castle_bfunction, castle_igusa,
                        castle_local_zeta, castle_milnor, castle_spectrum,
-                       castle_zeta, verify_castling)
+                       castle_zeta, check_pair, verify_castling)
 from .fixtures import CASTLING_FIXTURES, castling_fixture
 from .motive import parse_laurent, RationalMotive
 from .polynomials import parse_poly, parse_system
@@ -192,22 +192,22 @@ def _cmd_castle_bfun(args, t0):
 
 def _cmd_castle_igusa(args, t0):
     c = CastlingDatum.load(args.castling)
-    f = parse_poly(args.poly)
-    series = castle_igusa(igusa_coeffs(f, args.p, args.order), args.p, c)
+    texts = [args.poly] + ([args.partner] if args.partner else [])
+    polys = [parse_poly(text, c.m * r) for text, r in zip(texts, (c.r1, c.r2))]
+    for f in polys:  # igusa_coeffs lifts to order + 1; its limits, then the pair
+        check_padic(f, args.p, args.order + 1)
+    check_pair(c, *([f] for f in polys), transfer="p-adic")
+    series = castle_igusa(igusa_coeffs(polys[0], args.p, args.order), args.p, c)
     payload = {
         "p": args.p,
         "order": args.order,
         "coefficients": {str(n[0]): str(v)
                          for n, v in sorted(series.coeffs.items())},
     }
-    status = 0
     if args.partner:
-        partner = igusa_coeffs(parse_poly(args.partner), args.p, args.order)
-        payload["partner_matches"] = series == partner
-        if not payload["partner_matches"]:
-            status = 1
+        payload["partner_matches"] = series == igusa_coeffs(polys[1], args.p, args.order)
     _emit(payload, args, t0)
-    return status
+    return 0 if payload.get("partner_matches", True) else 1
 
 
 def _cmd_verify(args, t0):

@@ -185,9 +185,8 @@ class RationalSeries(_Frozen):
         One table of rows n -> [position, {exponent of L: integer over C * d0}]
         per factor tuple and denominator class (see _denominator_class), each
         divided by its factors (_divide); the position is that of the earliest
-        term reaching the row, and orders the classes added at an index."""
-        if order < 0:
-            raise SeriesError("order must be >= 0")
+        term reaching the row, and orders the classes added at an index.  An
+        order below 0 reaches no term and is refused by TruncatedSeries."""
         live, classes = [], {}
         for pos, t in enumerate(self.terms):
             if mi_total(t.shift) <= order:
@@ -353,6 +352,8 @@ class TruncatedSeries:
     def __init__(self, nvars, order, coeffs=None, zero=None):
         self.nvars = int(nvars)
         self.order = int(order)
+        if self.order < 0:
+            raise SeriesError("order must be >= 0")
         self.coeffs = {}
         if coeffs:
             for n, c in coeffs.items():

@@ -665,6 +665,26 @@ def test_residue_grid_limit_counts_cells():
     assert peak < 1 << 20
 
 
+@pytest.fixture
+def no_trial_division(monkeypatch):
+    def refuse(q):
+        raise AssertionError("trial division before the O(1) limits")
+
+    monkeypatch.setattr(arcs, "is_prime", refuse)
+
+
+def test_plan_refuses_a_grid_before_trial_division(no_trial_division):
+    """q = 10^18 + 3 is prime, and proving it takes 10^9 trial divisions:
+    the plan refuses its q^1 x 1 grid first."""
+    with pytest.raises(ArcError, match="residue grid of 1000000000000000003\\^1"):
+        CountPlan(PolySystem([parse_poly("x1")]), 10 ** 18 + 3, None, [(1,)])
+
+
+def test_lifter_refuses_a_modulus_before_trial_division(no_trial_division):
+    with pytest.raises(ArcError, match="modulus p\\^2 too large"):
+        padic_solution_counts(parse_poly("x1"), 10 ** 18 + 3, 2)
+
+
 def test_degree_limit_refuses_before_any_jet(monkeypatch):
     """A power beyond _MAX_DEGREE is refused by the plan and by the p-adic
     count before any jet, monomial or grid is built.  One at the limit is

@@ -448,6 +448,45 @@ def test_verify_refuses_a_grid_before_either_sweep(capsys, monkeypatch):
                    "limit of 67108864\n" % (23 ** 6 * 6))
 
 
+def test_grid_is_reported_before_the_budget(capsys):
+    """101^4 x 4 grid cells and an estimate of 101^4 rows over a budget of
+    1: the input error (exit 2) comes before the budget refusal (exit 3)."""
+    assert run(capsys, "count", "--poly", "x1*x4 - x2*x3", "--n", "1", "--q", "101",
+               "--budget", "1") == (
+        2, "", "error: residue grid of 101^4 rows x 4 = %d cells exceeds the "
+               "limit of 67108864\n" % (101 ** 4 * 4))
+
+
+@pytest.mark.parametrize("argv", [
+    ("zeta-count", "--poly", "x1^2 - x2^3", "--q", "2", "--order", "-1"),
+    ("verify", "--fixture", "torus-m3", "--q", "2", "--order", "-1"),
+    ("castle-igusa", "--castling", QUADRIC_M3, "--poly", "x1^2 + x2^2 + x3^2",
+     "--p", "2", "--order", "-1"),
+    ("castle-igusa", "--castling", QUADRIC_M3, "--poly", "x1^2 + x2^2 + x3^2",
+     "--p", "2", "--order", "-2"),
+], ids=["zeta-count", "verify", "castle-igusa-1", "castle-igusa-2"])
+def test_negative_order_is_an_input_error(capsys, argv):
+    assert run(capsys, *argv) == (2, "", "error: order must be >= 0\n")
+
+
+@pytest.mark.parametrize("castling, poly, partner, message", [
+    (QUADRIC_M3, "x1^3 + x2^2 + x3^2", None, "invariant degrees must be r_j * d_i"),
+    (QUADRIC_M3, "x1^2 + x2^2 + x3^2", "x1", "invariant degrees must be r_j * d_i"),
+    (TORUS_M3, "x1^2 + x2^2 + x3^2", None, "p-adic transfer needs a single invariant"),
+], ids=["poly-degree", "partner-degree", "three-invariants"])
+def test_castle_igusa_checks_the_pair_before_lifting(capsys, monkeypatch, castling,
+                                                     poly, partner, message):
+    """A pair that does not fit the datum is refused as verify refuses it,
+    and before either polynomial is lifted."""
+    def no_lift(*args):
+        raise AssertionError("lifted before the pair check")
+
+    monkeypatch.setattr(arcs, "padic_solution_counts", no_lift)
+    argv = ["castle-igusa", "--castling", castling, "--poly", poly, "--p", "3",
+            "--order", "2"] + (["--partner", partner] if partner else [])
+    assert run(capsys, *argv) == (2, "", "error: %s\n" % message)
+
+
 @pytest.fixture
 def r1_zero_file(tmp_path):
     path = tmp_path / "r1-zero.json"
@@ -465,6 +504,9 @@ def r1_zero_file(tmp_path):
     (("castle-zeta", "--castling", TORUS_M3), "need --series or --datum"),
     (("castle-bfun", "--castling", "R1_ZERO", "--roots", "1"),
      "r1 and r2 must be >= 1"),
+    # a q below 2 has no residue grid to refuse: it is refused as not prime
+    (("count", "--poly", "x1*x4 - x2*x3", "--n", "1", "--q", "-101"),
+     "q must be prime (prime-power fields are not implemented)"),
 ])
 def test_refusals_exit_two_with_their_message(capsys, r1_zero_file, argv, message):
     argv = [r1_zero_file if a == "R1_ZERO" else a for a in argv]

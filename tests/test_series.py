@@ -214,6 +214,10 @@ class TestRationalSeries:
         with pytest.raises(SeriesError, match=message):
             build()
 
+    def test_truncated_series_refuses_a_negative_order(self):
+        with pytest.raises(SeriesError, match="order must be >= 0"):
+            TruncatedSeries(1, -1)
+
     def test_shifted_guard(self):
         s = RationalSeries.term(LaurentMotive.one(), (1,))
         assert s.shifted((-1,)).expand(2).coefficient((0,)) == RationalMotive.one()
