@@ -28,9 +28,9 @@ targets a code can end at come from one pass over the targets' paths of codes
 cells, or one row if a row is larger (_batches).
 
 Also here: p-adic solution counting by stationary-phase lifting (Hensel at
-smooth zeros), which realizes the local zeta series of a polynomial at a prime.
-It evaluates f and its gradient with the same kernel and is admitted, as a
-plan is, by one helper (_admit) that refuses a grid, degree or field first.
+smooth zeros), the local zeta series of f at a prime, with f and its gradient
+evaluated by the same kernel and admitted as a plan is (_admit).  Every limit
+bounds a power and is compared through its exponent (_beyond).
 """
 
 from __future__ import annotations
@@ -62,24 +62,27 @@ class ArcError(ValueError):
 
 
 class BudgetExceeded(Exception):
-    def __init__(self, estimate, budget):
-        super().__init__("estimated %d candidate rows exceeds budget %d"
-                         % (estimate, budget))
-        self.estimate = estimate
-        self.budget = budget
+    pass
 
 
 def is_prime(q):
     return q >= 2 and all(q % i for i in range(2, isqrt(q) + 1))
 
 
+def _beyond(base, exp, limit):
+    """base^exp > limit (exp >= 0): False for base < 2; True once exp >=
+    limit.bit_length(), as base^exp >= 2^exp > limit; else the exact power."""
+    return base >= 2 and (exp >= limit.bit_length() or base ** exp > limit)
+
+
 def _admit(q, r, degree, name):
     """Refuse before any work, cheapest first: a q^r x r grid beyond
     _MAX_GRID_CELLS, a degree beyond _MAX_DEGREE, then a q that is not prime
-    (q < 2, or at most sqrt(_MAX_GRID_CELLS) trial divisions once the grid fits)."""
-    if q > 1 and q ** r * r > _MAX_GRID_CELLS:
-        raise ArcError("residue grid of %d^%d rows x %d = %d cells exceeds the "
-                       "limit of %d" % (q, r, r, q ** r * r, _MAX_GRID_CELLS))
+    (q < 2, or at most sqrt(_MAX_GRID_CELLS) trial divisions once the grid
+    fits); no refusal builds or prints the power it bounds."""
+    if _beyond(q, r, _MAX_GRID_CELLS // r):
+        raise ArcError("residue grid of %d^%d rows x %d cells exceeds the "
+                       "limit of %d" % (q, r, r, _MAX_GRID_CELLS))
     if degree > _MAX_DEGREE:
         raise ArcError("polynomial degree exceeds the limit of %d" % _MAX_DEGREE)
     if not is_prime(q):
@@ -406,10 +409,10 @@ class CountPlan:
     n_i >= min_order and |n| <= N (order_indices), the only plans with a
     series.  Construction refuses the grid, the degree and q (_admit) before
     any target is read; then checks every listed target (n_i >= min_order,
-    as given) and refuses, from the depth alone, a plan whose estimate()
-    exceeds a given budget (BudgetExceeded), then one of more than
-    _MAX_GRID_CELLS codes, before any target is listed, normalized or sorted
-    and before any grid or jet is built; count and series check only leading.
+    as given) and refuses, from the depth alone, q^exponent candidate rows
+    over a given budget (BudgetExceeded), then more than _MAX_GRID_CELLS
+    codes, before any target is listed, normalized or sorted and before any
+    grid or jet is built; count and series check only leading.
     """
 
     def __init__(self, sys, q, constraint=None, targets=(), min_order=0,
@@ -433,20 +436,18 @@ class CountPlan:
             top = targets - min_order * (sys.l - 1)
             self.depth = top if top >= min_order else 0
         self.origin = constraint.kind == "origin"
-        if budget is not None and (est := self.estimate()) > budget:
-            raise BudgetExceeded(est, budget)
-        if (self.depth + 2) ** sys.l > _MAX_GRID_CELLS:
+        # q^r rows charged per level below the deepest, with no credit for pruning
+        self.exponent = sys.r * (max(self.depth, 1) - self.origin)
+        if budget is not None and _beyond(q, self.exponent, budget):
+            raise BudgetExceeded("estimated %d^%d candidate rows exceeds budget %d"
+                                 % (q, self.exponent, budget))
+        if _beyond(self.depth + 2, sys.l, _MAX_GRID_CELLS):
             raise ArcError("code table of %d^%d entries exceeds the limit of %d"
                            % (self.depth + 2, sys.l, _MAX_GRID_CELLS))
         self.targets = (sorted({_index(n) for n in raw}) if self.order is None
                         else order_indices(sys.l, targets, min_order))
         self._base = (self.depth + 2) ** np.arange(sys.l)
         self._dist = None
-
-    def estimate(self):
-        """Candidate rows charged to the sweep: q^(r E) for the E levels below
-        the deepest target level, with no credit for pruning or closed forms."""
-        return self.q ** (self.r * (max(self.depth, 1) - self.origin))
 
     def count(self, n, leading="any", threads=1):
         """The count at the target n, leading 'one' or 'any'."""
@@ -782,10 +783,10 @@ def count_stratum(sys, n, q, constraint=None, leading="one", threads=1):
 
 
 def estimate_work(sys, n, q, constraint=None, leading="one"):
-    """Upper bound on candidate rows the enumeration may materialize."""
+    """Upper bound on candidate rows: the q^exponent a plan charges to its budget."""
     plan = CountPlan(sys, q, constraint, [n])
     plan._side(leading)
-    return plan.estimate()
+    return q ** plan.exponent
 
 
 def zeta_coeffs_from_counts(sys, q, n_max, constraint=None, leading="one",
@@ -815,10 +816,10 @@ def homogeneity_check(sys, q, n, threads=1):
 
 def check_padic(f, p, k_max):
     """Refuse padic_solution_counts(f, p, k_max) before any work, cheapest first:
-    k_max < 0, p^(k_max+1) > 2^31, _admit, then f = 0 mod p (f = 0 included)."""
+    k_max < 0, p^(k_max+1) > 2^31 (by _beyond), _admit, then f = 0 mod p."""
     if k_max < 0:
         raise ArcError("order must be >= 0")
-    if p ** (k_max + 1) > 2 ** 31:
+    if _beyond(p, k_max + 1, 2 ** 31):
         raise ArcError("modulus p^%d too large for exact vector arithmetic" % k_max)
     _admit(p, f.nvars, max(map(sum, f.terms), default=0), "p")
     if all(c % p == 0 for c in f.terms.values()):

@@ -173,9 +173,8 @@ def castle_milnor(S1, c):
     if not isinstance(counting, RationalMotive):
         counting = RationalMotive(counting)
     lo, hi, up = _remaining(c)
-    extra = _binomials(lo, hi)
-    counting = (RationalMotive(counting.num * extra, counting.den) if up
-                else RationalMotive(counting.num, counting.den * extra))
+    extra = RationalMotive(_binomials(lo, hi))
+    counting = counting * extra if up else counting / extra
     if spectrum is None:
         return counting
     try:

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arczeta import (ArcConstraint, ArcError, CountPlan, Poly, PolySystem,
-                     count_arcs, count_stratum, estimate_work,
+from arczeta import (ArcConstraint, ArcError, BudgetExceeded, CountPlan, Poly,
+                     PolySystem, count_arcs, count_stratum, estimate_work,
                      homogeneity_check, igusa_coeffs, padic_solution_counts,
                      parse_poly, parse_system, zeta_coeffs_from_counts)
 from arczeta import arcs
@@ -227,10 +227,8 @@ class TestValidationAndHelpers:
 
     def test_estimate_charges_every_expandable_level(self):
         # levels 0..max(n)-1 may be expanded, each with q^r rows
-        plan = CountPlan(self.sys, 3, None, order_indices(1, 4))
-        assert plan.estimate() == 3 ** (2 * 4)
-        origin = CountPlan(self.sys, 3, ArcConstraint.origin(), [(4,)])
-        assert origin.estimate() == 3 ** (2 * 3)
+        assert estimate_work(self.sys, (4,), 3) == 3 ** (2 * 4)
+        assert estimate_work(self.sys, (4,), 3, ArcConstraint.origin()) == 3 ** (2 * 3)
 
     def test_threads_agree(self):
         sys = PolySystem([parse_poly("x1*x4 - x2*x3")])
@@ -683,6 +681,26 @@ def test_plan_refuses_a_grid_before_trial_division(no_trial_division):
 def test_lifter_refuses_a_modulus_before_trial_division(no_trial_division):
     with pytest.raises(ArcError, match="modulus p\\^2 too large"):
         padic_solution_counts(parse_poly("x1"), 10 ** 18 + 3, 2)
+
+
+def test_beyond_agrees_with_the_power():
+    """The one size rule answers base^exp > limit exactly, on limits around
+    the power itself and on the library's own limits."""
+    for base in list(range(2, 13)) + [10 ** 18 + 3]:
+        for exp in range(81):
+            power = base ** exp
+            for limit in (-1, 0, 1, power - 1, power, power + 1, 2 ** 26, 2 ** 31,
+                          10 ** 9):
+                assert arcs._beyond(base, exp, limit) == (power > limit)
+
+
+def test_budget_refusal_names_the_power():
+    """An estimate of 3^10000 rows has more than 4,300 digits: the refusal
+    names the power, and builds neither it nor its decimal text."""
+    with pytest.raises(BudgetExceeded, match="^estimated 3\\^10000 candidate rows "
+                                             "exceeds budget 1000000000$"):
+        CountPlan(PolySystem([parse_poly("x1^2 - x2^3")]), 3, None, 5000,
+                  min_order=1, budget=10 ** 9)
 
 
 def test_degree_limit_refuses_before_any_jet(monkeypatch):

@@ -1,6 +1,10 @@
-"""Command-line interface: output contracts and exit codes, run in-process."""
+"""Command-line interface: output contracts and exit codes, run in-process
+(the size refusals also as a process of their own, under a timeout)."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -444,8 +448,8 @@ def test_verify_refuses_a_grid_before_either_sweep(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "--fixture", "quadric-m3", "--q", "23",
                          "--order", "6", "--budget", str(10 ** 60))
     assert (code, out) == (2, "")
-    assert err == ("error: residue grid of 23^6 rows x 6 = %d cells exceeds the "
-                   "limit of 67108864\n" % (23 ** 6 * 6))
+    assert err == ("error: residue grid of 23^6 rows x 6 cells exceeds the "
+                   "limit of 67108864\n")
 
 
 def test_grid_is_reported_before_the_budget(capsys):
@@ -453,8 +457,34 @@ def test_grid_is_reported_before_the_budget(capsys):
     1: the input error (exit 2) comes before the budget refusal (exit 3)."""
     assert run(capsys, "count", "--poly", "x1*x4 - x2*x3", "--n", "1", "--q", "101",
                "--budget", "1") == (
-        2, "", "error: residue grid of 101^4 rows x 4 = %d cells exceeds the "
-               "limit of 67108864\n" % (101 ** 4 * 4))
+        2, "", "error: residue grid of 101^4 rows x 4 cells exceeds the "
+               "limit of 67108864\n")
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (("zeta-count", "--poly", "x1^2 - x2^3", "--q", "3", "--order", "1000000000"), 3,
+     "refused: estimated 3^2000000000 candidate rows exceeds budget 1000000000\n"),
+    (("castle-igusa", "--castling", QUADRIC_M3, "--poly", "x1^2 + x2^2 + x3^2",
+      "--p", "3", "--order", "100000000"), 2,
+     "error: modulus p^100000001 too large for exact vector arithmetic\n"),
+    (("zeta-count", "--poly", "x1^2 - x2^3", "--q", "3", "--order", "5000"), 3,
+     "refused: estimated 3^10000 candidate rows exceeds budget 1000000000\n"),
+    (("count", "--poly", "x300", "--n", "1", "--q", "1000000000000000003"), 2,
+     "error: residue grid of 1000000000000000003^300 rows x 300 cells exceeds "
+     "the limit of 67108864\n"),
+], ids=["zeta-count-order-1e9", "castle-igusa-order-1e8", "zeta-count-order-5000",
+        "count-x300-huge-q"])
+def test_sizes_are_refused_through_their_exponent(argv, code, err):
+    """Each limit is compared through its exponent and named as a power: no
+    power of 10^9 levels is built, and no number beyond Python's 4,300-digit
+    int-to-text limit is printed (whose ValueError names
+    set_int_max_str_digits and exits 2)."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-m", "arczeta.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", err)
 
 
 @pytest.mark.parametrize("argv", [
