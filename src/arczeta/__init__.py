@@ -13,7 +13,7 @@ arithmetic; nothing here ever rounds.
 from .series import (RationalSeries, SeriesError, TruncatedSeries, series_equal)
 from .arcs import (ArcConstraint, ArcError, BudgetExceeded, CountPlan, PolySystem,
                    count_arcs, count_stratum, estimate_work, homogeneity_check,
-                   igusa_coeffs, padic_solution_counts, zeta_coeffs_from_counts)
+                   igusa_coeffs, padic_solution_counts)
 from .castling import (BFunction, CastlingDatum, CastlingError, castle_bfunction,
                        castle_igusa, castle_local_zeta, castle_milnor,
                        castle_spectrum, castle_zeta, castle_zeta_numeric,

@@ -789,13 +789,6 @@ def estimate_work(sys, n, q, constraint=None, leading="one"):
     return q ** plan.exponent
 
 
-def zeta_coeffs_from_counts(sys, q, n_max, constraint=None, leading="one",
-                            threads=1):
-    """Truncated zeta series over exact rationals: the T^n coefficient is the
-    arc count at n times q^(-|n| r)."""
-    return CountPlan(sys, q, constraint, n_max, min_order=1).series(leading, threads)
-
-
 def homogeneity_check(sys, q, n, threads=1):
     """For homogeneous f of degree d: does count(ord = n, leading 1) times
     q^((d-1)r) equal the origin-based count at order n + d?"""

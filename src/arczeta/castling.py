@@ -11,9 +11,11 @@ scalars, L in the Milnor class, t in the spectrum and q^-1 at L = q; the series
 themselves take its inverse in X^j T^d.  The factors j <= min(r1, r2) always
 cancel, and _remaining is the one rule for the ones left: j in
 (min(r1, r2), max(r1, r2)], in the numerator when r2 >= r1 and in the
-denominator otherwise.  No shared factor is a zero divisor, so the cancelled
-ratio has the value of the full one, and the spectrum's exact division fails
-exactly when the full one does.
+denominator otherwise.  _ratio is the one rule that turns them into the
+series ratio: _transfer multiplies by it as a RationalSeries, and
+_numeric_transfer reads the same ratio at L = q.  No shared factor is a zero
+divisor, so the cancelled ratio has the value of the full one, and the
+spectrum's exact division fails exactly when the full one does.
 """
 
 from __future__ import annotations
@@ -22,11 +24,10 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
 
 from .arcs import CountPlan
 from .motive import LaurentMotive, RationalMotive, _binomials
-from .series import mi_scale
+from .series import RationalSeries, mi_scale
 from .spectrum import Spectrum, SpectrumError
 
 
@@ -99,44 +100,51 @@ def _remaining(c):
     return min(c.r1, c.r2), max(c.r1, c.r2), c.r2 >= c.r1
 
 
+def _ratio(c, e):
+    """(scalar, top, bottom): L^e U prod_{j<=r1}(1 - L^-j T^d)
+    / prod_{j<=r2}(1 - L^-j T^d), the factors of _remaining only, as the
+    scalar L^e U (a RationalMotive), the j of the binomials (1 - L^-j T^d)
+    and the j of the geometric factors; the one rule both rings read."""
+    lo, hi, up = _remaining(c)
+    js, unit = tuple(range(lo + 1, hi + 1)), _binomials(lo, hi, -1)
+    if up:
+        return RationalMotive(unit.shift(e)), (), js
+    return RationalMotive(LaurentMotive({e: 1}), unit), js, ()
+
+
 def _transfer(Z, c, e, shift=0):
-    """Z * T^(shift d) * L^e U prod_{j<=r1}(1 - L^-j T^d)
-    / prod_{j<=r2}(1 - L^-j T^d), the factors of _remaining only: the shift
-    is taken on the terms of Z, the rest by one Z.times_ratio call, which
-    builds a RationalSeries once.  The binomials only raise shifts, so a term
-    of the result leaves the series ring exactly when the shifted term of Z
-    it comes from does."""
+    """Z * T^(shift d) * _ratio(c, e): the shift is taken on the terms of Z,
+    the ratio by one product with it built as a RationalSeries.  The
+    binomials only raise shifts, so a term of the result leaves the series
+    ring exactly when the shifted term of Z it comes from does."""
     _check_arity(Z, c)
     if shift:
         try:
             Z = Z.shifted(mi_scale(shift, c.d))
         except ValueError as exc:
             raise CastlingError("degree bookkeeping failed: %s" % exc) from exc
-    lo, hi, up = _remaining(c)
-    js, unit = range(lo + 1, hi + 1), _binomials(lo, hi, -1)
-    if up:
-        return Z.times_ratio(RationalMotive(unit.shift(e)), (), js, c.d)
-    return Z.times_ratio(RationalMotive(LaurentMotive({e: 1}), unit), js, (), c.d)
+    scalar, top, bottom = _ratio(c, e)
+    one = (0,) * c.l
+    ratio = RationalSeries.term(scalar, one, [(j, c.d) for j in bottom])
+    for j in top:
+        ratio = ratio * (RationalSeries.term(1, one)
+                         + RationalSeries.term(LaurentMotive({-j: -1}), c.d))
+    return Z * ratio
 
 
 def _numeric_transfer(Z, q, c, e):
-    """The transfers at L = q on a truncated series Z with Fraction
-    coefficients: Z * q^e U prod_{j<=r1}(1 - q^-j T^d)
-    / prod_{j<=r2}(1 - q^-j T^d), the factors of _remaining only: one scale,
-    then r1 - r2 binomials or r2 - r1 geometric factors.  The truncated
-    series form a ring, so the cancelled product gives every Fraction of the
-    uncancelled one.  q = 0 and q = +-1, where the uncancelled ratio
-    divides by zero, are refused."""
+    """_ratio(c, e) at L = q on a truncated series Z with Fraction
+    coefficients, by one Z.times_ratio call.  The truncated series form a
+    ring, so the cancelled product gives every Fraction of the uncancelled
+    one.  q = 0 and q = +-1, where the uncancelled ratio divides by zero,
+    are refused."""
     _check_arity(Z, c)
     q = Fraction(q)
     if q in (0, 1, -1):
         raise CastlingError("no numeric transfer at q = %s" % q)
-    lo, hi, up = _remaining(c)
-    xs = [q ** -j for j in range(lo + 1, hi + 1)]
-    unit = prod((1 - x for x in xs), start=Fraction(1))
-    if up:
-        return Z.times_ratio(q ** e * unit, (), xs, c.d)
-    return Z.times_ratio(q ** e / unit, xs, (), c.d)
+    scalar, top, bottom = _ratio(c, e)
+    return Z.times_ratio(scalar.specialize(q), [q ** -j for j in top],
+                         [q ** -j for j in bottom], c.d)
 
 
 def _check_arity(Z, c):

@@ -348,6 +348,9 @@ def main(argv=None):
     t0 = time.monotonic()
     parser = build_parser()
     args = parser.parse_args(argv)
+    # exact numbers are printed whatever their length; callers keep their limit
+    limit = _sys.get_int_max_str_digits()
+    _sys.set_int_max_str_digits(0)
     try:
         return args.func(args, t0)
     except BudgetExceeded as exc:
@@ -356,6 +359,8 @@ def main(argv=None):
     except _INPUT_ERRORS as exc:
         print("error: %s" % exc, file=_sys.stderr)
         return 2
+    finally:
+        _sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -15,9 +15,7 @@ order of the earliest term that reaches it.  The class is motive's
 _denominator_class, whose reduction argument makes a single-class sum (every
 transfer of the package) print exactly as the reduced term-by-term sum.
 
-Every exponent of T is >= 0.  A binomial (1 - L^-nu T^N) is taken by its
-closed form: each term gains a copy, its numerator shifted by L^-nu and negated;
-times_ratio takes a transfer's whole product of them in one build.
+Every exponent of T is >= 0.
 
 The text form is one grammar, read and written here: str() prints terms
 ``(coeff) * T1^a1*T2^a2 / ((1 - L^-nu * T-monomial)...)`` joined by "  +  ",
@@ -155,29 +153,6 @@ class RationalSeries(_Frozen):
         delta = _index(delta, self.nvars)
         return RationalSeries(self.nvars, [
             SeriesTerm(t.coeff, mi_add(t.shift, delta), t.factors) for t in self.terms])
-
-    def times_ratio(self, c, top, bottom, N):
-        """Multiply by c prod_{nu in top}(1 - L^-nu T^N) / prod_{nu in bottom}
-        (1 - L^-nu T^N) in one build.  Each binomial in turn gives every term
-        a copy at T^(shift + N), its numerator times -L^-nu, right after it;
-        each copy's coefficient is reduced once.  Every term gains all the
-        geometric factors at once."""
-        N = _index(N, self.nvars)
-        steps = [(1, 0, 0)]  # (sign, exponent of L, power of T^N) per copy
-        for nu in top:
-            steps = [x for s, k, m in steps for x in ((s, k, m), (-s, k - nu, m + 1))]
-        fs = tuple(SeriesFactor(int(nu), N) for nu in bottom)
-        out = []
-        for t in self.terms:
-            coeff, factors = t.coeff * c, t.factors + fs
-            for s, k, m in steps:
-                if not m:
-                    out.append(SeriesTerm(coeff, t.shift, factors))
-                    continue
-                num = coeff.num.shift(k)
-                out.append(SeriesTerm(RationalMotive(num if s > 0 else -num, coeff.den),
-                                      mi_add(t.shift, mi_scale(m, N)), factors))
-        return RationalSeries(self.nvars, out)
 
     def expand(self, order):
         """Exact truncated expansion: coefficients of all T^n with |n| <= order.

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from arczeta import (ArcConstraint, ArcError, BudgetExceeded, CountPlan, Poly,
                      PolySystem, count_arcs, count_stratum, estimate_work,
                      homogeneity_check, igusa_coeffs, padic_solution_counts,
-                     parse_poly, parse_system, zeta_coeffs_from_counts)
+                     parse_poly, parse_system)
 from arczeta import arcs
 from arczeta.arcs import (_SlotTable, _eval_poly_mod, _residue_grid,
                           arc_value_coefficients, is_prime,
@@ -221,7 +221,7 @@ class TestValidationAndHelpers:
 
     def test_zeta_coeffs_monomial(self):
         sys = PolySystem([parse_poly("x1")])
-        series = zeta_coeffs_from_counts(sys, 3, 3)
+        series = CountPlan(sys, 3, None, 3, min_order=1).series("one")
         for n in range(1, 4):
             assert series.coefficient((n,)) == Fraction(1, 3 ** n)
 

@@ -360,6 +360,23 @@ def test_transfers_equal_the_uncancelled_chain():
         assert got.coeffs and got == want.expand(8)
 
 
+def test_both_rings_read_one_ratio():
+    """Seeded: for r1, r2 in 1..4 (r1 > r2 included), 1-2 variables and
+    q in {2, 3, 5}, castle_zeta expanded and read at L = q equals
+    castle_zeta_numeric on the expansion read at L = q, to order 6."""
+    rng = random.Random(20261021)
+    for r1, r2 in itertools.product(range(1, 5), repeat=2):
+        nvars = rng.randint(1, 2)
+        c = CastlingDatum(r1 + r2, r1, r2, nvars,
+                          tuple(rng.randint(1, 2) for _ in range(nvars)))
+        Z = random_rational(rng, nvars)
+        symbolic = castle_zeta(Z, c).expand(6)
+        for q in (2, 3, 5):
+            got = symbolic.specialize(q)
+            assert got.coeffs and got == castle_zeta_numeric(
+                Z.expand(6).specialize(q), q, c)
+
+
 def test_quadric_poles_are_roots_of_the_transferred_bfunction():
     """Every factor (1 - L^-nu T^N) printed by the (3, 1, 2) transfers of the
     quadric germ has nu/N among the roots {1, 1, 3/2, 3/2} of the transferred

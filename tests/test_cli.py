@@ -146,6 +146,23 @@ class TestCount:
         assert payload["leading"] == "any"
         assert payload["coefficients"] == {"1,1": "4/9"}
 
+    def test_prints_numbers_beyond_the_int_text_limit(self, capsys):
+        """ord x1 = ord x2 = 7000 at q = 2: 2^14000 arcs (4,215 digits) and
+        the coefficient's denominator 2^28000 (8,429 digits, beyond Python's
+        default 4,300-digit int-to-text limit) print exactly; main lifts the
+        limit while the command runs and gives the caller its own back."""
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run(capsys, "count", "--polys", "x1;x2", "--n", "7000,7000",
+                             "--q", "2", "--budget", "1" + "0" * 4299)
+        assert (code, err, sys.get_int_max_str_digits()) == (0, "", limit)
+        sys.set_int_max_str_digits(0)
+        try:
+            payload = json.loads(out)
+            assert payload["count_all"] == 2 ** 14000
+            assert payload["coeff"] == "%d/%d" % (2 ** 14000, 2 ** 28000)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
     def test_leading_defaults_to_one_on_one_polynomial(self, capsys):
         """ord x1 = n with leading coefficient 1: one arc of length n."""
         code, out, _ = run(capsys, "zeta-count", "--poly", "x1", "--order", "2",
@@ -476,9 +493,8 @@ def test_grid_is_reported_before_the_budget(capsys):
         "count-x300-huge-q"])
 def test_sizes_are_refused_through_their_exponent(argv, code, err):
     """Each limit is compared through its exponent and named as a power: no
-    power of 10^9 levels is built, and no number beyond Python's 4,300-digit
-    int-to-text limit is printed (whose ValueError names
-    set_int_max_str_digits and exits 2)."""
+    power of 10^9 levels is built, and no refusal builds or prints the number
+    it bounds."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))

@@ -5,10 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from arczeta import (ArcConstraint, Component, LaurentMotive, PolySystem,
-                     RationalMotive, RationalSeries, ResolutionDatum,
+from arczeta import (ArcConstraint, Component, CountPlan, LaurentMotive,
+                     PolySystem, RationalMotive, RationalSeries, ResolutionDatum,
                      ResolutionError, Spectrum, Stratum, hsp_of_f, milnor_fiber,
-                     parse_poly, zeta_coeffs_from_counts, zeta_from_resolution)
+                     parse_poly, zeta_from_resolution)
 from arczeta.fixtures import RESOLUTION_FIXTURES, resolution_fixture
 
 L = LaurentMotive.L()
@@ -70,9 +70,10 @@ class TestAgainstArcCounts:
     def test_expansion_matches_counts(self, name, text, q, constraint):
         R = resolution_fixture(name)
         order = 4
-        expected = zeta_coeffs_from_counts(
-            PolySystem([parse_poly(text)]), q, order,
-            ArcConstraint.parse(constraint) if constraint else None)
+        expected = CountPlan(
+            PolySystem([parse_poly(text)]), q,
+            ArcConstraint.parse(constraint) if constraint else None, order,
+            min_order=1).series("one")
         got = zeta_from_resolution(R).expand(order).specialize(q)
         assert got == expected
 

@@ -202,8 +202,11 @@ class TestRationalSeries:
         assert str(s) == "0"
 
     def test_binomial_cancellation(self):
+        """s * (1 - L^-2 T^3) * 1/(1 - L^-2 T^3) expands as s."""
         s = geometric(nu=2, N=3)
-        assert series_equal(s.times_ratio(1, [2], [2], (3,)), s, 9)
+        binomial = RationalSeries.term(1, (0,)) + RationalSeries.term(rm(-2, -1), (3,))
+        geometric_factor = RationalSeries.term(1, (0,), [(2, (3,))])
+        assert series_equal(s * binomial * geometric_factor, s, 9)
 
     @pytest.mark.parametrize("build,message", [
         (lambda: RationalSeries(0), "at least one T variable"),
@@ -228,10 +231,8 @@ class TestRationalSeries:
         """An index with more entries than variables is an error, not cut
         down to the first entries."""
         s = geometric()
-        with pytest.raises(SeriesError):
-            s.times_ratio(1, [1], [], (2, 5))
-        with pytest.raises(SeriesError):
-            s.times_ratio(1, [], [1], (2, 5))
+        with pytest.raises(SeriesError, match="factor multi-index length mismatch"):
+            s * RationalSeries.term(1, (0,), [(1, (2, 5))])
         with pytest.raises(SeriesError):
             s.shifted((1, 2))
 
