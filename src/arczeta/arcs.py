@@ -45,7 +45,7 @@ from math import comb, isqrt
 
 import numpy as np
 
-from .motive import _Frozen
+from .motive import _Frozen, _index, _integer
 from .polynomials import Poly
 from .series import TruncatedSeries
 
@@ -147,9 +147,10 @@ class ArcConstraint:
 
     @classmethod
     def full_rank(cls, m, r_mat):
+        m, r_mat = _integer(m, ArcError), _integer(r_mat, ArcError)
         if m < 1 or r_mat < 1 or r_mat > m:
             raise ArcError("full rank needs 1 <= r_mat <= m")
-        return cls("full_rank", int(m), int(r_mat))
+        return cls("full_rank", m, r_mat)
 
     @classmethod
     def parse(cls, text):
@@ -408,11 +409,11 @@ class CountPlan:
     The targets are a list of indices, or an int N for every n with all
     n_i >= min_order and |n| <= N (order_indices), the only plans with a
     series.  Construction refuses the grid, the degree and q (_admit) before
-    any target is read; then checks every listed target (n_i >= min_order,
-    as given) and refuses, from the depth alone, q^exponent candidate rows
+    any target is read; then reads every listed target (_index: l integers
+    n_i >= min_order) and refuses, from the depth alone, q^exponent rows
     over a given budget (BudgetExceeded), then more than _MAX_GRID_CELLS
-    codes, before any target is listed, normalized or sorted and before any
-    grid or jet is built; count and series check only leading.
+    codes, before an order's targets are listed or a list is sorted and
+    before any grid or jet is built; count and series check only leading.
     """
 
     def __init__(self, sys, q, constraint=None, targets=(), min_order=0,
@@ -425,13 +426,8 @@ class CountPlan:
         self.sys, self.q, self.r = sys, q, sys.r
         self.order = targets if isinstance(targets, int) else None
         if self.order is None:
-            raw = [(n,) if isinstance(n, int) else n for n in targets]
-            if bad := set(map(len, raw)) - {sys.l}:
-                raise ArcError("order multi-index has length %d, system has %d "
-                               "polynomials" % (min(bad), sys.l))
-            if min(chain.from_iterable(raw), default=min_order) < min_order:
-                raise ArcError("all n_i must be >= %d" % min_order)
-            self.depth = int(max(chain.from_iterable(raw), default=0))
+            raw = [_index(n, sys.l, ArcError, min_order) for n in targets]
+            self.depth = max(chain.from_iterable(raw), default=0)
         else:  # the largest n_i of an index with the others at min_order
             top = targets - min_order * (sys.l - 1)
             self.depth = top if top >= min_order else 0
@@ -444,14 +440,14 @@ class CountPlan:
         if _beyond(self.depth + 2, sys.l, _MAX_GRID_CELLS):
             raise ArcError("code table of %d^%d entries exceeds the limit of %d"
                            % (self.depth + 2, sys.l, _MAX_GRID_CELLS))
-        self.targets = (sorted({_index(n) for n in raw}) if self.order is None
+        self.targets = (sorted(set(raw)) if self.order is None
                         else order_indices(sys.l, targets, min_order))
         self._base = (self.depth + 2) ** np.arange(sys.l)
         self._dist = None
 
     def count(self, n, leading="any", threads=1):
         """The count at the target n, leading 'one' or 'any'."""
-        side, n = self._side(leading), _index(n)
+        side, n = self._side(leading), _index(n, self.sys.l, ArcError)
         if n not in self.targets:
             raise ArcError("order multi-index %s is not a target of this plan"
                            % (n,))
@@ -755,11 +751,6 @@ def _record(rec, level, codes, one, w_one, w_any):
         at = cnt.nonzero()[0]
         for c, m in zip(at.tolist(), cnt[at].tolist()):
             rec[level, c, side] += w * m
-
-
-def _index(n):
-    """An order multi-index as a tuple of ints (an int n is (n,))."""
-    return (n,) if isinstance(n, int) else tuple(int(x) for x in n)
 
 
 def count_arcs(sys, n, q, constraint=None, leading="one", threads=1):

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arcs import CountPlan
-from .motive import LaurentMotive, RationalMotive, _binomials
+from .motive import LaurentMotive, RationalMotive, _binomials, _index, _json
 from .series import RationalSeries, mi_scale
 from .spectrum import Spectrum, SpectrumError
 
@@ -48,18 +48,17 @@ class CastlingDatum:
             raise CastlingError("r1 and r2 must be >= 1")
         if self.m != self.r1 + self.r2:
             raise CastlingError("m must equal r1 + r2")
-        if self.l < 1 or len(self.d) != self.l:
-            raise CastlingError("need one degree per invariant")
-        if any(x < 1 for x in self.d):
-            raise CastlingError("degrees must be >= 1")
+        if self.l < 1:
+            raise CastlingError("need at least one invariant")
+        object.__setattr__(self, "d", _index(self.d, self.l, CastlingError, 1))
 
     def swapped(self):
         return CastlingDatum(self.m, self.r2, self.r1, self.l, self.d)
 
     @classmethod
     def from_json(cls, data):
-        return cls(int(data["m"]), int(data["r1"]), int(data["r2"]),
-                   int(data["l"]), tuple(int(x) for x in data["d"]))
+        return cls(**_json(data, {"m": int, "r1": int, "r2": int, "l": int, "d": [int]},
+                           CastlingError))
 
     @classmethod
     def load(cls, path):

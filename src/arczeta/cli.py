@@ -56,12 +56,12 @@ def _plain_lines(value, prefix):
 
 
 def _system(args):
-    if getattr(args, "poly", None):
-        return PolySystem([parse_poly(args.poly)])
-    if getattr(args, "polys", None):
-        return PolySystem(parse_system([p.strip()
-                                        for p in args.polys.split(";")]))
-    raise ArcError("need --poly or --polys")
+    if args.poly and args.polys:
+        raise ArcError("give --poly or --polys, not both")
+    if not (args.poly or args.polys):
+        raise ArcError("need --poly or --polys")
+    texts = [args.poly] if args.poly else [p.strip() for p in args.polys.split(";")]
+    return PolySystem(parse_system(texts))
 
 
 def _leading(args, sys_):
@@ -211,11 +211,12 @@ def _cmd_castle_igusa(args, t0):
 
 
 def _cmd_verify(args, t0):
+    given = (args.castling, args.polys1, args.polys2)
+    if args.fixture and any(given) or not args.fixture and not all(given):
+        raise ArcError("need --fixture alone, or --castling with --polys1/--polys2")
     if args.fixture:
         polys1, polys2, c = castling_fixture(args.fixture)
     else:
-        if not (args.castling and args.polys1 and args.polys2):
-            raise ArcError("need --fixture, or --castling with --polys1/--polys2")
         c = CastlingDatum.load(args.castling)
         polys1 = parse_system([p.strip() for p in args.polys1.split(";")],
                               c.m * c.r1)

@@ -180,11 +180,48 @@ def _coerce(x):
 
 
 def _integer(x, error):
-    """x as an int; error if x has no integer value (0.5, Fraction(1, 2))."""
-    i = int(x)
-    if i != x:
-        raise error("%r is not an integer" % (x,))
-    return i
+    """x as an int; error unless x has an integer value (not 0.5, "1", None)."""
+    try:
+        if (i := int(x)) == x:
+            return i
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise error("%r is not an integer" % (x,))
+
+
+def _index(n, length, error, low=0):
+    """n as a tuple of ints (a number n is (n,)); error unless it has length
+    entries, each an integer (_integer) and >= low (any, if low is None)."""
+    if type(n) is not tuple:
+        n = tuple(n) if hasattr(n, "__iter__") else (n,)
+    if not {int}.issuperset(map(type, n)):  # numpy ints, 2.0 and the refusals
+        n = tuple(_integer(x, error) for x in n)
+    if len(n) != length:
+        raise error("length mismatch: multi-index %r needs %d entries" % (n, length))
+    if low is not None and n and min(n) < low:
+        raise error("multi-index %r has an entry below %d" % (n, low))
+    return n
+
+
+def _json(value, shape, error, path="data"):
+    """value read as shape: int (by _integer), a type such as str or
+    str | None, [shape] (a list of them) or {key: shape} (an object); error
+    names the path of the first value that does not fit."""
+    if isinstance(shape, dict):
+        if isinstance(value, dict):
+            return {k: _json(value.get(k), s, error, path + "." + k) for k, s in shape.items()}
+    elif isinstance(shape, list):
+        if isinstance(value, list):
+            return [_json(v, shape[0], error, "%s[%d]" % (path, i)) for i, v in enumerate(value)]
+    elif shape is int:
+        try:
+            return _integer(value, error)
+        except error:
+            pass
+    elif isinstance(value, shape):
+        return value
+    kind = type(shape) if isinstance(shape, (dict, list)) else shape
+    raise error("%s needs type %s, got %r" % (path, getattr(kind, "__name__", kind), value))
 
 
 def _signed_text(items, power):
@@ -446,7 +483,7 @@ class Permutation(_Frozen):
     __slots__ = ("images",)
 
     def __init__(self, images):
-        images = tuple(int(x) for x in images)
+        images = tuple(_integer(x, LaurentError) for x in images)
         if sorted(images) != list(range(1, len(images) + 1)):
             raise LaurentError("not a permutation of 1..%d: %r" % (len(images), images))
         object.__setattr__(self, "images", images)

@@ -23,7 +23,7 @@ class Poly(_Frozen):
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars, terms=None):
-        nvars = int(nvars)
+        nvars = _integer(nvars, PolyError)
         if nvars < 1:
             raise PolyError("need at least one variable")
         clean = {}
@@ -293,10 +293,11 @@ def _atom(toks, i, nvars):
 
 
 def _parse(toks, nvars):
+    nvars = _integer(nvars, PolyError)
     out, i = _expr(toks, 0, nvars)
     if toks[i] != _END:
         raise PolyError("trailing input at token ('op', %r)" % toks[i])
-    return Poly._of(int(nvars), out)
+    return Poly._of(nvars, out)
 
 
 def parse_poly(text, nvars=None):

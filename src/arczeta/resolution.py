@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 
-from .motive import LaurentMotive, RationalMotive, parse_laurent
+from .motive import LaurentMotive, RationalMotive, _json, parse_laurent
 from .series import RationalSeries
 from .spectrum import Spectrum, parse_spectrum
 
@@ -107,15 +107,13 @@ class ResolutionDatum:
 
     @classmethod
     def from_json(cls, data):
-        comps = tuple(Component(c["id"], int(c["N"]), int(c["nu"]))
-                      for c in data["components"])
-        strata = []
-        for s in data["strata"]:
-            spec = s.get("spectrum")
-            strata.append(Stratum(frozenset(s["I"]),
-                                  parse_laurent(s["class"]),
-                                  parse_spectrum(spec) if spec is not None else None))
-        return cls(comps, tuple(strata), data.get("valid_q"))
+        data = _json(data, {"components": [{"id": str, "N": int, "nu": int}],
+                            "strata": [{"I": [str], "class": str, "spectrum": str | None}],
+                            "valid_q": str | None}, ResolutionError)
+        strata = tuple(Stratum(frozenset(s["I"]), parse_laurent(s["class"]),
+                               None if s["spectrum"] is None else parse_spectrum(s["spectrum"]))
+                       for s in data["strata"])
+        return cls(tuple(Component(**c) for c in data["components"]), strata, data["valid_q"])
 
     @classmethod
     def load(cls, path):

@@ -33,19 +33,11 @@ from math import lcm
 from operator import add
 
 from .motive import (_MAX_DIGITS, LaurentMotive, RationalMotive, _denominator_class,
-                     _Frozen, _monomial_text, parse_laurent)
+                     _Frozen, _index, _integer, _monomial_text, parse_laurent)
 
 
 class SeriesError(ValueError):
     pass
-
-
-def _index(N, nvars):
-    """N as a tuple of ints; SeriesError unless it has nvars entries."""
-    N = tuple(int(x) for x in N)
-    if len(N) != nvars:
-        raise SeriesError("multi-index %r needs %d entries" % (N, nvars))
-    return N
 
 
 def mi_add(a, b):
@@ -89,7 +81,7 @@ class RationalSeries(_Frozen):
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars, terms=()):
-        nvars = int(nvars)
+        nvars = _integer(nvars, SeriesError)
         if nvars < 1:
             raise SeriesError("need at least one T variable")
         kept = []
@@ -113,8 +105,10 @@ class RationalSeries(_Frozen):
 
     @classmethod
     def term(cls, coeff, shift, factors=()):
-        shift = tuple(int(x) for x in shift)
-        fs = tuple(SeriesFactor(int(nu), tuple(int(x) for x in N)) for nu, N in factors)
+        """coeff T^shift / prod (1 - L^-nu T^N); the constructors check each N."""
+        shift = _index(shift, len(shift), SeriesError, None)
+        fs = tuple(SeriesFactor(_integer(nu, SeriesError),
+                                _index(N, len(N), SeriesError, None)) for nu, N in factors)
         if not isinstance(coeff, RationalMotive):
             coeff = RationalMotive(coeff)
         return cls(len(shift), [SeriesTerm(coeff, shift, fs)])
@@ -150,7 +144,7 @@ class RationalSeries(_Frozen):
     def shifted(self, delta):
         """Multiply by T^delta; delta entries may be negative if every term
         stays inside the series ring (the constructor refuses it otherwise)."""
-        delta = _index(delta, self.nvars)
+        delta = _index(delta, self.nvars, SeriesError, None)
         return RationalSeries(self.nvars, [
             SeriesTerm(t.coeff, mi_add(t.shift, delta), t.factors) for t in self.terms])
 
@@ -325,20 +319,16 @@ class TruncatedSeries:
     """
 
     def __init__(self, nvars, order, coeffs=None, zero=None):
-        self.nvars = int(nvars)
-        self.order = int(order)
+        self.nvars = _integer(nvars, SeriesError)
+        self.order = _integer(order, SeriesError)
         if self.order < 0:
             raise SeriesError("order must be >= 0")
         self.coeffs = {}
         if coeffs:
             for n, c in coeffs.items():
-                n = tuple(map(int, n))
-                if len(n) != self.nvars:
-                    raise SeriesError("multi-index length mismatch")
+                n = _index(n, self.nvars, SeriesError)
                 if mi_total(n) > self.order:
                     raise SeriesError("index %r beyond order %d" % (n, self.order))
-                if min(n, default=0) < 0:
-                    raise SeriesError("negative index %r" % (n,))
                 if c:
                     self.coeffs[n] = c
         if zero is None:
@@ -346,11 +336,9 @@ class TruncatedSeries:
         self.zero = zero
 
     def coefficient(self, n):
-        n = tuple(map(int, n))
+        n = _index(n, self.nvars, SeriesError)
         if mi_total(n) > self.order:
             raise SeriesError("coefficient %r beyond truncation order %d" % (n, self.order))
-        if min(n, default=0) < 0:
-            raise SeriesError("negative index %r" % (n,))
         return self.coeffs.get(n, self.zero)
 
     def __add__(self, other):
@@ -389,9 +377,7 @@ class TruncatedSeries:
 
     def times_binomial(self, c, d):
         """Multiply by (1 - c*T^d)."""
-        d = _index(d, self.nvars)
-        if min(d, default=0) < 0:
-            raise SeriesError("binomial factor needs d >= 0")
+        d = _index(d, self.nvars, SeriesError)
         out = dict(self.coeffs)
         for n, v in self.coeffs.items():
             k = mi_add(n, d)
@@ -404,9 +390,9 @@ class TruncatedSeries:
     def over_binomial(self, c, d):
         """Multiply by the geometric expansion of (1 - c*T^d)^-1: the
         coefficient v at n adds v c^k at n + k d while |n + k d| <= order."""
-        d = _index(d, self.nvars)
-        if min(d) < 0 or not any(d):
-            raise SeriesError("geometric factor needs d >= 0 and T-degree > 0")
+        d = _index(d, self.nvars, SeriesError)
+        if not any(d):
+            raise SeriesError("geometric factor needs T-degree > 0")
         step = mi_total(d)
         out = {}
         for n, v in self.coeffs.items():

@@ -583,14 +583,13 @@ def test_target_paths_match_fitting_where_a_sweep_asks():
 
 def test_code_table_limit_refuses_before_prepare(monkeypatch):
     """(depth + 2)^l codes beyond the cell limit: refused at construction,
-    before the targets are normalized and before the grid, the jets or the
+    once the listed targets are read and before the grid, the jets or the
     tables are built."""
     def no_build(*args):
         raise AssertionError("built before the code table check")
 
     monkeypatch.setattr(CountPlan, "_prepare", no_build)
     monkeypatch.setattr(CountPlan, "_paths", no_build)
-    monkeypatch.setattr(arcs, "_index", no_build)
     monkeypatch.setattr(arcs, "_MAX_GRID_CELLS", 1000)
     with pytest.raises(ArcError, match="code table of 12\\^3"):
         CountPlan(PolySystem(parse_system(["x1", "x2", "x3"])), 2, None,

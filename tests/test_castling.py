@@ -10,7 +10,7 @@ from math import prod
 import pytest
 
 from arczeta import (BFunction, BudgetExceeded, CastlingDatum, CastlingError,
-                     CountPlan, LaurentMotive, PolySystem, RationalMotive,
+                     CountPlan, LaurentMotive, Poly, PolySystem, RationalMotive,
                      RationalSeries, ResolutionDatum, Spectrum, TruncatedSeries,
                      castle_bfunction, castle_igusa, castle_local_zeta,
                      castle_milnor, castle_spectrum, castle_zeta,
@@ -18,7 +18,7 @@ from arczeta import (BFunction, BudgetExceeded, CastlingDatum, CastlingError,
                      igusa_coeffs, globalize_by_degree, localize_by_degree, milnor_fiber,
                      parse_poly, series_equal, sl_class, verify_castling,
                      zeta_from_resolution)
-from arczeta.arcs import order_indices
+from arczeta.arcs import check_padic, order_indices
 from arczeta.fixtures import castling_fixture, resolution_fixture
 from arczeta.series import SeriesFactor, SeriesTerm
 
@@ -548,3 +548,77 @@ class TestNumeric:
         sys2 = PolySystem([parse_poly("x1*x4 - x2*x3 + x5*x6")])
         with pytest.raises(CastlingError, match="invariant degrees must be r_j"):
             verify_castling(sys1, sys2, QUADRIC, 3, 1)
+
+
+# -- Plücker-dual pairs ------------------------------------------------------
+# For any form P in one variable z_I per r1-subset I of the m rows,
+# f1(x) = P(p_I(x)) on m x r1 matrices and f2(y) = P(eps_I p_{I^c}(y)) on
+# m x r2 matrices (r2 = m - r1) are castling partners of degrees r1 d and
+# r2 d: the Plücker vector of the orthogonal complement of a frame's span is
+# the Hodge star of the frame's.  p_I is the minor on the rows I of the
+# matrix read row by row ([[x1, .., xr], ..]), eps_I the sign of the
+# permutation (I, I^c).
+
+
+def _minors(m, r):
+    """{I: p_I} over the r-subsets I of range(m), by Laplace expansion along
+    the columns."""
+    n = m * r
+    x = [[Poly.var(n, i * r + j + 1) for j in range(r)] for i in range(m)]
+
+    def det(rows, col):
+        if col == r:
+            return Poly.const(n, 1)
+        return sum((x[i][col] * det(rows[:k] + rows[k + 1:], col + 1) * (-1) ** k
+                    for k, i in enumerate(rows)), Poly.const(n, 0))
+    return {I: det(I, 0) for I in itertools.combinations(range(m), r)}
+
+
+def _plucker_pair(seed, m, r1, ds, primes):
+    """(f1s, f2s, datum): one seeded P_i of degree d_i per entry of ds, each
+    a sum of up to three monomials in the z_I with small coefficients.  A
+    draw is redrawn while some f vanishes or drops degree (a Plücker
+    relation) or vanishes mod a prime of primes, which check_padic refuses."""
+    rng = random.Random(seed)
+    r2 = m - r1
+    p1, p2 = _minors(m, r1), _minors(m, r2)
+    subsets = sorted(p1)
+    duals = [(-1) ** (sum(I) - r1 * (r1 - 1) // 2)
+             * p2[tuple(sorted(set(range(m)) - set(I)))] for I in subsets]
+    while True:
+        f1s, f2s = [], []
+        for d in ds:
+            monos = list(itertools.combinations_with_replacement(range(len(subsets)), d))
+            P = {mono: rng.choice([-2, -1, 1, 2, 3])
+                 for mono in rng.sample(monos, min(3, len(monos)))}
+            f1s.append(sum(c * prod(p1[subsets[k]] for k in mono) for mono, c in P.items()))
+            f2s.append(sum(c * prod(duals[k] for k in mono) for mono, c in P.items()))
+        fit = all(not f.is_zero() and f.degree() == r * d
+                  for fs, r in ((f1s, r1), (f2s, r2)) for f, d in zip(fs, ds))
+        if fit and all(any(c % p for c in f.terms.values()) for f in f1s + f2s for p in primes):
+            return f1s, f2s, CastlingDatum(m, r1, r2, len(ds), tuple(ds))
+
+
+@pytest.mark.parametrize("m, r1, d, p, order", [
+    (3, 1, 2, 2, 6), (3, 1, 2, 3, 3), (3, 1, 2, 5, 1), (3, 1, 3, 2, 4),
+    (3, 2, 2, 2, 5), (3, 2, 2, 3, 3), (3, 2, 2, 5, 1),
+    (4, 2, 1, 2, 3), (4, 2, 1, 3, 2),
+])
+def test_plucker_pairs_satisfy_the_padic_identity(m, r1, d, p, order):
+    """castle_igusa carries the Igusa series of f1 to that of f2, with
+    r1 < r2, r1 > r2 and the self-dual r1 = r2."""
+    f1s, f2s, c = _plucker_pair(1000 * m + 100 * r1 + 10 * d + p, m, r1, [d], [p])
+    for f in f1s + f2s:
+        check_padic(f, p, order + 1)
+    assert castle_igusa(igusa_coeffs(f1s[0], p, order), p, c) == igusa_coeffs(f2s[0], p, order)
+
+
+@pytest.mark.parametrize("m, r1, ds, q, order", [
+    (3, 1, (2,), 2, 3), (3, 2, (2,), 3, 2), (3, 2, (2,), 2, 3), (4, 2, (1,), 2, 2),
+    (3, 1, (1, 2), 2, 2), (3, 2, (1, 1), 3, 2), (3, 2, (2, 1), 2, 2),
+])
+def test_plucker_pairs_verify(m, r1, ds, q, order):
+    """verify_castling finds every coefficient equal on generated pairs, one
+    invariant (leading one) or two (any leading)."""
+    f1s, f2s, c = _plucker_pair(1000 * m + 100 * r1 + 10 * len(ds) + q, m, r1, ds, [q])
+    assert verify_castling(PolySystem(f1s), PolySystem(f2s), c, q, order)["all_equal"]

@@ -100,7 +100,7 @@ class TestCount:
         code, _, err = run(capsys, "count", "--poly", "x1^2+x2^2", "--n", "0",
                            "--q", "3", "--budget", "1")
         assert code == 2
-        assert "all n_i must be >= 1" in err
+        assert "multi-index (0,) has an entry below 1" in err
 
     def test_input_error(self, capsys):
         code, _, err = run(capsys, "count", "--poly", "x1 +", "--n", "1",
@@ -566,3 +566,62 @@ def test_every_input_error_is_a_value_error():
                   ResolutionError, SeriesError, SpectrumError):
         assert issubclass(error, ValueError), error
     assert not issubclass(BudgetExceeded, ValueError)
+
+
+X1_DATUM = str(Path(__file__).resolve().parents[1] / "src" / "arczeta" / "data" / "x1.json")
+_E1 = {"id": "E1", "N": 1, "nu": 1}
+
+
+@pytest.mark.parametrize("command, data, message", [
+    ("castle-zeta", [1, 2], "data needs type dict, got [1, 2]"),
+    ("castle-zeta", None, "data needs type dict, got None"),
+    ("castle-zeta", {"m": 3, "r1": 1, "r2": 2, "l": 1, "d": 2},
+     "data.d needs type list, got 2"),
+    ("castle-zeta", {"m": 3.5, "r1": 1, "r2": 2, "l": 1, "d": [2]},
+     "data.m needs type int, got 3.5"),
+    ("zeta-resolution", [], "data needs type dict, got []"),
+    ("zeta-resolution", {"components": {"id": "E1"}, "strata": []},
+     "data.components needs type list, got {'id': 'E1'}"),
+    ("milnor", {"components": [_E1], "strata": [{"I": ["E1"], "class": 1}]},
+     "data.strata[0].class needs type str, got 1"),
+    ("milnor", {"components": [_E1], "strata": [{"I": ["E1"], "class": "1",
+                                                 "spectrum": 1}]},
+     "data.strata[0].spectrum needs type str | None, got 1"),
+    ("zeta-resolution", {"components": [dict(_E1, id=["E1"])], "strata": []},
+     "data.components[0].id needs type str, got ['E1']"),
+    ("zeta-resolution", {"components": [_E1], "strata": [{"I": "E1", "class": "1"}]},
+     "data.strata[0].I needs type list, got 'E1'"),
+    ("zeta-resolution", {"components": [{"id": "E1", "N": 1}], "strata": []},
+     "data.components[0].nu needs type int, got None"),
+    ("zeta-resolution", {"components": [dict(_E1, N=1.5)],
+                         "strata": [{"I": ["E1"], "class": "1"}]},
+     "data.components[0].N needs type int, got 1.5"),
+], ids=["castling-list", "castling-null", "castling-d-int", "castling-m-3.5", "datum-list",
+        "components-object", "class-int", "spectrum-int", "id-list", "I-text", "nu-missing",
+        "N-1.5"])
+def test_malformed_data_files_exit_two_naming_the_field(capsys, tmp_path, command, data,
+                                                       message):
+    """A data file of the wrong shape, or with a field that is missing, of
+    the wrong type or not an integer, is an input error (exit 2) that names
+    the field: never a traceback (exit 1) and never a truncated value."""
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps(data))
+    if command == "castle-zeta":
+        argv = (command, "--castling", str(path), "--datum", X1_DATUM)
+    else:
+        argv = (command, "--datum", str(path))
+    assert run(capsys, *argv) == (2, "", "error: %s\n" % message)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("zeta-count", "--poly", "x1^2 - x2^3", "--polys", "x1;x2", "--q", "2",
+      "--order", "2"), "give --poly or --polys, not both"),
+    (("verify", "--fixture", "torus-m3", "--castling", TORUS_M3, "--polys1", "x1",
+      "--polys2", "x2", "--q", "2", "--order", "2"),
+     "need --fixture alone, or --castling with --polys1/--polys2"),
+    (("verify", "--fixture", "torus-m3", "--polys1", "x1", "--q", "2", "--order", "2"),
+     "need --fixture alone, or --castling with --polys1/--polys2"),
+])
+def test_conflicting_inputs_are_refused(capsys, argv, message):
+    """Two inputs for one role are refused, not one of them ignored."""
+    assert run(capsys, *argv) == (2, "", "error: %s\n" % message)

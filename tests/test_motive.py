@@ -5,11 +5,13 @@ import math
 import pickle
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from arczeta import (LaurentError, LaurentMotive, Permutation, PolySystem,
-                     RationalMotive, RationalSeries, Spectrum, fibration_factor,
+from arczeta import (CastlingDatum, CountPlan, LaurentError, LaurentMotive, Permutation,
+                     PolySystem, RationalMotive, RationalSeries, ResolutionDatum, Spectrum,
+                     TruncatedSeries, count_arcs, count_stratum, fibration_factor,
                      parse_laurent, parse_poly, parse_system, partition_weight_sum,
                      sl_class, z_w_class)
 from arczeta.motive import _binomials, _denominator_class, _Frozen, compositions
@@ -331,3 +333,38 @@ def test_immutable_values_copy_and_pickle(value, round_trip):
     with pytest.raises(AttributeError, match="^%s is immutable$" % type(got).__name__):
         setattr(got, slots[0], None)
 
+
+
+_CUSP = PolySystem([parse_poly("x1^2 - x2^3")])
+_ONE_VAR = TruncatedSeries(1, 3, {(1,): Fraction(5)})
+
+
+@pytest.mark.parametrize("build", [
+    lambda: count_arcs(_CUSP, (2.5,), 3),
+    lambda: count_stratum(_CUSP, (1.9,), 2, leading="any"),
+    lambda: CountPlan(_CUSP, 2, None, 3).count((2.5,)),
+    lambda: _ONE_VAR.coefficient((1.7,)),
+    lambda: _ONE_VAR.coefficient((1, 0)),
+    lambda: _ONE_VAR.times_binomial(1, (1.5,)),
+    lambda: RationalSeries.term(1, (1,)).shifted((0.5,)),
+    lambda: CastlingDatum.from_json({"m": 3.5, "r1": 1, "r2": 2, "l": 1, "d": [2]}),
+    lambda: ResolutionDatum.from_json({"components": [{"id": "E", "N": 1.5, "nu": 1}],
+                                       "strata": [{"I": ["E"], "class": "1"}]}),
+    lambda: Permutation((1.5, 2)),
+], ids=["count_arcs", "count_stratum", "plan-count", "coefficient", "coefficient-length",
+        "times_binomial", "shifted", "castling-m", "resolution-N", "permutation"])
+def test_a_non_integer_index_or_field_is_refused_not_truncated(build):
+    """Every multi-index and data field is read by motive._index/_integer:
+    2.5 is an input error (the package's ValueError subclass), never 2."""
+    with pytest.raises(ValueError) as info:
+        build()
+    assert type(info.value) is not ValueError
+    assert type(info.value).__module__.startswith("arczeta.")
+
+
+def test_integral_indices_of_other_types_accepted():
+    """numpy integers and integral floats read as the int they equal."""
+    assert count_arcs(_CUSP, (np.int64(2),), 3) == count_arcs(_CUSP, (2.0,), 3) == 72
+    assert _ONE_VAR.coefficient((np.int64(1),)) == _ONE_VAR.coefficient((1.0,)) == 5
+    assert RationalSeries.term(1, (np.int64(1),)).shifted((-1.0,)).terms[0].shift == (0,)
+    assert Permutation((2.0, np.int64(1))).images == (2, 1)

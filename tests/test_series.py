@@ -521,7 +521,7 @@ class TestTruncatedSeries:
     def test_geometric_factor_needs_nonnegative_degree(self):
         s = TruncatedSeries(2, 3, {(0, 0): Fraction(1)})
         for d in [(0, 0), (1, -1), (-1, 2)]:
-            with pytest.raises(SeriesError, match="geometric factor"):
+            with pytest.raises(SeriesError, match="T-degree > 0|entry below 0"):
                 s.over_binomial(Fraction(1, 2), d)
 
     def test_coefficient_guard(self):
@@ -562,12 +562,12 @@ class TestTruncatedSeries:
     def test_negative_index_rejected(self):
         """A power series has no T^n with some n_i < 0: not as a stored
         coefficient, not as a lookup, not as a binomial's degree."""
-        with pytest.raises(SeriesError, match="negative index"):
+        with pytest.raises(SeriesError, match="entry below 0"):
             TruncatedSeries(1, 2, {(-3,): Fraction(1)})
-        with pytest.raises(SeriesError, match="negative index"):
+        with pytest.raises(SeriesError, match="entry below 0"):
             TruncatedSeries(2, 2, {(2, -1): Fraction(1)})
         s = TruncatedSeries(1, 2, {(0,): Fraction(1)})
-        with pytest.raises(SeriesError, match="negative index"):
+        with pytest.raises(SeriesError, match="entry below 0"):
             s.coefficient((-40,))
-        with pytest.raises(SeriesError, match="binomial factor"):
+        with pytest.raises(SeriesError, match="entry below 0"):
             s.times_binomial(Fraction(1), (-1,))
