@@ -457,6 +457,7 @@ class CountPlan:
         """{n: (leading-one count, any-leading count)} for every target; at
         most os.cpu_count() threads run, and the counts never depend on how
         many."""
+        threads = _integer(threads, ArcError)
         if threads < 1:
             raise ArcError("threads must be >= 1, got %d" % threads)
         if self._dist is None:
@@ -502,8 +503,8 @@ class CountPlan:
     def _levels(self):
         """Per level k >= 1: the t^k coefficients (c); the levels 0..need[k]-1
         they read besides a_k; without their a_k terms (g, all a flat prefix
-        needs); and, per f_i, split at the top level h of those into c0 and
-        the w_j (None where not affine in it), with lone[k][U] true for the
+        needs); per f_i, one table [c0, w_0, ..] split at the top level h of
+        those (None where not affine in it), with lone[k][U] true for the
         open sets U = {f_i} of an affine f_i.  Tables compile on first use."""
         q, r = self.q, self.r
         jets = [arc_value_coefficients(f, self.depth, self.origin, q) for f in self.sys.polys]
@@ -514,8 +515,7 @@ class CountPlan:
                                       for v in mono if v < k * r], default=0))
             self.g.append(_SlotTable([_level_split(jet[k], k, r)[0] for jet in jets]))
             parts = [_level_split(jet[k], max(self.need[k] - 1, 1), r) for jet in jets]
-            self.split.append([p and (_SlotTable(p[:1]), _SlotTable(p[1:]))
-                               for p in parts])
+            self.split.append([p and _SlotTable(p) for p in parts])
             self.lone.append(np.zeros(1 << self.sys.l, dtype=bool))
             self.lone[k][[1 << i for i, p in enumerate(parts) if p is not None]] = True
 
@@ -659,11 +659,10 @@ class CountPlan:
                 if not ends.any():
                     ends = None
             for i in affine if ends is not None else ():
-                c0_table, w_table = self.split[k][i]
                 for Xs, _a, c, o1 in self._expand(tuple(a[ends & (u == 1 << i)]
                                                         for a in rows), h):
-                    c0 = _eval_poly_mod(c0_table, Xs, q)[:, 0]
-                    wnz = _eval_poly_mod(w_table, Xs, q).any(axis=1)
+                    v = _eval_poly_mod(self.split[k][i], Xs, q)
+                    c0, wnz = v[:, 0], v[:, 1:].any(axis=1)
                     c = c + (k + 1) * self._base[i]
                     w = q ** (r * (k - h) + r - 1)
                     _record(rec, k + 1, c[wnz], o1[wnz], w, w * (q - 1))
@@ -800,10 +799,11 @@ def homogeneity_check(sys, q, n, threads=1):
 
 def check_padic(f, p, k_max):
     """Refuse padic_solution_counts(f, p, k_max) before any work, cheapest first:
-    k_max < 0, p^(k_max+1) > 2^31 (by _beyond), _admit, then f = 0 mod p."""
+    k_max < 0, p^k_max > 2^31 (by _beyond; the lifter's largest modulus),
+    _admit, then f = 0 mod p."""
     if k_max < 0:
         raise ArcError("order must be >= 0")
-    if _beyond(p, k_max + 1, 2 ** 31):
+    if _beyond(p, k_max, 2 ** 31):
         raise ArcError("modulus p^%d too large for exact vector arithmetic" % k_max)
     _admit(p, f.nvars, max(map(sum, f.terms), default=0), "p")
     if all(c % p == 0 for c in f.terms.values()):

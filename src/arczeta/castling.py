@@ -133,17 +133,21 @@ def _transfer(Z, c, e, shift=0):
 
 def _numeric_transfer(Z, q, c, e):
     """_ratio(c, e) at L = q on a truncated series Z with Fraction
-    coefficients, by one Z.times_ratio call.  The truncated series form a
-    ring, so the cancelled product gives every Fraction of the uncancelled
-    one.  q = 0 and q = +-1, where the uncancelled ratio divides by zero,
-    are refused."""
+    coefficients: one scale, then one pass per binomial and per geometric
+    factor.  The truncated series form a ring, so the cancelled product
+    gives every Fraction of the uncancelled one.  q = 0 and q = +-1, where
+    the uncancelled ratio divides by zero, are refused."""
     _check_arity(Z, c)
     q = Fraction(q)
     if q in (0, 1, -1):
         raise CastlingError("no numeric transfer at q = %s" % q)
     scalar, top, bottom = _ratio(c, e)
-    return Z.times_ratio(scalar.specialize(q), [q ** -j for j in top],
-                         [q ** -j for j in bottom], c.d)
+    Z = Z.scale(scalar.specialize(q))
+    for j in top:
+        Z = Z.times_binomial(q ** -j, c.d)
+    for j in bottom:
+        Z = Z.over_binomial(q ** -j, c.d)
+    return Z
 
 
 def _check_arity(Z, c):
@@ -155,18 +159,23 @@ def _check_arity(Z, c):
 def localize_by_degree(Z, c, side):
     """Lemma-style passage from the global series to the series of the germ:
     Z_{f,0} = L^(-m r) T^(r d) Z_f for the partner on side 1 or 2."""
-    r = c.r1 if side == 1 else c.r2
-    out = Z * RationalMotive(LaurentMotive({-c.m * r: 1}))
-    return out.shifted(mi_scale(r, c.d))
+    return _by_degree(Z, c, side, 1)
 
 
 def globalize_by_degree(Z0, c, side):
     """Inverse of localize_by_degree; errors if the series does not actually
     vanish to the required order."""
-    r = c.r1 if side == 1 else c.r2
-    out = Z0 * RationalMotive(LaurentMotive({c.m * r: 1}))
+    return _by_degree(Z0, c, side, -1)
+
+
+def _by_degree(Z, c, side, s):
+    """L^(-s m r) T^(s r d) Z with r = r_side (s = +-1); a side other than 1
+    or 2, or a term pushed out of the series ring, is a CastlingError."""
+    r = {1: c.r1, 2: c.r2}.get(side)
+    if r is None:
+        raise CastlingError("side must be 1 or 2, got %r" % (side,))
     try:
-        return out.shifted(mi_scale(-r, c.d))
+        return Z.scale(LaurentMotive({-s * c.m * r: 1})).shifted(mi_scale(s * r, c.d))
     except ValueError as exc:
         raise CastlingError("degree bookkeeping failed: %s" % exc) from exc
 

@@ -74,9 +74,11 @@ def _multi_index(text):
 
 
 def _series_input(args, nvars):
-    if getattr(args, "series", None):
+    if args.series and args.datum:
+        raise ArcError("give --series or --datum, not both")
+    if args.series:
         return RationalSeries.parse(args.series, nvars)
-    if getattr(args, "datum", None):
+    if args.datum:
         return zeta_from_resolution(ResolutionDatum.load(args.datum))
     raise ArcError("need --series or --datum")
 
@@ -118,6 +120,8 @@ def _cmd_zeta_count(args, t0):
 
 
 def _cmd_zeta_resolution(args, t0):
+    if args.q is not None and args.expand is None:
+        raise ArcError("--q specializes an expansion: give --expand with it")
     datum = ResolutionDatum.load(args.datum)
     series = zeta_from_resolution(datum)
     payload = {"series": str(series), "valid_q": datum.valid_q}

@@ -118,14 +118,7 @@ class LaurentMotive(_Frozen):
     def __pow__(self, n):
         if n < 0:
             raise LaurentError("negative powers leave the Laurent ring; use RationalMotive")
-        out = LaurentMotive.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, LaurentMotive.one(), LaurentMotive.__mul__)
 
     def __eq__(self, other):
         try:
@@ -179,10 +172,25 @@ def _coerce(x):
     raise TypeError("cannot coerce %r to LaurentMotive" % (x,))
 
 
+def _power(x, n, one, mul):
+    """x^n for an int n >= 0 by square-and-multiply from one with mul; x is
+    squared only while a higher bit of n is left."""
+    out = one
+    while n:
+        if n & 1:
+            out = mul(out, x)
+        n >>= 1
+        if n:
+            x = mul(x, x)
+    return out
+
+
 def _integer(x, error):
-    """x as an int; error unless x has an integer value (not 0.5, "1", None)."""
+    """x as an int; error unless x has an integer value and is no truth value
+    (not 0.5, "1", None, True, or numpy's True_: its dtype kind is "b")."""
+    truth = isinstance(x, bool) or getattr(getattr(x, "dtype", None), "kind", "") == "b"
     try:
-        if (i := int(x)) == x:
+        if (i := int(x)) == x and not truth:
             return i
     except (TypeError, ValueError, OverflowError):
         pass
@@ -521,8 +529,6 @@ def z_w_class(w, r):
     for i in range(1, r + 1):
         wi = w(i)
         m_i = sum(1 for k in range(1, wi) if k not in seen)
-        if m_i > r - 1:
-            raise AssertionError("m_i=%d exceeds r-1 for w=%r" % (m_i, w))
         exp += r - 1 - m_i
         seen.add(wi)
     torus = LaurentMotive({1: 1, 0: -1}) ** (r - 1)

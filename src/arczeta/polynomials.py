@@ -10,7 +10,8 @@ from __future__ import annotations
 import re
 from operator import add
 
-from .motive import _Frozen, _check_digits, _integer, _monomial_text, _signed_text
+from .motive import (_Frozen, _check_digits, _index, _integer, _monomial_text, _power,
+                     _signed_text)
 
 
 class PolyError(ValueError):
@@ -29,11 +30,7 @@ class Poly(_Frozen):
         clean = {}
         if terms:
             for mono, c in dict(terms).items():
-                mono = tuple(_integer(e, PolyError) for e in mono)
-                if len(mono) != nvars:
-                    raise PolyError("monomial %r has wrong arity" % (mono,))
-                if any(e < 0 for e in mono):
-                    raise PolyError("negative exponent in %r" % (mono,))
+                mono = _index(mono, nvars, PolyError)
                 c = _integer(c, PolyError)
                 if c:
                     clean[mono] = c
@@ -91,7 +88,7 @@ class Poly(_Frozen):
     def __pow__(self, n):
         if n < 0:
             raise PolyError("negative power")
-        return Poly(self.nvars, _pow(self.terms, n, self.nvars))
+        return Poly(self.nvars, _power(self.terms, n, {(0,) * self.nvars: 1}, _mul))
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -210,17 +207,6 @@ def _mul(a, b):
     return {m: c for m, c in out.items() if c}
 
 
-def _pow(a, n, nvars):
-    out = {(0,) * nvars: 1}
-    while n:
-        if n & 1:
-            out = _mul(out, a)
-        n >>= 1
-        if n:
-            a = _mul(a, a)
-    return out
-
-
 # Recursive descent over a token list: * binds tighter than + and -, ^
 # tighter than *, and only integer exponents are allowed.  Each rule takes
 # the index of its first token and returns (term dict, index after it).
@@ -255,7 +241,7 @@ def _product(toks, i, nvars):
                 raise PolyError("unexpected end of expression")
             if exp[0] == "x" or exp in _OPS:
                 raise PolyError("exponent must be a nonnegative integer")
-            base = _pow(base, int(exp), nvars)
+            base = _power(base, int(exp), {(0,) * nvars: 1}, _mul)
             i += 2
         out = base if out is None else _mul(out, base)
         tok = toks[i]

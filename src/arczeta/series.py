@@ -46,9 +46,6 @@ def mi_add(a, b):
 def mi_scale(k, a):
     return tuple(k * x for x in a)
 
-def mi_total(a):
-    return sum(a)
-
 
 @dataclass(frozen=True)
 class SeriesFactor:
@@ -158,7 +155,7 @@ class RationalSeries(_Frozen):
         order below 0 reaches no term and is refused by TruncatedSeries."""
         live, classes = [], {}
         for pos, t in enumerate(self.terms):
-            if mi_total(t.shift) <= order:
+            if sum(t.shift) <= order:
                 key, c, k = _denominator_class(t.coeff.den)
                 classes[key] = lcm(classes.get(key, 1), c)
                 live.append((pos, t, key, c, k))
@@ -245,10 +242,10 @@ def _divide(rows, f, order):
     in place, up to |n| <= order: in ascending |n|, each row adds its
     numerator times L^-nu to the row at n + N and passes on its position
     if that is earlier."""
-    step = mi_total(f.N)
+    step = sum(f.N)
     levels = [[] for _ in range(order + 1)]
     for n in rows:
-        levels[mi_total(n)].append(n)
+        levels[sum(n)].append(n)
     for total in range(order + 1 - step):
         for n in levels[total]:
             pos, num = rows[n]
@@ -327,7 +324,7 @@ class TruncatedSeries:
         if coeffs:
             for n, c in coeffs.items():
                 n = _index(n, self.nvars, SeriesError)
-                if mi_total(n) > self.order:
+                if sum(n) > self.order:
                     raise SeriesError("index %r beyond order %d" % (n, self.order))
                 if c:
                     self.coeffs[n] = c
@@ -337,20 +334,16 @@ class TruncatedSeries:
 
     def coefficient(self, n):
         n = _index(n, self.nvars, SeriesError)
-        if mi_total(n) > self.order:
+        if sum(n) > self.order:
             raise SeriesError("coefficient %r beyond truncation order %d" % (n, self.order))
         return self.coeffs.get(n, self.zero)
 
     def __add__(self, other):
         self._check(other)
         order = min(self.order, other.order)
-        out = {}
-        for n, c in self.coeffs.items():
-            if mi_total(n) <= order:
-                out[n] = c
-        for n, c in other.coeffs.items():
-            if mi_total(n) <= order:
-                out[n] = out[n] + c if n in out else c
+        out = _cut(self.coeffs, order)
+        for n, c in _cut(other.coeffs, order).items():
+            out[n] = out[n] + c if n in out else c
         return TruncatedSeries(self.nvars, order, out, self.zero)
 
     def __sub__(self, other):
@@ -361,11 +354,11 @@ class TruncatedSeries:
         order = min(self.order, other.order)
         out = {}
         for n1, c1 in self.coeffs.items():
-            if mi_total(n1) > order:
+            if sum(n1) > order:
                 continue
             for n2, c2 in other.coeffs.items():
                 n = mi_add(n1, n2)
-                if mi_total(n) > order:
+                if sum(n) > order:
                     continue
                 v = c1 * c2
                 out[n] = out[n] + v if n in out else v
@@ -381,7 +374,7 @@ class TruncatedSeries:
         out = dict(self.coeffs)
         for n, v in self.coeffs.items():
             k = mi_add(n, d)
-            if mi_total(k) > self.order:
+            if sum(k) > self.order:
                 continue
             w = -(v * c)
             out[k] = out[k] + w if k in out else w
@@ -393,10 +386,10 @@ class TruncatedSeries:
         d = _index(d, self.nvars, SeriesError)
         if not any(d):
             raise SeriesError("geometric factor needs T-degree > 0")
-        step = mi_total(d)
+        step = sum(d)
         out = {}
         for n, v in self.coeffs.items():
-            total = mi_total(n)
+            total = sum(n)
             while True:
                 out[n] = out[n] + v if n in out else v
                 total += step
@@ -404,16 +397,6 @@ class TruncatedSeries:
                     break
                 n, v = mi_add(n, d), v * c
         return TruncatedSeries(self.nvars, self.order, out, self.zero)
-
-    def times_ratio(self, c, top, bottom, d):
-        """Multiply by c prod_{x in top}(1 - x T^d) / prod_{x in bottom}(1 - x T^d),
-        one pass per factor."""
-        out = self.scale(c)
-        for x in top:
-            out = out.times_binomial(x, d)
-        for x in bottom:
-            out = out.over_binomial(x, d)
-        return out
 
     def specialize(self, q):
         out = {}
@@ -439,7 +422,7 @@ class TruncatedSeries:
 
 
 def _cut(coeffs, order):
-    return {n: c for n, c in coeffs.items() if mi_total(n) <= order}
+    return {n: c for n, c in coeffs.items() if sum(n) <= order}
 
 
 def _zero_like(c):

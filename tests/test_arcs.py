@@ -973,6 +973,22 @@ def test_igusa_matches_closed_form_at_depth(name, p, order):
             == [want[(n,)] for n in range(order + 1)])
 
 
+@pytest.mark.parametrize("name, p, order", [
+    ("det2", 2, 30), ("det2", 3, 18), ("det2", 7, 10), ("quadric", 3, 18),
+    ("quadric", 5, 12), ("quadric", 7, 10)])
+def test_lifter_admits_every_modulus_up_to_2_31(name, p, order):
+    """igusa_coeffs lifts to order + 1, and the lifter forms no modulus
+    above p^(order + 1): the largest order with p^(order + 1) <= 2^31 is
+    admitted and exact, and the next one is refused."""
+    f = parse_poly(CLOSED_FORM_POLYS[name])
+    series = igusa_coeffs(f, p, order)
+    want = closed_form(name, p, order)
+    assert ([series.coefficient((n,)) for n in range(order + 1)]
+            == [want[(n,)] for n in range(order + 1)])
+    with pytest.raises(ArcError, match="modulus p\\^%d too large" % (order + 2)):
+        igusa_coeffs(f, p, order + 1)
+
+
 @pytest.mark.parametrize("name, q, order", [
     ("det2", 2, 8), ("det2", 3, 6), ("quadric", 3, 6), ("g", 3, 3),
     ("torus", 2, 7), ("torus", 3, 4)])
@@ -1181,6 +1197,16 @@ def test_threads_below_one_are_refused():
     for threads in (0, -1):
         with pytest.raises(ArcError, match="threads must be >= 1"):
             plan.counts(threads)
+
+
+@pytest.mark.parametrize("threads", ["2", 1.5, True, None])
+def test_threads_are_read_as_an_integer(threads):
+    """A thread count is an integer: "2" is no TypeError and 1.5 no count."""
+    sys = PolySystem([parse_poly("x1^2 - x2^3")])
+    with pytest.raises(ArcError, match="is not an integer"):
+        count_arcs(sys, (2,), 3, threads=threads)
+    assert (count_arcs(sys, (2,), 3, threads=np.int64(2))
+            == count_arcs(sys, (2,), 3, threads=2.0) == count_arcs(sys, (2,), 3))
 
 
 def test_threads_are_capped_at_the_cpu_count(monkeypatch):

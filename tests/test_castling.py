@@ -100,6 +100,22 @@ class TestSeriesOperators:
         with pytest.raises(CastlingError, match="degree bookkeeping failed"):
             globalize_by_degree(RationalSeries.parse("(1)", 1), QUADRIC, 1)
 
+    def test_degree_lemma_reads_each_side(self):
+        """Side 1 moves by r1 = 1, side 2 by r2 = 2: L^(-m r) T^(r d)."""
+        Z = quadric_germ_zeta()
+        for side, r in ((1, 1), (2, 2)):
+            want = Z.scale(LaurentMotive({-3 * r: 1})).shifted((2 * r,))
+            assert series_equal(localize_by_degree(Z, QUADRIC, side), want, 10)
+            assert series_equal(globalize_by_degree(want, QUADRIC, side), Z, 8)
+
+    @pytest.mark.parametrize("side", [0, 3, "2"])
+    def test_degree_lemma_refuses_any_other_side(self, side):
+        """A side is 1 or 2; any other used to be read as side 2."""
+        Z = quadric_germ_zeta().shifted((4,))
+        for lemma in (localize_by_degree, globalize_by_degree):
+            with pytest.raises(CastlingError, match="side must be 1 or 2, got %r" % (side,)):
+                lemma(Z, QUADRIC, side)
+
     @pytest.mark.parametrize("load", [castling_fixture, resolution_fixture])
     def test_unknown_fixture_refused(self, load):
         with pytest.raises(KeyError, match="unknown .* fixture 'nope'"):

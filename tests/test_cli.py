@@ -579,6 +579,8 @@ _E1 = {"id": "E1", "N": 1, "nu": 1}
      "data.d needs type list, got 2"),
     ("castle-zeta", {"m": 3.5, "r1": 1, "r2": 2, "l": 1, "d": [2]},
      "data.m needs type int, got 3.5"),
+    ("castle-zeta", {"m": 3, "r1": True, "r2": 2, "l": 1, "d": [2]},
+     "data.r1 needs type int, got True"),
     ("zeta-resolution", [], "data needs type dict, got []"),
     ("zeta-resolution", {"components": {"id": "E1"}, "strata": []},
      "data.components needs type list, got {'id': 'E1'}"),
@@ -596,7 +598,8 @@ _E1 = {"id": "E1", "N": 1, "nu": 1}
     ("zeta-resolution", {"components": [dict(_E1, N=1.5)],
                          "strata": [{"I": ["E1"], "class": "1"}]},
      "data.components[0].N needs type int, got 1.5"),
-], ids=["castling-list", "castling-null", "castling-d-int", "castling-m-3.5", "datum-list",
+], ids=["castling-list", "castling-null", "castling-d-int", "castling-m-3.5",
+        "castling-r1-true", "datum-list",
         "components-object", "class-int", "spectrum-int", "id-list", "I-text", "nu-missing",
         "N-1.5"])
 def test_malformed_data_files_exit_two_naming_the_field(capsys, tmp_path, command, data,
@@ -621,7 +624,14 @@ def test_malformed_data_files_exit_two_naming_the_field(capsys, tmp_path, comman
      "need --fixture alone, or --castling with --polys1/--polys2"),
     (("verify", "--fixture", "torus-m3", "--polys1", "x1", "--q", "2", "--order", "2"),
      "need --fixture alone, or --castling with --polys1/--polys2"),
+    (("castle-zeta", "--castling", QUADRIC_M3, "--series", "(1) * T1 / ((1 - L^-1 * T1))",
+      "--datum", X1_DATUM), "give --series or --datum, not both"),
+    (("castle-local", "--castling", QUADRIC_M3, "--series", "(1) * T1 / ((1 - L^-1 * T1))",
+      "--datum", X1_DATUM), "give --series or --datum, not both"),
+    (("zeta-resolution", "--datum", X1_DATUM, "--q", "3"),
+     "--q specializes an expansion: give --expand with it"),
 ])
 def test_conflicting_inputs_are_refused(capsys, argv, message):
-    """Two inputs for one role are refused, not one of them ignored."""
+    """Two inputs for one role are refused, not one of them ignored, and so
+    is an input that nothing would read."""
     assert run(capsys, *argv) == (2, "", "error: %s\n" % message)

@@ -3,18 +3,20 @@
 import copy
 import math
 import pickle
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from arczeta import (CastlingDatum, CountPlan, LaurentError, LaurentMotive, Permutation,
-                     PolySystem, RationalMotive, RationalSeries, ResolutionDatum, Spectrum,
-                     TruncatedSeries, count_arcs, count_stratum, fibration_factor,
-                     parse_laurent, parse_poly, parse_system, partition_weight_sum,
-                     sl_class, z_w_class)
-from arczeta.motive import _binomials, _denominator_class, _Frozen, compositions
+from arczeta import (CastlingDatum, CastlingError, CountPlan, LaurentError, LaurentMotive,
+                     Permutation, Poly, PolyError, PolySystem, RationalMotive,
+                     RationalSeries, ResolutionDatum, ResolutionError, SeriesError,
+                     Spectrum, TruncatedSeries, count_arcs, count_stratum,
+                     fibration_factor, parse_laurent, parse_poly, parse_system,
+                     partition_weight_sum, sl_class, z_w_class)
+from arczeta.motive import _binomials, _denominator_class, _Frozen, _power, compositions
 
 L = LaurentMotive.L()
 ONE = LaurentMotive.one()
@@ -38,6 +40,20 @@ class TestLaurentMotive:
         assert (L - 1) ** 3 == L ** 3 - 3 * L ** 2 + 3 * L - 1
         with pytest.raises(LaurentError):
             (L - 1) ** -1
+
+    def test_power_squares_only_below_the_top_bit(self):
+        """One square-and-multiply for every ring: bit_length - 1 squarings
+        and one product per set bit, none past the top bit."""
+        calls = []
+
+        def mul(a, b):
+            calls.append(b)
+            return a * b
+        for n in range(70):
+            calls.clear()
+            assert _power(3, n, 1, mul) == 3 ** n
+            assert len(calls) == max(n.bit_length() - 1, 0) + n.bit_count()
+        assert (L - 1) ** 7 == _power(L - 1, 7, ONE, lambda a, b: a * b)
 
     def test_specialize_values(self):
         m = L ** 2 - L + LaurentMotive({-1: 3})
@@ -351,11 +367,16 @@ _ONE_VAR = TruncatedSeries(1, 3, {(1,): Fraction(5)})
     lambda: ResolutionDatum.from_json({"components": [{"id": "E", "N": 1.5, "nu": 1}],
                                        "strata": [{"I": ["E"], "class": "1"}]}),
     lambda: Permutation((1.5, 2)),
+    lambda: LaurentMotive({0: True}),
+    lambda: LaurentMotive({np.True_: 1}),
+    lambda: RationalSeries.term(1, (np.False_,)),
 ], ids=["count_arcs", "count_stratum", "plan-count", "coefficient", "coefficient-length",
-        "times_binomial", "shifted", "castling-m", "resolution-N", "permutation"])
+        "times_binomial", "shifted", "castling-m", "resolution-N", "permutation",
+        "laurent-true", "laurent-numpy-true", "shift-numpy-false"])
 def test_a_non_integer_index_or_field_is_refused_not_truncated(build):
     """Every multi-index and data field is read by motive._index/_integer:
-    2.5 is an input error (the package's ValueError subclass), never 2."""
+    2.5 is an input error (the package's ValueError subclass), never 2, and
+    a truth value (True, numpy's True_) is never read as 1."""
     with pytest.raises(ValueError) as info:
         build()
     assert type(info.value) is not ValueError
@@ -368,3 +389,30 @@ def test_integral_indices_of_other_types_accepted():
     assert _ONE_VAR.coefficient((np.int64(1),)) == _ONE_VAR.coefficient((1.0,)) == 5
     assert RationalSeries.term(1, (np.int64(1),)).shifted((-1.0,)).terms[0].shift == (0,)
     assert Permutation((2.0, np.int64(1))).images == (2, 1)
+
+
+_FIELD = {"components": [{"id": "E", "N": 1, "nu": 1}], "strata": [{"I": ["E"], "class": "1"}]}
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: CastlingDatum(2, 1, 1, 0, ()), CastlingError, "need at least one invariant"),
+    (lambda: Poly(0, {}), PolyError, "need at least one variable"),
+    (lambda: Poly.var(2, 1) ** -1, PolyError, "negative power"),
+    (lambda: Poly.var(2, 1).evaluate([1]), PolyError, "expected 2 values, got 1"),
+    (lambda: ResolutionDatum.from_json(_FIELD).component("F"), ResolutionError,
+     "no component 'F'"),
+    (lambda: RationalSeries(2, RationalSeries.term(1, (1,)).terms), SeriesError,
+     "term has 1 variables, series has 2"),
+    (lambda: RationalSeries.term(1, (1,)) + RationalSeries.term(1, (1, 0)), SeriesError,
+     "variable count mismatch"),
+    (lambda: RationalSeries.term(1, (1,)) * RationalSeries.term(1, (1, 0)), SeriesError,
+     "variable count mismatch"),
+    (lambda: _ONE_VAR + 1, SeriesError, "incompatible truncated series"),
+    (lambda: Spectrum.one() + 0.5, TypeError, "cannot coerce 0.5 to Spectrum"),
+], ids=["castling-l-0", "poly-0-vars", "poly-negative-power", "evaluate-arity",
+        "unknown-component", "series-term-arity", "series-sum-arity", "series-product-arity",
+        "truncated-operand", "spectrum-coercion"])
+def test_malformed_library_inputs_are_refused(build, error, message):
+    """Refusals that no command reaches: each names what is wrong."""
+    with pytest.raises(error, match="^%s$" % re.escape(message)):
+        build()

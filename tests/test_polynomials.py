@@ -45,8 +45,8 @@ class TestPoly:
             Poly(1, terms)
 
     @pytest.mark.parametrize("build,message", [
-        (lambda: Poly(2, {(1,): 1}), "wrong arity"),
-        (lambda: Poly(1, {(-1,): 1}), "negative exponent"),
+        (lambda: Poly(2, {(1,): 1}), "length mismatch"),
+        (lambda: Poly(1, {(-1,): 1}), "entry below 0"),
         (lambda: Poly.var(2, 3), "out of range 1..2"),
     ])
     def test_malformed_terms_and_variables_refused(self, build, message):
