@@ -176,23 +176,6 @@ class ArcConstraint:
 # a_{1,1} is (0, 0, r + 1)); a polynomial is a dict monomial -> coefficient.
 
 
-def _monomials(poly):
-    """The terms of a Poly in monomial form (variable x_(j+1) has id j)."""
-    return {tuple(j for j, e in enumerate(mono) for _ in range(e)): c
-            for mono, c in poly.terms.items()}
-
-
-def _partial(terms, j):
-    """d/dx_j of a polynomial in monomial form."""
-    out = {}
-    for mono, c in terms.items():
-        e = mono.count(j)
-        if e:
-            i = mono.index(j)
-            out[mono[:i] + mono[i + 1:]] = c * e
-    return out
-
-
 def _level_multisets(e, lo, maxdeg, mod=None):
     """The terms of x(t)^e = (sum_{k>=lo} a_k t^k)^e up to t^maxdeg, each
     once: (degree, levels, multinomial coefficient) for every nondecreasing
@@ -487,7 +470,8 @@ class CountPlan:
     # -- the sweep --------------------------------------------------------
 
     def _prepare(self):
-        """The starts, the level digits and the level-0 values."""
+        """The starts, the level digits and the level-0 values; the jets of
+        each f_i to t^1 are kept for the start Jacobian."""
         q, r = self.q, self.r
         self.dtype = np.int8 if q <= 127 else np.int64
         self.digits = _residue_grid(q, r, self.dtype)
@@ -497,8 +481,8 @@ class CountPlan:
             start = start[_full_row_rank(
                 start.reshape(-1, m, r_mat).transpose(0, 2, 1), q)]
         self.start = start
-        return _eval_poly_mod(_SlotTable([arc_value_coefficients(f, 0, self.origin, q)[0]
-                                          for f in self.sys.polys]), start, q)
+        self.jets = [arc_value_coefficients(f, 1, self.origin, q) for f in self.sys.polys]
+        return _eval_poly_mod(_SlotTable([jet[0] for jet in self.jets]), start, q)
 
     def _levels(self):
         """Per level k >= 1: the t^k coefficients (c); the levels 0..need[k]-1
@@ -592,13 +576,13 @@ class CountPlan:
     def _start_bits(self, codes):
         """Bit i of nz[a_0] says grad f_i(a_0) != 0 mod q; full[U][a_0] says
         J_U(a_0) has rank |U| mod q, for each U in ranked within the start's
-        level-0 open set (open sets only shrink along a path).  The Jacobian
-        is evaluated at live starts with U(a_0) nonempty only, in _batches of
-        l r cells a start, and the J_U of one size |U| go through one
+        level-0 open set (open sets only shrink along a path).  J(a_0) is
+        read off the t^1 coefficients grad f_i(a_0).a_1 of the jets and
+        evaluated at live starts with U(a_0) nonempty only, in _batches of
+        l r cells a start; the J_U of one size |U| go through one
         elimination."""
         q, r, l = self.q, self.r, self.sys.l
-        jac = _SlotTable([_partial(f, j) for f in map(_monomials, self.sys.polys)
-                          for j in range(r)])
+        jac = _SlotTable([w for jet in self.jets for w in _level_split(jet[1], 1, r)[1:]])
         us, sizes = np.array(sorted(self.ranked), dtype=np.int64), {}
         for i, u in enumerate(us.tolist()):  # |U| -> [(index of U, the f_i in U)]
             sizes.setdefault(u.bit_count(), []).append((i, [j for j in range(l)
@@ -825,8 +809,8 @@ def padic_solution_counts(f, p, k_max):
     check_padic(f, p, k_max)
     m = f.nvars
     grid = _residue_grid(p, m)
-    terms = _monomials(f)
-    values, grads = _SlotTable([terms]), _SlotTable([_partial(terms, i) for i in range(m)])
+    jet = arc_value_coefficients(f, 1, False)  # f(a_0) and grad f(a_0).a_1
+    values, grads = _SlotTable([jet[0]]), _SlotTable(_level_split(jet[1], 1, m)[1:])
     A = [0] * (k_max + 1)
     base, d = np.zeros((1, m), dtype=np.int64), 0
     while len(base):

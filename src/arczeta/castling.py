@@ -185,9 +185,8 @@ def castle_milnor(S1, c):
     prod_{j<=r2}(1 - L^j) / prod_{j<=r1}(1 - L^j), the factors of _remaining
     only; the optional spectrum channel does the same with t for L and must
     divide exactly."""
+    check_pair(c, transfer="Milnor fiber")
     counting, spectrum = S1 if isinstance(S1, tuple) else (S1, None)
-    if not isinstance(counting, RationalMotive):
-        counting = RationalMotive(counting)
     lo, hi, up = _remaining(c)
     extra = RationalMotive(_binomials(lo, hi))
     counting = counting * extra if up else counting / extra
@@ -203,6 +202,7 @@ def castle_spectrum(h1, c):
     """Transfer of the Hodge spectrum at the origin: the displayed identity
     (1 + (-1)^(m r - 1) h) / prod_{j<=r}(1 - t^j) is equal on both sides; an
     inexact division means h1 is not the spectrum of a genuine partner."""
+    check_pair(c, transfer="spectrum")
     s1 = -1 if (c.m * c.r1 - 1) % 2 else 1
     s2 = -1 if (c.m * c.r2 - 1) % 2 else 1
     try:

@@ -35,7 +35,60 @@ class _Frozen:
             object.__setattr__(self, name, value)
 
 
-class LaurentMotive(_Frozen):
+class _Ring:
+    """Base of LaurentMotive, RationalMotive, Spectrum and Poly: one body for
+    the derived operators, operand rule and hash.  A type gives _lift (its
+    own values and ints, not truth values, as values; else None), _add,
+    _mul, __neg__, _eq, is_zero, _key (a constant's is its int, so equal
+    values hash equal, ints included) and _error.  An operand _lift refuses
+    returns NotImplemented, so Python raises its own TypeError naming the
+    operator."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        other = self._lift(other)
+        return NotImplemented if other is None else self._add(other)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = self._lift(other)
+        return NotImplemented if other is None else self._add(-other)
+
+    def __rsub__(self, other):
+        other = self._lift(other)
+        return NotImplemented if other is None else other._add(-self)
+
+    def __mul__(self, other):
+        other = self._lift(other)
+        return NotImplemented if other is None else self._mul(other)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        other = self._lift(other)
+        return NotImplemented if other is None else self._eq(other)
+
+    def __pow__(self, n):
+        n = _integer(n, self._error)
+        if n < 0:
+            raise self._error("negative powers of %s are refused" % type(self).__name__)
+        return _power(self, n, self._lift(1), type(self)._mul)
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __bool__(self):
+        return not self.is_zero()
+
+    # perfbench/tracing.py wraps the operators in a class's own namespace, so
+    # LaurentMotive, RationalMotive and Spectrum bind these there, and __hash__
+    # too: a class body that assigns __eq__ drops an inherited hash.
+    _ops = (__add__, __radd__, __sub__, __rsub__, __mul__, __rmul__, __eq__, __pow__)
+
+
+class LaurentMotive(_Ring, _Frozen):
     """Laurent polynomial in L with integer coefficients, canonical form.
 
     Stored as a mapping exponent -> nonzero coefficient.  Instances are
@@ -43,6 +96,7 @@ class LaurentMotive(_Frozen):
     """
 
     __slots__ = ("terms",)
+    _error = LaurentError
 
     def __init__(self, terms=None):
         clean = {}
@@ -80,32 +134,25 @@ class LaurentMotive(_Frozen):
 
     # -- ring structure ----------------------------------------------------
 
-    def __add__(self, other):
-        try:
-            other = _coerce(other)
-        except TypeError:
-            return NotImplemented  # a RationalMotive's reflected method takes it
+    __add__, __radd__, __sub__, __rsub__, __mul__, __rmul__, __eq__, __pow__ = _Ring._ops
+    __hash__ = _Ring.__hash__
+
+    @staticmethod
+    def _lift(x):
+        if isinstance(x, LaurentMotive):
+            return x
+        return LaurentMotive._of({0: x}) if type(x) is int else None
+
+    def _add(self, other):
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = out.get(e, 0) + c
         return LaurentMotive._of(out)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return LaurentMotive._of({e: -c for e, c in self.terms.items()})
 
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return _coerce(other) + (-self)
-
-    def __mul__(self, other):
-        try:
-            other = _coerce(other)
-        except TypeError:
-            return NotImplemented
+    def _mul(self, other):
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -113,25 +160,12 @@ class LaurentMotive(_Frozen):
                 out[e] = out.get(e, 0) + c1 * c2
         return LaurentMotive._of(out)
 
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        if n < 0:
-            raise LaurentError("negative powers leave the Laurent ring; use RationalMotive")
-        return _power(self, n, LaurentMotive.one(), LaurentMotive.__mul__)
-
-    def __eq__(self, other):
-        try:
-            other = _coerce(other)
-        except TypeError:
-            return NotImplemented
+    def _eq(self, other):
         return self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __bool__(self):
-        return bool(self.terms)
+    def _key(self):
+        terms = self.terms
+        return terms.get(0, 0) if terms.keys() <= {0} else frozenset(terms.items())
 
     # -- queries -----------------------------------------------------------
 
@@ -165,11 +199,10 @@ class LaurentMotive(_Frozen):
 
 
 def _coerce(x):
-    if isinstance(x, LaurentMotive):
-        return x
-    if isinstance(x, int):
-        return LaurentMotive._of({0: x})
-    raise TypeError("cannot coerce %r to LaurentMotive" % (x,))
+    out = LaurentMotive._lift(x)
+    if out is None:
+        raise TypeError("cannot coerce %r to LaurentMotive" % (x,))
+    return out
 
 
 def _power(x, n, one, mul):
@@ -309,7 +342,7 @@ def parse_laurent(text):
                                           "Laurent", LaurentError))
 
 
-class RationalMotive(_Frozen):
+class RationalMotive(_Ring, _Frozen):
     """Quotient of Laurent polynomials in L.
 
     Equality is decided by cross-multiplication; no factorization is ever
@@ -321,6 +354,7 @@ class RationalMotive(_Frozen):
     """
 
     __slots__ = ("num", "den")
+    _error = LaurentError
 
     def __init__(self, num, den=None):
         num = _coerce(num)
@@ -339,8 +373,17 @@ class RationalMotive(_Frozen):
     def one(cls):
         return cls(LaurentMotive.one())
 
-    def __add__(self, other):
-        other = _coerce_rm(other)
+    __add__, __radd__, __sub__, __rsub__, __mul__, __rmul__, __eq__, __pow__ = _Ring._ops
+    # a quotient is never factored, so it has no canonical form to hash
+    __hash__ = None
+
+    @staticmethod
+    def _lift(x):
+        if isinstance(x, RationalMotive):
+            return x
+        return RationalMotive(x) if type(x) is int or isinstance(x, LaurentMotive) else None
+
+    def _add(self, other):
         key, ca, ea = _denominator_class(self.den)
         other_key, cb, eb = _denominator_class(other.den)
         if key != other_key:
@@ -352,46 +395,26 @@ class RationalMotive(_Frozen):
         num = self.num.shift(eb) * (c // ca) + other.num.shift(ea) * (c // cb)
         return RationalMotive(num, LaurentMotive._of({e + ea + eb: c * v for e, v in key}))
 
-    __radd__ = __add__
-
     def __neg__(self):
         return RationalMotive(-self.num, self.den)
 
-    def __sub__(self, other):
-        return self + (-_coerce_rm(other))
-
-    def __rsub__(self, other):
-        return _coerce_rm(other) + (-self)
-
-    def __mul__(self, other):
-        other = _coerce_rm(other)
+    def _mul(self, other):
         return RationalMotive(self.num * other.num, self.den * other.den)
 
-    __rmul__ = __mul__
-
     def __truediv__(self, other):
-        other = _coerce_rm(other)
+        other = self._lift(other)
+        if other is None:
+            return NotImplemented
         if other.num.is_zero():
             raise LaurentError("division by zero")
         return RationalMotive(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other):
-        return _coerce_rm(other) / self
+        other = self._lift(other)
+        return NotImplemented if other is None else other / self
 
-    def __eq__(self, other):
-        try:
-            other = _coerce_rm(other)
-        except TypeError:
-            return NotImplemented
+    def _eq(self, other):
         return self.num * other.den == other.num * self.den
-
-    def __hash__(self):
-        # Hash only the zero/nonzero distinction cheaply; full canonical
-        # hashing would require factorization.
-        return hash(self.num.is_zero())
-
-    def __bool__(self):
-        return not self.num.is_zero()
 
     def is_zero(self):
         return self.num.is_zero()
@@ -417,12 +440,6 @@ class RationalMotive(_Frozen):
 
     def __repr__(self):
         return "RationalMotive(%r, %r)" % (self.num.terms, self.den.terms)
-
-
-def _coerce_rm(x):
-    if isinstance(x, RationalMotive):
-        return x
-    return RationalMotive(_coerce(x))
 
 
 def _denominator_class(den):

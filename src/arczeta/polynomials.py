@@ -11,17 +11,18 @@ import re
 from operator import add
 
 from .motive import (_Frozen, _check_digits, _index, _integer, _monomial_text, _power,
-                     _signed_text)
+                     _Ring, _signed_text)
 
 
 class PolyError(ValueError):
     pass
 
 
-class Poly(_Frozen):
+class Poly(_Ring, _Frozen):
     """Multivariate integer polynomial, stored as exponent tuple -> coefficient."""
 
     __slots__ = ("nvars", "terms")
+    _error = PolyError
 
     def __init__(self, nvars, terms=None):
         nvars = _integer(nvars, PolyError)
@@ -59,49 +60,31 @@ class Poly(_Frozen):
         mono = tuple(1 if j == i - 1 else 0 for j in range(nvars))
         return cls(nvars, {mono: 1})
 
-    def _check(self, other):
-        if isinstance(other, int):
-            other = Poly.const(self.nvars, other)
-        if not isinstance(other, Poly) or other.nvars != self.nvars:
+    def _lift(self, x):
+        if type(x) is int:
+            return Poly._of(self.nvars, {(0,) * self.nvars: x} if x else {})
+        return x if isinstance(x, Poly) else None
+
+    def _add(self, other):
+        if other.nvars != self.nvars:
             raise PolyError("arity mismatch")
-        return other
-
-    def __add__(self, other):
-        return Poly(self.nvars, _add(self.terms, self._check(other).terms))
-
-    __radd__ = __add__
+        return Poly._of(self.nvars, _add(self.terms, other.terms))
 
     def __neg__(self):
-        return Poly(self.nvars, {m: -c for m, c in self.terms.items()})
+        return Poly._of(self.nvars, {m: -c for m, c in self.terms.items()})
 
-    def __sub__(self, other):
-        return self + (-self._check(other))
+    def _mul(self, other):
+        if other.nvars != self.nvars:
+            raise PolyError("arity mismatch")
+        return Poly._of(self.nvars, _mul(self.terms, other.terms))
 
-    def __rsub__(self, other):
-        return self._check(other) + (-self)
-
-    def __mul__(self, other):
-        return Poly(self.nvars, _mul(self.terms, self._check(other).terms))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        if n < 0:
-            raise PolyError("negative power")
-        return Poly(self.nvars, _power(self.terms, n, {(0,) * self.nvars: 1}, _mul))
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = Poly.const(self.nvars, other)
-        if not isinstance(other, Poly):
-            return NotImplemented
+    def _eq(self, other):
         return self.nvars == other.nvars and self.terms == other.terms
 
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
-
-    def __bool__(self):
-        return bool(self.terms)
+    def _key(self):
+        zero = (0,) * self.nvars
+        terms = self.terms
+        return terms.get(zero, 0) if terms.keys() <= {zero} else frozenset(terms.items())
 
     def is_zero(self):
         return not self.terms

@@ -306,7 +306,7 @@ def _int(digits):
     return int(digits)
 
 
-class TruncatedSeries:
+class TruncatedSeries(_Frozen):
     """Coefficients of T^n for |n| <= order, over any exact coefficient ring.
 
     The ring is whatever the coefficients are (Fraction or RationalMotive);
@@ -315,22 +315,26 @@ class TruncatedSeries:
     from the type of the coefficients given (Fraction(0) if there are none).
     """
 
+    __slots__ = ("nvars", "order", "coeffs", "zero")
+
     def __init__(self, nvars, order, coeffs=None, zero=None):
-        self.nvars = _integer(nvars, SeriesError)
-        self.order = _integer(order, SeriesError)
-        if self.order < 0:
+        nvars, order = _integer(nvars, SeriesError), _integer(order, SeriesError)
+        if order < 0:
             raise SeriesError("order must be >= 0")
-        self.coeffs = {}
+        kept = {}
         if coeffs:
             for n, c in coeffs.items():
-                n = _index(n, self.nvars, SeriesError)
-                if sum(n) > self.order:
-                    raise SeriesError("index %r beyond order %d" % (n, self.order))
+                n = _index(n, nvars, SeriesError)
+                if sum(n) > order:
+                    raise SeriesError("index %r beyond order %d" % (n, order))
                 if c:
-                    self.coeffs[n] = c
+                    kept[n] = c
         if zero is None:
             zero = _zero_like(next(iter(coeffs.values()))) if coeffs else Fraction(0)
-        self.zero = zero
+        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "coeffs", kept)
+        object.__setattr__(self, "zero", zero)
 
     def coefficient(self, n):
         n = _index(n, self.nvars, SeriesError)

@@ -14,17 +14,18 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .motive import LaurentMotive, _Frozen, _parse_terms, _signed_text
+from .motive import LaurentMotive, _Frozen, _parse_terms, _Ring, _signed_text
 
 
 class SpectrumError(ValueError):
     pass
 
 
-class Spectrum(_Frozen):
+class Spectrum(_Ring, _Frozen):
     """Finite sum of integer multiples of t^e with e rational, canonical form."""
 
     __slots__ = ("den", "poly")
+    _error = SpectrumError
 
     def __new__(cls, terms=None):
         terms = {Fraction(e): c for e, c in dict(terms or {}).items()}
@@ -55,63 +56,52 @@ class Spectrum(_Frozen):
     def t(cls, exponent=1):
         return cls({exponent: 1})
 
+    __add__, __radd__, __sub__, __rsub__, __mul__, __rmul__, __eq__, __pow__ = _Ring._ops
+    __hash__ = _Ring.__hash__
+
+    @staticmethod
+    def _lift(x):
+        if isinstance(x, Spectrum):
+            return x
+        return Spectrum._of(1, LaurentMotive._of({0: x})) if type(x) is int else None
+
     def _aligned(self, other):
         """(den, a, b): self and other as Laurent polynomials in t^(1/den)."""
-        other = _coerce(other)
         den = lcm(self.den, other.den)
         return (den, _stretch(self.poly, den // self.den),
                 _stretch(other.poly, den // other.den))
 
-    def __add__(self, other):
+    def _add(self, other):
         den, a, b = self._aligned(other)
         return Spectrum._of(den, a + b)
-
-    __radd__ = __add__
 
     def __neg__(self):
         return Spectrum._of(self.den, -self.poly)
 
-    def __sub__(self, other):
-        return self + (-_coerce(other))
-
-    def __rsub__(self, other):
-        return _coerce(other) + (-self)
-
-    def __mul__(self, other):
+    def _mul(self, other):
         den, a, b = self._aligned(other)
         return Spectrum._of(den, a * b)
 
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        if n < 0:
-            raise SpectrumError("negative powers not supported")
-        return Spectrum._of(self.den, self.poly ** n)
-
-    def __eq__(self, other):
-        try:
-            other = _coerce(other)
-        except TypeError:
-            return NotImplemented
+    def _eq(self, other):
         return self.den == other.den and self.poly == other.poly
 
-    def __hash__(self):
-        return hash((self.den, self.poly))
-
-    def __bool__(self):
-        return not self.poly.is_zero()
+    def _key(self):
+        return self.poly._key() if self.den == 1 else (self.den, self.poly._key())
 
     def is_zero(self):
         return self.poly.is_zero()
 
     def exact_div(self, other):
-        """Exact quotient self / other in Z[t^(1/Z)]; SpectrumError if inexact."""
-        other = _coerce(other)
-        if other.is_zero():
+        """Exact quotient self / other (a Spectrum or an int) in Z[t^(1/Z)];
+        SpectrumError if inexact."""
+        divisor = self._lift(other)
+        if divisor is None:
+            raise TypeError("cannot divide a Spectrum by %r" % (other,))
+        if divisor.is_zero():
             raise SpectrumError("division by zero spectrum")
         if self.is_zero():
             return Spectrum.zero()
-        den, a, b = self._aligned(other)
+        den, a, b = self._aligned(divisor)
         # shift both to nonnegative integer exponents
         sa, sb = a.min_exp(), b.min_exp()
         try:
@@ -145,14 +135,6 @@ def _t_power(e):
     if e.denominator > 1:
         return "t^(%s)" % e
     return "" if e == 0 else "t" if e == 1 else "t^%s" % e
-
-
-def _coerce(x):
-    if isinstance(x, Spectrum):
-        return x
-    if isinstance(x, int):
-        return Spectrum._of(1, LaurentMotive({0: x}))
-    raise TypeError("cannot coerce %r to Spectrum" % (x,))
 
 
 class _Remainder(Exception):

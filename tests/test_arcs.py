@@ -364,7 +364,7 @@ def test_rank_deficient_start_settles_on_a_full_rank_subset():
 
 def test_plans_settled_at_level_one_build_no_level_tables(monkeypatch, capsys):
     """On the torus-m3 pair at q = 3, order 2, every start settles at
-    level 1: both plans take their jets to t^0 only and print the stored
+    level 1: both plans take their jets to t^1 only and print the stored
     verify output under 1 and 2 threads.  The same pair at q = 2 matches
     the oracle.  x1^2 - x2^3 at target (3,) keeps rows past level 1, so
     its levels are built, to its depth."""
@@ -379,7 +379,7 @@ def test_plans_settled_at_level_one_build_no_level_tables(monkeypatch, capsys):
         assert main(["verify", "--fixture", "torus-m3", "--q", "3", "--order", "2",
                      "--threads", threads, "--deterministic"]) == 0
         assert capsys.readouterr().out == VERIFY_OUTPUT.read_text()
-    assert degrees and set(degrees) == {0}
+    assert degrees and set(degrees) == {1}
     for polys in castling_fixture("torus-m3")[:2]:
         counts = CountPlan(PolySystem(polys), 2, None, order_indices(3, 2, low=0)).counts()
         for n, (_one, any_) in counts.items():
@@ -387,7 +387,7 @@ def test_plans_settled_at_level_one_build_no_level_tables(monkeypatch, capsys):
     degrees.clear()
     plan = CountPlan(PolySystem([parse_poly("x1^2 - x2^3")]), 2, None, [(3,)])
     plan.counts()
-    assert degrees == [0, 3] and plan.need[3] == 2
+    assert degrees == [1, 3] and plan.need[3] == 2
 
 
 def _rank_mod(rows, q):
@@ -704,7 +704,7 @@ def test_budget_refusal_names_the_power():
 
 def test_degree_limit_refuses_before_any_jet(monkeypatch):
     """A power beyond _MAX_DEGREE is refused by the plan and by the p-adic
-    count before any jet, monomial or grid is built.  One at the limit is
+    count before any jet or grid is built.  One at the limit is
     counted: x2 -> x2 + x1^1000 maps arcs one to one, so x1^1000 + x2 has
     the counts of x2."""
     def no_build(*args):
@@ -712,7 +712,7 @@ def test_degree_limit_refuses_before_any_jet(monkeypatch):
 
     f = parse_poly("x1^%d + x2" % (arcs._MAX_DEGREE + 1))
     with monkeypatch.context() as m:
-        for name in ("arc_value_coefficients", "_monomials", "_residue_grid"):
+        for name in ("arc_value_coefficients", "_residue_grid"):
             m.setattr(arcs, name, no_build)
         with pytest.raises(ArcError, match="degree exceeds the limit of 1000"):
             CountPlan(PolySystem([f]), 2, None, [(1,)])

@@ -533,6 +533,18 @@ def test_castle_igusa_checks_the_pair_before_lifting(capsys, monkeypatch, castli
     assert run(capsys, *argv) == (2, "", "error: %s\n" % message)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("castle-milnor", "--castling", TORUS_M3, "--value", "L+1"),
+     "Milnor fiber transfer needs a single invariant"),
+    (("castle-spectrum", "--castling", TORUS_M3, "--spectrum", "t"),
+     "spectrum transfer needs a single invariant"),
+], ids=["castle-milnor", "castle-spectrum"])
+def test_one_invariant_transfers_refuse_several_invariants(capsys, argv, message):
+    """A Milnor fiber or a spectrum belongs to one f, so castle-milnor and
+    castle-spectrum refuse a datum of l != 1 as castle-igusa does."""
+    assert run(capsys, *argv) == (2, "", "error: %s\n" % message)
+
+
 @pytest.fixture
 def r1_zero_file(tmp_path):
     path = tmp_path / "r1-zero.json"

@@ -1,8 +1,11 @@
 """Laurent and rational classes in L: arithmetic, parsing, named classes."""
 
 import copy
+import itertools
 import math
+import operator
 import pickle
+import random
 import re
 from fractions import Fraction
 
@@ -13,7 +16,7 @@ from hypothesis import given, strategies as st
 from arczeta import (CastlingDatum, CastlingError, CountPlan, LaurentError, LaurentMotive,
                      Permutation, Poly, PolyError, PolySystem, RationalMotive,
                      RationalSeries, ResolutionDatum, ResolutionError, SeriesError,
-                     Spectrum, TruncatedSeries, count_arcs, count_stratum,
+                     Spectrum, SpectrumError, TruncatedSeries, count_arcs, count_stratum,
                      fibration_factor, parse_laurent, parse_poly, parse_system,
                      partition_weight_sum, sl_class, z_w_class)
 from arczeta.motive import _binomials, _denominator_class, _Frozen, _power, compositions
@@ -324,6 +327,7 @@ IMMUTABLE_VALUES = [
     PolySystem(parse_system(["x1*x2", "x1 + x2"])),
     Permutation((2, 3, 1)),
     RationalSeries.parse("((L + 1) / (L^2 - 2)) * T1 / ((1 - L^-1 * T2))  +  (L^-1)", 2),
+    TruncatedSeries(2, 3, {(1, 0): Fraction(1, 2), (0, 2): Fraction(-3)}),
 ]
 
 
@@ -397,7 +401,7 @@ _FIELD = {"components": [{"id": "E", "N": 1, "nu": 1}], "strata": [{"I": ["E"], 
 @pytest.mark.parametrize("build, error, message", [
     (lambda: CastlingDatum(2, 1, 1, 0, ()), CastlingError, "need at least one invariant"),
     (lambda: Poly(0, {}), PolyError, "need at least one variable"),
-    (lambda: Poly.var(2, 1) ** -1, PolyError, "negative power"),
+    (lambda: Poly.var(2, 1) ** -1, PolyError, "negative powers of Poly are refused"),
     (lambda: Poly.var(2, 1).evaluate([1]), PolyError, "expected 2 values, got 1"),
     (lambda: ResolutionDatum.from_json(_FIELD).component("F"), ResolutionError,
      "no component 'F'"),
@@ -408,7 +412,8 @@ _FIELD = {"components": [{"id": "E", "N": 1, "nu": 1}], "strata": [{"I": ["E"], 
     (lambda: RationalSeries.term(1, (1,)) * RationalSeries.term(1, (1, 0)), SeriesError,
      "variable count mismatch"),
     (lambda: _ONE_VAR + 1, SeriesError, "incompatible truncated series"),
-    (lambda: Spectrum.one() + 0.5, TypeError, "cannot coerce 0.5 to Spectrum"),
+    (lambda: Spectrum.one() + 0.5, TypeError,
+     "unsupported operand type(s) for +: 'Spectrum' and 'float'"),
 ], ids=["castling-l-0", "poly-0-vars", "poly-negative-power", "evaluate-arity",
         "unknown-component", "series-term-arity", "series-sum-arity", "series-product-arity",
         "truncated-operand", "spectrum-coercion"])
@@ -416,3 +421,76 @@ def test_malformed_library_inputs_are_refused(build, error, message):
     """Refusals that no command reaches: each names what is wrong."""
     with pytest.raises(error, match="^%s$" % re.escape(message)):
         build()
+
+
+def _laurent(rng):
+    return LaurentMotive({rng.randint(-2, 2): rng.randint(-3, 3)
+                          for _ in range(rng.randint(0, 3))})
+
+
+_RINGS = {  # type -> (seeded value, the type's error)
+    "LaurentMotive": (_laurent, LaurentError),
+    "RationalMotive": (lambda rng: RationalMotive(_laurent(rng), _laurent(rng) or 1),
+                       LaurentError),
+    "Spectrum": (lambda rng: Spectrum({Fraction(rng.randint(-3, 3), rng.randint(1, 3)):
+                                       rng.randint(-3, 3) for _ in range(rng.randint(0, 3))}),
+                 SpectrumError),
+    "Poly": (lambda rng: Poly(2, {(rng.randint(0, 2), rng.randint(0, 2)): rng.randint(-3, 3)
+                                  for _ in range(rng.randint(0, 3))}), PolyError),
+}
+
+
+def _python_error(op, a, b):
+    """The text of the TypeError Python raises for op(a, b)."""
+    with pytest.raises(TypeError) as info:
+        op(a, b)
+    return str(info.value)
+
+
+def _hash_row(name, error, xs, k):
+    """Equal values hash equal, ints included; a quotient has no hash."""
+    for a, b in itertools.product(xs + [k, k + 1], repeat=2):
+        if a == b and name != "RationalMotive":
+            assert hash(a) == hash(b), (a, b)
+    for x in xs if name == "RationalMotive" else ():
+        with pytest.raises(TypeError, match="unhashable type: 'RationalMotive'"):
+            hash(x)
+
+
+def _foreign_row(name, error, xs, k):
+    """A foreign operand (a truth value too) on either side of +, - or *
+    gets Python's own TypeError, the one a type of the same name without
+    operators gets, and == with it is False."""
+    bare = type(name, (), {})()
+    for x, other in itertools.product(xs, (Fraction(1, 2), 1.5, "x", None, True)):
+        for op in (operator.add, operator.sub, operator.mul):
+            assert _python_error(op, x, other) == _python_error(op, bare, other)
+            assert _python_error(op, other, x) == _python_error(op, other, bare)
+        assert not x == other and not other == x and x != other
+
+
+def _power_row(name, error, xs, k):
+    """A power reads its exponent as an integer: 2.0 is 2, while 2.5, True
+    and -1 are the type's error; a cube is the triple product."""
+    for x in xs:
+        assert x ** 2.0 == x * x and x ** 3 == x * x * x
+        for n in (2.5, True, -1):
+            with pytest.raises(error):
+                x ** n
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("row", [_hash_row, _foreign_row, _power_row],
+                         ids=["hash", "foreign-operand", "power"])
+@pytest.mark.parametrize("name", _RINGS)
+def test_exact_value_types_share_one_operator_protocol(name, row, seed):
+    """motive._Ring, one row of the table at a time, on seeded values of
+    each type: three random ones, a constant built by arithmetic (equal to
+    the int k) and a sum and difference equal to the second value."""
+    build, error = _RINGS[name]
+    rng = random.Random(seed)
+    xs = [build(rng) for _ in range(3)]
+    k = rng.randint(-2, 2)
+    xs += [xs[0] - xs[0] + k, (xs[1] + xs[2]) - xs[2]]
+    assert xs[3] == k and k == xs[3] and xs[4] == xs[1]
+    row(name, error, xs, k)
